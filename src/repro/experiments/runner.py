@@ -243,7 +243,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         calibration=calibration,
         verify_winners=getattr(args, "verify_winners", False),
         metrics_out=getattr(args, "metrics_out", None),
-        pricing_cache=getattr(args, "pricing_cache", None),
     )
 
 
@@ -662,16 +661,6 @@ def main(argv: Sequence[str] | None = None) -> int:
              "report --metrics DIR`",
     )
     parser.add_argument(
-        "--pricing-cache",
-        default=None,
-        metavar="DIR",
-        help="shared pricing plane directory (repro.sim.cost_store): "
-             "price each grid's family union once up front, persist the "
-             "tables, and start every sweep worker cache-hot; "
-             "outcome-neutral — results are byte-identical with or "
-             "without it",
-    )
-    parser.add_argument(
         "--calibration",
         default=None,
         metavar="PATH",
@@ -690,7 +679,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --checkpoint-dir")
     if args.backend == "file-queue" and args.checkpoint_dir is None:
         parser.error("--backend=file-queue requires --checkpoint-dir")
-    options = build_sweep_options(args)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    try:
+        options = build_sweep_options(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     names = (
         list(PAPER_EXPERIMENTS)
         if not args.names or "all" in args.names

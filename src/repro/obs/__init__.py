@@ -20,6 +20,7 @@ from repro.obs.registry import (
     Recorder,
     get_recorder,
     install,
+    merge_snapshot,
     read_snapshots,
     recording,
     snapshot_from_json,
@@ -38,6 +39,7 @@ __all__ = [
     "build_report",
     "get_recorder",
     "install",
+    "merge_snapshot",
     "read_snapshots",
     "recording",
     "snapshot_from_json",

@@ -49,6 +49,7 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "get_recorder",
     "install",
+    "merge_snapshot",
     "read_snapshots",
     "recording",
     "snapshot_from_json",
@@ -330,6 +331,23 @@ def snapshot_from_json(payload: dict) -> dict:
         if not isinstance(payload.get(key, kind()), kind):
             raise ValueError(f"snapshot field {key!r} has the wrong type")
     return payload
+
+
+def merge_snapshot(recorder: Recorder, snapshot: dict) -> None:
+    """Fold another process's snapshot into ``recorder``.
+
+    How a sweep coordinator keeps what its pool workers recorded:
+    counters add, histogram observations append, and gauges merge as
+    high-water marks (the only gauges a search sets).  Spans are left
+    out.
+    """
+    for name, value in snapshot.get("counters", {}).items():
+        recorder.count(name, value)
+    for name, value in snapshot.get("gauges", {}).items():
+        recorder.gauge_max(name, value)
+    for name, hist in snapshot.get("histograms", {}).items():
+        for value in hist["values"]:
+            recorder.observe(name, value)
 
 
 def write_snapshot_line(path: str | os.PathLike, snapshot: dict) -> Path:

@@ -56,19 +56,9 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         help="calibration JSON (e.g. fitted_calibration.json); "
         "default: hand-tuned constants",
     )
-    parser.add_argument(
-        "--pricing-cache",
-        default=None,
-        metavar="DIR",
-        help="shared pricing plane directory (repro.sim.cost_store): "
-        "warm preset family tables at startup and seed each queried "
-        "context before its first search",
-    )
     args = parser.parse_args(argv)
     calibration = _load_calibration(args.calibration)
-    with Planner(
-        args.store, calibration=calibration, pricing_cache=args.pricing_cache
-    ) as planner:
+    with Planner(args.store, calibration=calibration) as planner:
         try:
             asyncio.run(serve(planner, args.host, args.port))
         except KeyboardInterrupt:
@@ -113,30 +103,26 @@ def plan_main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--calibration", default=None, metavar="PATH")
     parser.add_argument(
-        "--pricing-cache",
-        default=None,
-        metavar="DIR",
-        help="shared pricing plane directory (repro.sim.cost_store)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit the raw answer JSON instead of the summary table",
     )
     args = parser.parse_args(argv)
-    request = PlanRequest(
-        model=args.model,
-        cluster=args.cluster,
-        batch_sizes=tuple(args.batch_sizes),
-        objective=args.objective,
-        memory_headroom=args.memory_headroom,
-        include_hybrid=args.include_hybrid,
-        methods=tuple(args.methods or ()),
-    )
+    try:
+        request = PlanRequest(
+            model=args.model,
+            cluster=args.cluster,
+            batch_sizes=tuple(args.batch_sizes),
+            objective=args.objective,
+            memory_headroom=args.memory_headroom,
+            include_hybrid=args.include_hybrid,
+            methods=tuple(args.methods or ()),
+        )
+        request.resolve()  # unknown names and bad objectives, up front
+    except ValueError as exc:
+        parser.error(str(exc))
     calibration = _load_calibration(args.calibration)
-    with Planner(
-        args.store, calibration=calibration, pricing_cache=args.pricing_cache
-    ) as planner:
+    with Planner(args.store, calibration=calibration) as planner:
         answer = asyncio.run(planner.plan(request))
     if args.json:
         print(json.dumps(answer_to_json(answer), indent=2, sort_keys=True))

@@ -85,7 +85,6 @@ class Planner:
         store_dir: str | Path,
         *,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        pricing_cache: str | Path | None = None,
     ) -> None:
         self._store = MemoStore(store_dir)
         self._calibration = calibration
@@ -97,17 +96,6 @@ class Planner:
         )
         self._inflight: dict[str, asyncio.Future] = {}
         self._preset_index = self._build_preset_index()
-        # Shared pricing plane (repro.sim.cost_store): bundles priced by
-        # past sweeps/planners seed this process's family caches, so a
-        # cold planner's first searches skip pricing entirely.  Contexts
-        # are seeded at most once; the committed presets warm up front.
-        self._pricing_store = None
-        self._pricing_seeded: set = set()
-        if pricing_cache is not None:
-            from repro.sim.cost_store import CostStore
-
-            self._pricing_store = CostStore(pricing_cache)
-            self._warm_presets_from_pricing_store()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -288,44 +276,11 @@ class Planner:
                 configs.setdefault(result.config, None)
         return WarmStartSeed(configs=tuple(configs))
 
-    def _warm_presets_from_pricing_store(self) -> None:
-        """Store-backed preset warm-up (startup, before the loop runs).
-
-        Seeds the family caches for every committed preset context whose
-        bundle exists — the contexts ``GET /presets`` advertises, hence
-        the queries most likely to arrive first.  Missing bundles cost
-        one ``stat`` each; corrupt ones are hash-rejected and stay cold.
-        """
-        for model in PRESET_MODELS:
-            spec = PRESETS[model]
-            for cluster in CLUSTER_ALIASES.values():
-                self._seed_pricing(spec, cluster)
-
-    def _seed_pricing(self, spec, cluster) -> None:
-        """Seed family caches from the pricing store, once per context.
-
-        Called at startup for the presets and from the search thread for
-        whatever context a query actually resolves to; the seeded-set
-        check makes repeats free.  Synchronous by design — it runs off
-        the event loop (startup or search pool), and seeding before the
-        search is exactly the point.
-        """
-        if self._pricing_store is None or (spec, cluster) in self._pricing_seeded:
-            return
-        from repro.sim.cost_store import seed_from_store
-
-        self._pricing_seeded.add((spec, cluster))
-        seeded = seed_from_store(
-            self._pricing_store, spec, cluster, self._calibration
-        )
-        get_recorder().count("planner.pricing.seeded_entries", seeded)
-
     def _run_search(
         self, resolved: ResolvedPlan, cell: SweepCell, seed: WarmStartSeed
     ) -> SearchOutcome:
         """Run one cold/seeded search (on the single search thread)."""
         rec = get_recorder()
-        self._seed_pricing(resolved.spec, resolved.cluster)
         with rec.span(
             "search.grid", method=cell.method.name, batch_size=cell.batch_size
         ):

@@ -201,64 +201,6 @@ class WinnerVerificationError(RuntimeError):
 # --------------------------------------------------------- pipeline stages
 
 
-def plane_families(
-    spec: TransformerSpec,
-    cluster: ClusterSpec,
-    cells,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-) -> dict[ImplementationProfile, tuple[list, list]]:
-    """Union of pricing families the given cells' searches would price.
-
-    The grid-level half of the shared pricing plane
-    (:mod:`repro.sim.cost_store`): ``run_sweep`` calls this once over
-    *every* cell of a sweep so the whole grid's families can be priced
-    in one cross-family vectorized pass before any worker starts.  The
-    feasibility filter is replicated exactly from :func:`_memory_stage`
-    — a family is included iff at least one memory-feasible candidate
-    belongs to it, so precomputation never prices work the lazy
-    per-cell path would skip.  Comm families are collected for
-    data-parallel candidates only (``n_dp == 1`` never consults the
-    comm table).
-
-    Returns ``{implementation: (stage_families, comm_families)}`` where
-    stage families are ``(n_pp, n_loop, s_mb, n_tp)`` — the
-    :func:`repro.sim.cost.stage_time_table` axes — and comm families are
-    ``(n_pp, n_loop, n_tp, n_dp, sharding)`` — the
-    :func:`repro.sim.cost.comm_time_table` axes.  Both in first-seen
-    enumeration order, deduplicated.
-    """
-    memory_limit = cluster.gpu.memory_bytes * MEMORY_HEADROOM
-    budget = settings.objective.memory_budget(cluster)
-    if budget is not None:
-        memory_limit = min(memory_limit, budget)
-    stage: dict[ImplementationProfile, dict[tuple, None]] = {}
-    comm: dict[ImplementationProfile, dict[tuple, None]] = {}
-    for cell in cells:
-        pairs = configuration_space(
-            cell.method, spec, cluster, cell.batch_size, settings=settings
-        )
-        for config, impl in pairs:
-            if memory_model(spec, config, impl).total > memory_limit:
-                continue
-            stage.setdefault(impl, {})[
-                (config.n_pp, config.n_loop, config.microbatch_size, config.n_tp)
-            ] = None
-            if config.n_dp > 1:
-                comm.setdefault(impl, {})[
-                    (
-                        config.n_pp,
-                        config.n_loop,
-                        config.n_tp,
-                        config.n_dp,
-                        config.sharding,
-                    )
-                ] = None
-    return {
-        impl: (list(families), list(comm.get(impl, {})))
-        for impl, families in stage.items()
-    }
-
-
 def _price_survivor_families(
     spec: TransformerSpec,
     cluster: ClusterSpec,

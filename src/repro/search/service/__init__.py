@@ -9,8 +9,8 @@ its machinery:
 - :mod:`~repro.search.service.checkpoint` — per-cell checkpoint files,
   written atomically, corrupt files rejected cleanly.
 - :mod:`~repro.search.service.executors` — serial, multiprocessing
-  (fork *and* spawn), ``concurrent.futures``, and the file-based work
-  queue where independent workers claim cells via atomic renames.
+  (fork *and* spawn), and the file-based work queue where independent
+  workers claim cells via atomic renames.
 - :mod:`~repro.search.service.queue` / ``worker`` — the shared-FS claim
   protocol and the ``python -m repro.search.service.worker`` process.
 - :mod:`~repro.search.service.progress` — progress/ETA lines.
@@ -22,7 +22,6 @@ from repro.search.service.executors import (
     Executor,
     FileQueueExecutor,
     MultiprocessingExecutor,
-    ProcessPoolBackend,
     SerialExecutor,
     SweepError,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ManifestEntry",
     "MemoStore",
     "MultiprocessingExecutor",
-    "ProcessPoolBackend",
     "ProgressReporter",
     "SearchSettings",
     "SerialExecutor",

@@ -3,7 +3,7 @@
 Every backend implements one contract: given the search context and a
 list of ``(index, key, cell)`` tasks, yield ``(index, outcome)`` pairs as
 cells complete (in any order — the service reassembles input order).
-Four are provided:
+Three are provided:
 
 - ``serial``: in-process loop; the byte-stability reference.
 - ``multiprocessing``: a ``multiprocessing.Pool`` using ``fork`` where
@@ -11,9 +11,6 @@ Four are provided:
   elsewhere — the pool initializer rebuilds the context in each child,
   so spawn-only platforms get a real pool instead of the old silent
   serial fallback.
-- ``process-pool``: the same fan-out on
-  ``concurrent.futures.ProcessPoolExecutor``, for callers that want
-  futures semantics or to share an interpreter-wide pool policy.
 - ``file-queue``: N independent worker *processes* — on this machine or
   any machine sharing the queue's filesystem — claim cells via atomic
   renames, checkpoint results themselves, and survive crashes: the
@@ -29,14 +26,13 @@ import subprocess
 import sys
 import time
 from collections.abc import Iterator, Sequence
-from concurrent import futures
 from pathlib import Path
 from typing import NamedTuple
 
 import repro
 from repro.hardware.cluster import ClusterSpec
 from repro.models.spec import TransformerSpec
-from repro.obs import get_recorder, uninstall
+from repro.obs import MetricsRegistry, get_recorder, recording, uninstall
 from repro.obs import clock as obs_clock
 from repro.search.cell import SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome, best_configuration
@@ -50,7 +46,6 @@ __all__ = [
     "Executor",
     "FileQueueExecutor",
     "MultiprocessingExecutor",
-    "ProcessPoolBackend",
     "SerialExecutor",
     "SweepError",
     "worker_command",
@@ -79,17 +74,16 @@ class CellReport(NamedTuple):
             when no lookups happened or the backend has no measurement.
             Feeds the progress reporter's hot/cold ETA blend and the
             timing sidecar.
-        warm_counters: ``search.warm_start.*`` suffix → delta counts for
-            this cell, measured *inside* the searching process.  Only
-            populated when that process has no recorder installed (pool
-            workers — their in-process counts would otherwise be lost
-            when the child exits); the coordinator attributes them into
-            its own snapshot.  None when the process records for itself.
+        metrics: Obs snapshot of this cell's search, recorded by a pool
+            worker into a fresh registry (the worker's own registry dies
+            with its process); the coordinator merges it into its
+            recorder.  None when the search recorded in-process or
+            nobody was recording.
     """
 
     seconds: float | None
     warm_hit_rate: float | None = None
-    warm_counters: dict[str, int] | None = None
+    metrics: dict | None = None
 
 
 class Executor:
@@ -98,8 +92,8 @@ class Executor:
     ``run`` yields ``(index, outcome, report)`` triples; the report's
     wall-clock feeds the checkpoint store's timing sidecars (and
     through them the family-clustered longest-first scheduling of later
-    runs), its warm-start measurements feed the cost-weighted ETA and
-    the coordinator's ``search.warm_start.*`` counters.
+    runs), its warm-start hit rate feeds the cost-weighted ETA, and its
+    metrics snapshot (if any) feeds the coordinator's recorder.
     """
 
     #: Backend name as selected by ``run_sweep(backend=...)``.
@@ -119,13 +113,10 @@ def _timed_search(
 ) -> tuple[SearchOutcome, CellReport]:
     """Search one cell, returning (outcome, measurement report).
 
-    The warm-start hit rate and counters come from
-    ``cache_info()`` deltas around the search — measured here, in the
-    process that ran the search, because pool workers reset to zero when
-    they exit: deltas taken anywhere else under-report.  The counters
-    are shipped only when this process has no recorder (otherwise
-    :func:`repro.search.grid.best_configuration` has already counted
-    them in-process and shipping would double-count).
+    The warm-start hit rate comes from ``cache_info()`` deltas around
+    the search — measured here, in the process that ran the search,
+    because pool workers' caches die with them: deltas taken anywhere
+    else under-report.
     """
     spec, cluster, calibration, settings = context
     stage_before = stage_time_table.cache_info()
@@ -137,18 +128,15 @@ def _timed_search(
     elapsed = obs_clock.perf() - start
     stage_after = stage_time_table.cache_info()
     comm_after = comm_time_table.cache_info()
-    counters = {
-        "hits": stage_after.hits - stage_before.hits,
-        "misses": stage_after.misses - stage_before.misses,
-        "comm.hits": comm_after.hits - comm_before.hits,
-        "comm.misses": comm_after.misses - comm_before.misses,
-    }
-    lookups = sum(counters.values())
-    hits = counters["hits"] + counters["comm.hits"]
+    hits = (stage_after.hits - stage_before.hits) + (
+        comm_after.hits - comm_before.hits
+    )
+    misses = (stage_after.misses - stage_before.misses) + (
+        comm_after.misses - comm_before.misses
+    )
+    lookups = hits + misses
     return outcome, CellReport(
-        seconds=elapsed,
-        warm_hit_rate=hits / lookups if lookups else None,
-        warm_counters=None if get_recorder().enabled else counters,
+        seconds=elapsed, warm_hit_rate=hits / lookups if lookups else None
     )
 
 
@@ -166,7 +154,7 @@ class SerialExecutor(Executor):
             yield index, outcome, report
 
 
-# ----------------------------------------------------------- process pools
+# ------------------------------------------------------------ process pool
 
 #: Worker-process search context, set once by the pool initializer so the
 #: per-cell task payload is just the (index, cell) pair.  Works for both
@@ -179,27 +167,30 @@ def _init_worker(
     cluster: ClusterSpec,
     calibration: Calibration,
     settings: SearchSettings,
-    pricing_cache: str | os.PathLike | None = None,
+    record: bool,
 ) -> None:
     # Fork children inherit the coordinator's installed recorder, but
     # their registry copy dies with them — nothing they count is ever
-    # snapshotted.  Reset to the null recorder so _timed_search ships
-    # the warm-start deltas back to the coordinator instead of counting
-    # them into the void.
+    # snapshotted.  Reset to the null recorder; when the coordinator is
+    # recording, each cell records into its own registry instead and
+    # ships the snapshot back (_search_indexed).
     uninstall()
     _WORKER_CONTEXT["args"] = (spec, cluster, calibration, settings)
-    if pricing_cache is not None:
-        from repro.sim.cost_store import CostStore, seed_from_store
-
-        seed_from_store(CostStore(pricing_cache), spec, cluster, calibration)
+    _WORKER_CONTEXT["record"] = record
 
 
 def _search_indexed(
     task: tuple[int, SweepCell],
 ) -> tuple[int, SearchOutcome, CellReport]:
     index, cell = task
-    outcome, report = _timed_search(_WORKER_CONTEXT["args"], cell)
-    return index, outcome, report
+    context = _WORKER_CONTEXT["args"]
+    if not _WORKER_CONTEXT["record"]:
+        outcome, report = _timed_search(context, cell)
+        return index, outcome, report
+    registry = MetricsRegistry(actor=f"pool-{os.getpid()}")
+    with recording(registry):
+        outcome, report = _timed_search(context, cell)
+    return index, outcome, report._replace(metrics=registry.snapshot())
 
 
 def _resolve_processes(processes: int | None, n_tasks: int) -> int:
@@ -223,12 +214,8 @@ def _resolve_start_method(start_method: str | None) -> str:
 class MultiprocessingExecutor(Executor):
     """Coarse-grained ``multiprocessing.Pool`` fan-out, fork or spawn.
 
-    ``pricing_cache`` names a shared pricing plane directory
-    (:class:`repro.sim.cost_store.CostStore`): every pool worker seeds
-    its in-process family caches from it at initialization, so workers
-    start cache-hot instead of re-pricing the grid's families once per
-    process.  Outcome-neutral — seeded tables are bit-identical to cold
-    pricing.
+    When the coordinator's recorder is enabled as the pool starts, every
+    cell's metrics come back as a snapshot on its :class:`CellReport`.
     """
 
     name = "multiprocessing"
@@ -238,11 +225,9 @@ class MultiprocessingExecutor(Executor):
         *,
         processes: int | None = None,
         start_method: str | None = None,
-        pricing_cache: str | os.PathLike | None = None,
     ) -> None:
         self.processes = processes
         self.start_method = _resolve_start_method(start_method)
-        self.pricing_cache = pricing_cache
 
     def run(self, context, tasks):
         n_proc = _resolve_processes(self.processes, len(tasks))
@@ -254,48 +239,9 @@ class MultiprocessingExecutor(Executor):
         with ctx.Pool(
             processes=n_proc,
             initializer=_init_worker,
-            initargs=(*context, self.pricing_cache),
+            initargs=(*context, get_recorder().enabled),
         ) as pool:
             yield from pool.imap_unordered(_search_indexed, payload, chunksize=1)
-
-
-class ProcessPoolBackend(Executor):
-    """``concurrent.futures.ProcessPoolExecutor`` fan-out.
-
-    ``pricing_cache``: see :class:`MultiprocessingExecutor`.
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        *,
-        processes: int | None = None,
-        start_method: str | None = None,
-        pricing_cache: str | os.PathLike | None = None,
-    ) -> None:
-        self.processes = processes
-        self.start_method = _resolve_start_method(start_method)
-        self.pricing_cache = pricing_cache
-
-    def run(self, context, tasks):
-        n_proc = _resolve_processes(self.processes, len(tasks))
-        if n_proc <= 1:
-            yield from SerialExecutor().run(context, tasks)
-            return
-        ctx = multiprocessing.get_context(self.start_method)
-        with futures.ProcessPoolExecutor(
-            max_workers=n_proc,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(*context, self.pricing_cache),
-        ) as pool:
-            pending = [
-                pool.submit(_search_indexed, (index, cell))
-                for index, _key, cell in tasks
-            ]
-            for future in futures.as_completed(pending):
-                yield future.result()
 
 
 # --------------------------------------------------------------- file queue
@@ -325,16 +271,12 @@ def worker_command(
     heartbeat_interval: float | None = None,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
-    pricing_cache: str | os.PathLike | None = None,
 ) -> list[str]:
     """The subprocess argv for one file-queue worker.
 
     ``heartbeat_interval=None`` leaves the worker's own default; pass
     :func:`repro.search.service.queue.heartbeat_interval_for_lease` of
     the coordinator's lease so the heartbeat always beats the janitor.
-    ``pricing_cache`` points the worker at the sweep's shared pricing
-    plane so it starts cache-hot (see
-    :mod:`repro.sim.cost_store`).
     """
     cmd = [
         sys.executable,
@@ -355,8 +297,6 @@ def worker_command(
         cmd += ["--crash-after-claims", str(crash_after_claims)]
     if metrics_out is not None:
         cmd += ["--metrics-out", str(metrics_out)]
-    if pricing_cache is not None:
-        cmd += ["--pricing-cache", str(pricing_cache)]
     return cmd
 
 
@@ -388,7 +328,6 @@ class FileQueueExecutor(Executor):
         orphan_lease: float = 300.0,
         crash_first_worker_after: int | None = None,
         metrics_out: str | os.PathLike | None = None,
-        pricing_cache: str | os.PathLike | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -424,10 +363,6 @@ class FileQueueExecutor(Executor):
         #: Directory each worker appends its metrics snapshot to
         #: (``<dir>/<worker-id>.jsonl``); None leaves observability off.
         self.metrics_out = metrics_out
-        #: Shared pricing plane (:class:`repro.sim.cost_store.CostStore`)
-        #: every spawned worker seeds its family caches from; None means
-        #: workers price their own families cold.
-        self.pricing_cache = pricing_cache
 
     def _recover_stale_claims(self, queue: FileWorkQueue, *, idle: bool) -> None:
         """Expire claims held too long (see ``stale_lease``/``orphan_lease``)."""
@@ -448,7 +383,6 @@ class FileQueueExecutor(Executor):
                 self.crash_first_worker_after if inject_crash else None
             ),
             metrics_out=self.metrics_out,
-            pricing_cache=self.pricing_cache,
         )
         return subprocess.Popen(
             cmd, env=worker_env(), stdout=subprocess.DEVNULL
@@ -482,9 +416,8 @@ class FileQueueExecutor(Executor):
                         )
                     # The worker that computed the cell wrote the timing
                     # sidecar itself; surface it so the service treats
-                    # every backend uniformly.  Warm-start counters stay
-                    # None: workers with a recorder write their own
-                    # snapshots, so re-counting here would double-attribute.
+                    # every backend uniformly.  Metrics stay None: workers
+                    # with a recorder write their own snapshot files.
                     record = store.load_timing_record(key) or {}
                     yield remaining.pop(key), outcome, CellReport(
                         seconds=record.get("seconds"),

@@ -28,6 +28,7 @@ from repro.models.spec import TransformerSpec
 from repro.obs import (
     MetricsRegistry,
     get_recorder,
+    merge_snapshot,
     recording,
     write_snapshot_line,
 )
@@ -39,7 +40,6 @@ from repro.search.service.executors import (
     Executor,
     FileQueueExecutor,
     MultiprocessingExecutor,
-    ProcessPoolBackend,
     SerialExecutor,
     SweepError,
 )
@@ -51,7 +51,7 @@ from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 __all__ = ["BACKENDS", "SweepOptions", "run_sweep"]
 
 #: Selectable backend names, in documentation order.
-BACKENDS = ("serial", "multiprocessing", "process-pool", "file-queue")
+BACKENDS = ("serial", "multiprocessing", "file-queue")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ class SweepOptions:
 
     Attributes:
         backend: One of :data:`BACKENDS`.
-        processes: Pool size for the process backends (None = CPU count).
+        processes: Pool size for the ``multiprocessing`` backend (None =
+            CPU count).
         start_method: ``fork``/``spawn``/``forkserver`` override for the
-            process backends; None picks fork where available.
+            ``multiprocessing`` backend; None picks fork where available.
         checkpoint_dir: Directory of per-cell checkpoints.  Optional for
             in-process backends, required for ``file-queue`` (workers
             deliver results through it).
@@ -113,19 +114,6 @@ class SweepOptions:
             append to ``<worker-id>.jsonl``.  Pure observation — never
             part of checkpoint content hashes (not a
             :class:`~repro.search.cell.SearchSettings` field).
-        pricing_cache: Directory of the sweep-wide **shared pricing
-            plane** (:class:`repro.sim.cost_store.CostStore`;
-            ``--pricing-cache`` on the experiments CLI).  When set, the
-            coordinator enumerates the union of pricing families across
-            every cell of the grid, prices the ones the store doesn't
-            already hold in one vectorized pass, persists the bundle,
-            and every worker process seeds its in-process caches from it
-            before searching.  Strictly outcome-neutral: seeded tables
-            are bit-identical to cold pricing (corrupt bundles are
-            hash-rejected and re-priced), so winners, counters and
-            checkpoint bytes never depend on it — and it is therefore
-            never part of checkpoint content hashes (not a
-            :class:`~repro.search.cell.SearchSettings` field).
     """
 
     backend: str = "multiprocessing"
@@ -145,7 +133,6 @@ class SweepOptions:
     verify_winners: bool = False
     batch_eval: bool = True
     metrics_out: str | os.PathLike | None = None
-    pricing_cache: str | os.PathLike | None = None
 
     @property
     def search_settings(self) -> SearchSettings:
@@ -166,13 +153,6 @@ def _make_executor(options: SweepOptions) -> Executor:
         return MultiprocessingExecutor(
             processes=options.processes,
             start_method=options.start_method,
-            pricing_cache=options.pricing_cache,
-        )
-    if options.backend == "process-pool":
-        return ProcessPoolBackend(
-            processes=options.processes,
-            start_method=options.start_method,
-            pricing_cache=options.pricing_cache,
         )
     if options.backend == "file-queue":
         if options.checkpoint_dir is None:
@@ -190,7 +170,6 @@ def _make_executor(options: SweepOptions) -> Executor:
             max_retries=options.max_retries,
             stale_lease=options.stale_lease,
             metrics_out=options.metrics_out,
-            pricing_cache=options.pricing_cache,
         )
     raise ValueError(
         f"unknown backend {options.backend!r}; choose from "
@@ -207,9 +186,8 @@ def _order_longest_first(
     family is ``(n_pp, n_loop, s_mb, n_tp)`` — batch size only changes
     how many micro-batches flow through it), so scheduling a method's
     cells consecutively means every cell after the group's first runs
-    against warm family caches — on the same worker under the file
-    queue's claim order, and against the shared pricing plane
-    everywhere.  Groups are ordered by their *longest* member
+    against warm family caches on the same worker under the file
+    queue's claim order.  Groups are ordered by their *longest* member
     (descending), cells within a group longest-first, which preserves
     the critical-path property: the giant that would otherwise finish
     alone at the end still starts first.
@@ -273,48 +251,6 @@ def _order_longest_first(
         ),
     )
     return ordered, estimates
-
-
-def _prewarm_pricing(
-    spec: TransformerSpec,
-    cluster: ClusterSpec,
-    calibration: Calibration,
-    settings: SearchSettings,
-    tasks: list,
-    cache_dir: str | os.PathLike,
-) -> None:
-    """Grid-level precompute: price the union of families, once, up front.
-
-    Enumerates every memory-feasible family across *all* cells of the
-    sweep (:func:`repro.search.grid.plane_families`), seeds the
-    coordinator's caches from the shared pricing plane's bundles where
-    they exist, prices whatever is missing in one cross-family
-    vectorized pass, and writes the merged bundle back — healing
-    corrupt or partial bundles as a side effect.  Workers then start
-    cache-hot: fork children inherit the coordinator's warm caches
-    directly, spawn children and file-queue workers load the bundle
-    this function just persisted.  Outcome-neutral by the store's
-    bit-exact round-trip contract.
-    """
-    from repro.search.grid import plane_families
-    from repro.sim.cost_store import CostStore, collect_tables, seed_caches
-
-    store = CostStore(cache_dir)
-    rec = get_recorder()
-    cells = [cell for _index, _key, cell in tasks]
-    with rec.span("sweep.pricing_prewarm"):
-        by_impl = plane_families(spec, cluster, cells, settings)
-        for impl, (stage_families, comm_families) in by_impl.items():
-            loaded = store.load(spec, cluster, calibration, impl)
-            if loaded is not None:
-                seed_caches(spec, cluster, calibration, impl, loaded)
-            tables = collect_tables(
-                spec, cluster, calibration, impl, stage_families, comm_families
-            )
-            if loaded is None:
-                store.store(spec, cluster, calibration, impl, tables)
-            elif loaded.merge(tables):
-                store.store(spec, cluster, calibration, impl, loaded)
 
 
 def run_sweep(
@@ -418,14 +354,6 @@ def run_sweep(
             rec = get_recorder()
             rec.count("sweep.cells_total", len(first_of))
             rec.count("sweep.cells_from_checkpoints", len(outcomes))
-            if options.pricing_cache is not None:
-                # Before the backend starts its workers: fork children
-                # inherit the caches this warms, everyone else reads the
-                # bundle it persists.
-                _prewarm_pricing(
-                    spec, cluster, calibration, settings, tasks,
-                    options.pricing_cache,
-                )
             with rec.span("sweep.run", backend=options.backend):
                 for index, outcome, report in backend.run(context, tasks):
                     key = key_of_index[index]
@@ -439,13 +367,8 @@ def run_sweep(
                             )
                     outcomes[key] = outcome
                     rec.count("sweep.cells_computed")
-                    if report.warm_counters:
-                        # Deltas measured inside recorder-less pool
-                        # workers — attributed here so multiprocessing
-                        # sweeps report the same warm-start counters a
-                        # serial run would.
-                        for name, value in report.warm_counters.items():
-                            rec.count(f"search.warm_start.{name}", value)
+                    if report.metrics is not None:
+                        merge_snapshot(rec, report.metrics)
                     if reporter is not None:
                         reporter.update(
                             cost=estimates.get(key),

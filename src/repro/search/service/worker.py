@@ -58,7 +58,6 @@ def run_worker(
     heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
-    pricing_cache: str | os.PathLike | None = None,
 ) -> int:
     """Drain the queue; returns the number of cells this worker completed.
 
@@ -80,24 +79,12 @@ def run_worker(
     appends one snapshot to ``<metrics_out>/<worker_id>.jsonl`` on exit
     — one file per actor, the same single-writer convention as the
     queue's event logs.
-
-    ``pricing_cache`` names the sweep's shared pricing plane
-    (:class:`repro.sim.cost_store.CostStore`): the worker seeds its
-    in-process family caches from the context's bundle before claiming,
-    so it never re-prices families the coordinator already priced.
-    Loads are hash-validated; a missing or corrupt bundle just means a
-    cold start.
     """
     queue = FileWorkQueue.open(queue_dir)
     context = queue.load_context()
     store = MemoStore(checkpoint_dir)
     if worker_id is None:
         worker_id = default_worker_id()
-    if pricing_cache is not None:
-        from repro.sim.cost_store import CostStore, seed_from_store
-
-        spec, cluster, calibration, _settings = context
-        seed_from_store(CostStore(pricing_cache), spec, cluster, calibration)
 
     if metrics_out is None:
         return _drain(
@@ -246,13 +233,6 @@ def main(argv=None) -> int:
         help="record observability metrics and append a snapshot to "
         "DIR/<worker-id>.jsonl on exit",
     )
-    parser.add_argument(
-        "--pricing-cache",
-        default=None,
-        metavar="DIR",
-        help="seed the in-process family caches from this shared pricing "
-        "plane before claiming cells (see repro.sim.cost_store)",
-    )
     # Failure injection for tests/CI; deliberately undocumented in --help.
     parser.add_argument(
         "--crash-after-claims", type=int, default=None, help=argparse.SUPPRESS
@@ -270,7 +250,6 @@ def main(argv=None) -> int:
         ),
         crash_after_claims=args.crash_after_claims,
         metrics_out=args.metrics_out,
-        pricing_cache=args.pricing_cache,
     )
     print(f"worker finished: {completed} cell(s) completed", file=sys.stderr)
     return 0

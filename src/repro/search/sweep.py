@@ -44,7 +44,6 @@ def sweep_cells(
     processes: int | None = None,
     options: SweepOptions | None = None,
     objective: Objective | None = None,
-    pricing_cache: str | None = None,
 ) -> list[SearchOutcome]:
     """Search every cell; return outcomes in the input order.
 
@@ -57,15 +56,10 @@ def sweep_cells(
         processes: Pool size; ``None`` uses the CPU count (capped at the
             number of cells), ``1`` runs serially in this process.
         options: Full service options (backend, checkpointing, resume).
-            When given, ``processes``/``objective``/``pricing_cache``
-            override its fields only if not None.
+            When given, ``processes``/``objective`` override its fields
+            only if not None.
         objective: Search objective for every cell (``None`` defers to
             ``options.objective``; see :mod:`repro.search.objective`).
-        pricing_cache: Shared pricing plane directory
-            (:mod:`repro.sim.cost_store`): the grid's family union is
-            priced once up front and every worker starts cache-hot.
-            Outcome-neutral (``None`` defers to
-            ``options.pricing_cache``).
     """
     if options is None:
         options = SweepOptions(processes=processes)
@@ -73,8 +67,6 @@ def sweep_cells(
         options = replace(options, processes=processes)
     if objective is not None:
         options = replace(options, objective=objective)
-    if pricing_cache is not None:
-        options = replace(options, pricing_cache=pricing_cache)
     return run_sweep(
         spec, cluster, cells, calibration=calibration, options=options
     )
@@ -90,7 +82,6 @@ def sweep_grid(
     processes: int | None = None,
     options: SweepOptions | None = None,
     objective: Objective | None = None,
-    pricing_cache: str | None = None,
 ) -> dict[Method, list[SearchOutcome]]:
     """Search the full methods x batch-sizes grid of one Figure 7 panel.
 
@@ -108,7 +99,6 @@ def sweep_grid(
         processes=processes,
         options=options,
         objective=objective,
-        pricing_cache=pricing_cache,
     )
     grouped: dict[Method, list[SearchOutcome]] = {m: [] for m in methods}
     for cell, outcome in zip(cells, outcomes):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.placement import Placement
 from repro.hardware.cluster import ClusterSpec, ParallelDim
@@ -198,7 +199,8 @@ class CommTimes:
     dp_serial: tuple[float, ...]
 
 
-def _comm_time_table(
+@lru_cache(maxsize=16384)
+def comm_time_table(
     spec: TransformerSpec,
     cluster: ClusterSpec,
     implementation: ImplementationProfile,
@@ -213,8 +215,7 @@ def _comm_time_table(
     The probe pins the axes the durations do not depend on (``n_mb = 1``,
     ``s_mb = 1``, breadth-first; calibration never enters ``_dp_time``),
     so cached values are bit-identical to what any matching candidate's
-    :class:`CostModel` computes.  Entries can be seeded externally (the
-    sweep-wide pricing plane, :mod:`repro.sim.cost_store`).
+    :class:`CostModel` computes.
     """
     probe = CostModel(
         spec=spec,
@@ -240,9 +241,6 @@ def _comm_time_table(
         post_gather=tuple(probe.post_step_gather_time(r) for r in ranks),
         dp_serial=tuple(probe.dp_serial_time(r) for r in ranks),
     )
-
-
-comm_time_table = _SeedableCache(_comm_time_table, maxsize=16384)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The scalar :func:`repro.sim.cost.stage_time_table` walks every stage of a
 family in Python, re-deriving layer counts and flop sums per call.  This
-module prices all stages of a family in one numpy pass and — through
+module prices the stages of many families in one numpy pass and — through
 :func:`warm_family_tables` — seeds the shared table cache so every later
 scalar lookup in the search cell (bounds, program builds, adjacent sweep
 cells) is a pure hit.
@@ -17,7 +17,8 @@ on them.  Three facts make that achievable:
 - All *family-scalar* quantities — kernel efficiency, effective flop/s,
   TP all-reduce constants, pipeline transfer/launch — are computed by
   the exact same ``CostModel`` probe code the scalar path runs.
-- Only the per-stage axis is vectorized, and layer counts vary the
+- Only the per-stage axis is vectorized (concatenated across families
+  that share every family-scalar input), and layer counts vary the
   simplest possible way (``base + (stage < extra)``, the near-identical
   split of :class:`repro.core.placement.Placement`).
 - Every numpy expression mirrors the scalar source's operator order
@@ -43,7 +44,6 @@ from repro.sim.cost import (
     CostModel,
     StageTimes,
     WarmStartSeed,
-    _SeedableCache,
     comm_time_table,
     stage_time_table,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "bound_partials",
     "comm_rank_sums",
     "price_families",
-    "price_family",
     "warm_family_tables",
     "warm_seed_caches",
 ]
@@ -63,75 +62,6 @@ __all__ = [
 #: A batch-independent config family: the axes per-stage durations depend
 #: on.  Everything else (n_dp, n_mb, sharding, schedule) shares the table.
 Family = tuple[int, int, int, int]  # (n_pp, n_loop, microbatch_size, n_tp)
-
-
-def price_family(
-    spec: TransformerSpec,
-    cluster: ClusterSpec,
-    calibration: Calibration,
-    implementation: ImplementationProfile,
-    n_pp: int,
-    n_loop: int,
-    microbatch_size: int,
-    n_tp: int,
-) -> StageTimes:
-    """Price one family's per-stage durations in a single vector pass.
-
-    Bit-identical to ``stage_time_table(...)`` computed scalar-wise (the
-    hypothesis parity property in ``tests/test_cost_batch.py``); see the
-    module docstring for why.
-    """
-    probe = CostModel(
-        spec=spec,
-        config=ParallelConfig(
-            n_dp=1,
-            n_pp=n_pp,
-            n_tp=n_tp,
-            microbatch_size=microbatch_size,
-            n_microbatches=1,
-            n_loop=n_loop,
-            schedule=ScheduleKind.BREADTH_FIRST,
-        ),
-        cluster=cluster,
-        implementation=implementation,
-        calibration=calibration,
-    )
-    n_stages = n_pp * n_loop
-    base, extra = divmod(spec.n_layers, n_stages)
-    # Placement's near-identical split: the first `extra` stages carry
-    # one extra layer (repro.core.placement.Placement._boundaries).
-    n_layers = base + (np.arange(n_stages) < extra)
-
-    eff_flops = cluster.gpu.peak_flops * probe.kernel_efficiency
-    layer_flops = spec.flops_per_layer_per_sample(forward_only=True)
-    head_flops = spec.head_flops_per_sample(forward_only=True)
-    if n_tp > 1:
-        # CostModel._tp_exposed_time with n_allreduces=2, per layer.
-        net = probe.tp_network
-        bytes_per_layer = (
-            8.0 * 2 * spec.hidden_size * probe.tokens_per_microbatch
-        )
-        latency = net.latency * calibration.network_overhead_scale
-        tp_per_layer = bytes_per_layer / net.bandwidth + 2 * latency
-        tp_exposed = n_layers * tp_per_layer
-    else:
-        tp_exposed = 0.0
-
-    # forward_time / backward_time, operator order preserved verbatim.
-    fwd_flops = n_layers * layer_flops * microbatch_size / n_tp
-    fwd_flops[-1] = fwd_flops[-1] + head_flops * microbatch_size / n_tp
-    forward = fwd_flops / eff_flops + tp_exposed
-
-    bwd_flops = 3.0 * n_layers * layer_flops * microbatch_size / n_tp
-    bwd_flops[-1] = bwd_flops[-1] + 2.0 * head_flops * microbatch_size / n_tp
-    backward = bwd_flops / eff_flops + tp_exposed
-
-    return StageTimes(
-        forward=tuple(forward.tolist()),
-        backward=tuple(backward.tolist()),
-        pp_transfer=probe.pp_transfer_time(),
-        pp_launch=probe.pp_launch_overhead(),
-    )
 
 
 def price_families(
@@ -143,18 +73,18 @@ def price_families(
 ) -> dict[Family, StageTimes]:
     """Price many families in one numpy pass *across* families.
 
-    :func:`price_family` vectorizes within one family's stage axis; this
-    concatenates the stage axes of every family that shares
+    Concatenates the stage axes of every family that shares
     ``(microbatch_size, n_tp)`` — the axes all group-scalar quantities
     (kernel efficiency, effective flop/s, head-flop terms) depend on —
     and runs the forward/backward arithmetic once over the flat array.
     Per-family probes still supply the scalars that vary with ``n_pp``
     (TP/PP network selection, transfer and launch overheads).
 
-    Bit-identical to per-family :func:`price_family` (hypothesis-pinned):
-    every flat elementwise expression applies the same IEEE-754
-    operations to the same operands as the within-family pass, and the
-    group scalars are equal by construction, so concatenation and split
+    Every entry is bit-identical to the scalar
+    :func:`repro.sim.cost.stage_time_table` (hypothesis-pinned): each
+    flat elementwise expression applies the same IEEE-754 operations to
+    the same operands as the scalar ``CostModel`` methods, and the group
+    scalars come from the same probe code, so concatenation and split
     cannot change a single bit.
     """
     out: dict[Family, StageTimes] = {}
@@ -269,7 +199,8 @@ class BoundPartials(NamedTuple):
     rank_params: tuple[float, ...]
 
 
-def _bound_partials(
+@lru_cache(maxsize=16384)
+def bound_partials(
     spec: TransformerSpec,
     cluster: ClusterSpec,
     calibration: Calibration,
@@ -284,8 +215,7 @@ def _bound_partials(
     The probe pins the axes the partials do not depend on (``n_dp = 1``,
     ``n_mb = 1``, DP0, breadth-first) and runs the *scalar* ``CostModel``
     methods once per family, so the cached floats are bit-identical to
-    what any matching candidate's own method calls would return.  Entries
-    can be seeded externally (:mod:`repro.sim.cost_store`).
+    what any matching candidate's own method calls would return.
     """
     probe = CostModel(
         spec=spec,
@@ -319,9 +249,6 @@ def _bound_partials(
         per_mb_sends=tuple(probe.rank_send_count(r) for r in ranks),
         rank_params=tuple(probe.rank_params_local(r) for r in ranks),
     )
-
-
-bound_partials = _SeedableCache(_bound_partials, maxsize=16384)
 
 
 class CommRankSums(NamedTuple):
@@ -379,7 +306,7 @@ def warm_family_tables(
     that follow — ``CostModel.stage_times()`` from the bound stage and
     the program builder — all hit.  Missing families are priced together
     through :func:`price_families` (one numpy pass per
-    ``(s_mb, n_tp)`` group, bit-identical to per-family pricing).
+    ``(s_mb, n_tp)`` group, bit-identical to scalar pricing).
     Returns ``(n_priced, n_already)`` for the search's
     ``search.batch.*`` obs counters.
     """

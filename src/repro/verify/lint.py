@@ -55,16 +55,16 @@ time*, from source structure alone:
   rots.  Passing such a function *reference* to an executor is fine
   (it is not a call); a deliberate on-loop call carries a
   ``# lint: blocking-ok`` marker on the call line.
-- **L504 unhashed store loads**: the persistent-store modules
-  (:mod:`repro.sim.cost_store`, :mod:`repro.search.service.checkpoint`)
-  may not deserialize persisted bytes (``json.loads``,
-  ``struct.unpack``/``unpack_from``, ``pickle.load(s)``) in a function
-  frame that performs no content validation — a ``sha256``/``hexdigest``
-  call or a comparison against the payload's ``"key"`` field — or a
-  corrupted/aliased bundle silently becomes wrong search results
-  instead of a cold re-price.  A helper that decodes pre-validated
-  bytes on behalf of a verifying caller carries a
-  ``# lint: unhashed-load-ok`` marker on the call line.
+- **L504 unhashed store loads**: the persistent-store module
+  (:mod:`repro.search.service.checkpoint`) may not deserialize
+  persisted bytes (``json.loads``, ``struct.unpack``/``unpack_from``,
+  ``pickle.load(s)``) in a function frame that performs no content
+  validation — a ``sha256``/``hexdigest`` call or a comparison against
+  the payload's ``"key"`` field — or a corrupted/aliased checkpoint
+  silently becomes a wrong search result instead of a recomputed cell.
+  A helper that decodes pre-validated bytes on behalf of a verifying
+  caller carries a ``# lint: unhashed-load-ok`` marker on the call
+  line.
 - **L001 missing module**: a file a rule is configured to scan has
   moved or vanished; the lint configuration must move with it instead
   of silently dropping coverage.
@@ -222,7 +222,6 @@ UNHASHED_LOAD_MARKER = "lint: unhashed-load-ok"
 
 #: Persistent-store modules; the unhashed-load rule (L504) applies here.
 STORE_LOAD_SOURCES: tuple[str, ...] = (
-    "src/repro/sim/cost_store.py",
     "src/repro/search/service/checkpoint.py",
 )
 
@@ -712,8 +711,8 @@ def _reads_key_field(node: ast.AST) -> bool:
 def _frame_validates_content(nodes: Iterable[ast.AST]) -> bool:
     """Does this frame carry a content-validation signal?
 
-    Either a digest computation (``hashlib.sha256``/``.hexdigest`` call
-    — the binary-bundle pattern) or a comparison against the payload's
+    Either a digest computation (a ``hashlib.sha256``/``.hexdigest``
+    call) or a comparison against the payload's
     ``"key"`` field (the checkpoint pattern, where the filename *is* the
     content hash and the envelope must echo it).
     """

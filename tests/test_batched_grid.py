@@ -26,7 +26,6 @@ from repro.search.objective import (
     ThroughputObjective,
 )
 from repro.search.service import CheckpointStore, cell_key
-from repro.search.service.serialize import outcome_to_json
 from repro.search.space import configuration_space
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import comm_time_table, stage_time_table
@@ -129,6 +128,18 @@ class TestBatchedAccounting:
             outcome.n_tried + outcome.n_excluded + outcome.n_pruned
             == len(space)
         )
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.name)
+    def test_cold_search_never_misses_the_stage_table(self, method):
+        # The vector pass prices every family the search will look up:
+        # from cold caches, with every feasible candidate simulated, each
+        # scalar stage-time lookup (bounds, program builds) is a hit.
+        _cold_search(
+            method, 64, SearchSettings(batch_eval=True, bound_pruning=False)
+        )
+        info = stage_time_table.cache_info()
+        assert info.misses == 0
+        assert info.hits > 0
 
     def test_batched_obs_counters(self):
         with recording(MetricsRegistry(actor="test")) as registry:

@@ -4,9 +4,10 @@ The batched search's byte-identical-winners guarantee rests on two
 parity claims, both held here to the *last bit* (``==`` on floats, no
 tolerance):
 
-- :func:`repro.sim.cost_batch.price_family` equals the scalar
-  ``_stage_time_table`` for every family (hypothesis hammers the real
-  parameter ranges);
+- :func:`repro.sim.cost_batch.price_families` — the cross-family pass
+  :func:`~repro.sim.cost_batch.warm_family_tables` runs — equals the
+  scalar ``_stage_time_table`` for every family of every drawn family
+  list (hypothesis hammers the real parameter ranges);
 - :func:`repro.sim.cost.comm_time_table` equals the per-candidate
   ``gather_time``/``reduce_time``/``post_step_gather_time``/
   ``dp_serial_time`` calls it replaced in the program builder,
@@ -35,7 +36,7 @@ from repro.sim.cost import (
     comm_time_table,
     stage_time_table,
 )
-from repro.sim.cost_batch import price_family, warm_family_tables
+from repro.sim.cost_batch import price_families, warm_family_tables
 
 _SPECS = {"6.6B": MODEL_6_6B, "52B": MODEL_52B}
 _CLUSTERS = {
@@ -44,6 +45,15 @@ _CLUSTERS = {
 }
 _IMPLS = {"ours": OUR_IMPLEMENTATION, "megatron": MEGATRON_LM}
 
+#: One ``(n_pp, n_loop, microbatch_size, n_tp)`` family over the real
+#: parameter ranges.
+_FAMILIES = st.tuples(
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.sampled_from([1, 2, 3, 4]),
+    st.sampled_from([1, 2, 4, 8]),
+    st.sampled_from([1, 2, 4, 8]),
+)
+
 
 class TestPriceFamilyParity:
     @settings(max_examples=200, deadline=None)
@@ -51,50 +61,52 @@ class TestPriceFamilyParity:
         spec_name=st.sampled_from(sorted(_SPECS)),
         cluster_name=st.sampled_from(sorted(_CLUSTERS)),
         impl_name=st.sampled_from(sorted(_IMPLS)),
-        n_pp=st.sampled_from([1, 2, 4, 8, 16]),
-        n_loop=st.sampled_from([1, 2, 3, 4]),
-        microbatch_size=st.sampled_from([1, 2, 4, 8]),
-        n_tp=st.sampled_from([1, 2, 4, 8]),
+        families=st.lists(_FAMILIES, min_size=1, max_size=12),
     )
     def test_bit_identical_to_scalar_table(
-        self, spec_name, cluster_name, impl_name, n_pp, n_loop,
-        microbatch_size, n_tp,
+        self, spec_name, cluster_name, impl_name, families
     ):
-        """Property: vector pricing == scalar pricing, to the last bit."""
+        """Property: cross-family vector pricing == scalar pricing, to
+        the last bit, for every family of the list."""
         spec = _SPECS[spec_name]
         cluster = _CLUSTERS[cluster_name]
         impl = _IMPLS[impl_name]
-        if n_pp * n_loop > spec.n_layers or n_tp > cluster.node_size:
-            return
-        try:
-            scalar = _stage_time_table(
-                spec, cluster, DEFAULT_CALIBRATION, impl,
-                n_pp, n_loop, microbatch_size, n_tp,
-            )
-        except ValueError:
-            return  # family invalid for this model/cluster; nothing to price
-        batched = price_family(
+        scalar = {}
+        for family in families:
+            n_pp, n_loop, _microbatch_size, n_tp = family
+            if n_pp * n_loop > spec.n_layers or n_tp > cluster.node_size:
+                continue
+            try:
+                scalar[family] = _stage_time_table(
+                    spec, cluster, DEFAULT_CALIBRATION, impl, *family
+                )
+            except ValueError:
+                continue  # family invalid for this model/cluster
+        batched = price_families(
             spec, cluster, DEFAULT_CALIBRATION, impl,
-            n_pp, n_loop, microbatch_size, n_tp,
+            [family for family in families if family in scalar],
         )
-        assert batched == scalar  # dataclass equality: every float, every stage
+        # Dataclass equality: every family, every stage, every float.
+        assert batched == scalar
 
     def test_uneven_layer_split_matches_placement(self):
         """MODEL_6_6B has 32 layers; 3 stages split 11/11/10 — the
         vectorized `base + (stage < extra)` must agree with the scalar
-        path's Placement on every stage."""
-        scalar = _stage_time_table(
+        path's Placement on every stage, also when the family's stages
+        share one flat array with its (s_mb, n_tp) group."""
+        families = [(3, 1, 2, 1), (2, 1, 2, 1), (5, 1, 2, 1)]
+        batched = price_families(
             MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
-            OUR_IMPLEMENTATION, 3, 1, 2, 1,
+            OUR_IMPLEMENTATION, families,
         )
-        batched = price_family(
-            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
-            OUR_IMPLEMENTATION, 3, 1, 2, 1,
-        )
-        assert batched == scalar
+        for family in families:
+            assert batched[family] == _stage_time_table(
+                MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
+                OUR_IMPLEMENTATION, *family,
+            )
         # The head sits on the last stage: its forward is dearer than the
         # middle stage's despite carrying fewer layers' flops variance.
-        assert batched.forward[-1] > 0
+        assert batched[(3, 1, 2, 1)].forward[-1] > 0
 
 
 class TestWarmFamilyTables:

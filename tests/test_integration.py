@@ -116,6 +116,45 @@ class TestRunnerCli:
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--batch-size", "0"],
+            ["plan", "--model", "nope"],
+            ["plan", "--objective", "nope"],
+            ["plan", "--method", "Nope"],
+            ["plan", "--objective", "memory-constrained",
+             "--memory-headroom", "3"],
+            ["fig7", "--objective", "memory-constrained",
+             "--memory-headroom", "5"],
+            ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
+             "--workers", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        # Invalid requests and options are rejected before anything runs:
+        # exit status 2 and one argparse error line, never a traceback.
+        argv = [arg.replace("{tmp}", str(tmp_path / "ckpt")) for arg in argv]
+        if argv[0] == "plan":
+            defaults = {
+                "--store": str(tmp_path / "memo"),
+                "--model": "6.6B",
+                "--cluster": "dgx1-64",
+                "--batch-size": "8",
+            }
+            for flag, value in defaults.items():
+                if flag not in argv:
+                    argv += [flag, value]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (tmp_path / "memo").exists()
+        assert not (tmp_path / "ckpt").exists()
+
     def test_cli_default_selects_all(self, capsys):
         # Regression: `repro-experiments` with no arguments must expand to
         # every *paper* experiment (argparse nargs="*" + choices rejects a

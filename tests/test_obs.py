@@ -7,6 +7,8 @@ The contracts pinned here:
 - ``recording()`` installs/restores the active recorder exception-safely;
 - snapshots round-trip through JSON and ``read_snapshots`` tolerates the
   debris of killed writers;
+- ``merge_snapshot`` folds per-cell snapshots into one recorder exactly
+  as if that recorder had recorded every cell itself;
 - spans nest (depth + time containment) and timers are monotone under a
   hand-driven fake clock;
 - the obs counters written by :func:`repro.search.grid.best_configuration`
@@ -33,6 +35,7 @@ from repro.obs import (
     build_report,
     get_recorder,
     install,
+    merge_snapshot,
     read_snapshots,
     recording,
     snapshot_from_json,
@@ -43,6 +46,8 @@ from repro.obs.report import quantile, report_to_json_text
 from repro.obs.trajectory import current_commit, load_trajectory, record_entry
 from repro.parallel.config import Method
 from repro.search.grid import best_configuration
+from repro.sim.cost import comm_time_table, stage_time_table
+from repro.sim.cost_batch import bound_partials, comm_rank_sums
 
 
 class FakeClock:
@@ -230,6 +235,82 @@ class TestSnapshots:
         assert len(read_snapshots(tmp_path / "metrics")) == 1
         assert len(read_snapshots(path)) == 1
         assert read_snapshots(tmp_path / "missing") == []
+
+
+class TestMergeSnapshot:
+    """How a sweep coordinator keeps what its pool workers recorded."""
+
+    def test_counters_add(self):
+        worker = make_registry()
+        worker.count("cells", 2.0)
+        worker.count("fresh")
+        coordinator = make_registry()
+        coordinator.count("cells", 3.0)
+        merge_snapshot(coordinator, worker.snapshot())
+        assert coordinator.counters == {"cells": 5.0, "fresh": 1.0}
+
+    def test_gauges_keep_the_high_water_mark(self):
+        worker = make_registry()
+        worker.gauge("lower", 1.0)
+        worker.gauge("higher", 9.0)
+        worker.gauge("fresh", 4.0)
+        coordinator = make_registry()
+        coordinator.gauge("lower", 5.0)
+        coordinator.gauge("higher", 5.0)
+        merge_snapshot(coordinator, worker.snapshot())
+        assert coordinator.gauges == {"lower": 5.0, "higher": 9.0, "fresh": 4.0}
+
+    def test_histograms_append_and_spans_stay_behind(self):
+        clock = FakeClock()
+        worker = make_registry(clock)
+        worker.observe("h", 0.5)
+        worker.observe("h", 1.5)
+        with worker.span("search.cell"):
+            clock.advance(1.0)
+        coordinator = make_registry()
+        coordinator.observe("h", 0.25)
+        merge_snapshot(coordinator, worker.snapshot())
+        assert coordinator.histograms == {"h": [0.25, 0.5, 1.5]}
+        assert coordinator.spans == []
+
+    def test_per_cell_snapshots_merge_to_one_recording(self):
+        # The pool contract without the pool: recording each cell into a
+        # fresh registry and merging the snapshots gives exactly the
+        # counters, gauges and histogram sizes of one registry recording
+        # every cell.  Both sides start from cold pricing caches, so the
+        # warm-start counters must agree too.
+        cells = [(Method.DEPTH_FIRST, 8), (Method.NO_PIPELINE, 64)]
+
+        def search_all(registry_for_cell):
+            for cache in (
+                stage_time_table, comm_time_table, bound_partials, comm_rank_sums
+            ):
+                cache.cache_clear()
+            for method, batch in cells:
+                with recording(registry_for_cell()):
+                    best_configuration(MODEL_6_6B, DGX1_CLUSTER_64, method, batch)
+
+        whole = MetricsRegistry(actor="serial")
+        search_all(lambda: whole)
+        workers = []
+
+        def fresh_registry():
+            workers.append(MetricsRegistry(actor="worker"))
+            return workers[-1]
+
+        search_all(fresh_registry)
+        merged = MetricsRegistry(actor="coordinator")
+        for worker in workers:
+            merge_snapshot(merged, worker.snapshot())
+
+        assert merged.counters == whole.counters
+        assert merged.counters["search.cells"] == len(cells)
+        assert merged.gauges == whole.gauges
+        assert {k: len(v) for k, v in merged.histograms.items()} == {
+            k: len(v) for k, v in whole.histograms.items()
+        }
+        tightness = "search.bound.tightness.DEPTH_FIRST"
+        assert merged.histograms[tightness] == whole.histograms[tightness]
 
 
 class TestSearchInstrumentation:

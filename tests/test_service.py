@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B
+from repro.obs import MetricsRegistry, recording
 from repro.parallel.config import Method
 from repro.search import grid as grid_module
+from repro.search.cell import SearchSettings
 from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.objective import DEFAULT_OBJECTIVE, ParetoFrontObjective
 from repro.search.service import (
@@ -402,12 +405,75 @@ class TestBackendParity:
         got = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, executor=executor)
         assert got == outcomes
 
-    def test_process_pool_matches_serial(self, outcomes):
-        got = run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=SweepOptions(backend="process-pool", processes=2),
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_metrics_match_serial(self, start_method):
+        # A recording coordinator gets every pool worker's per-cell
+        # metrics back: the merged search counters and histograms equal
+        # a serial run's, so --metrics-out reports the same candidate
+        # totals on every backend.
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+
+        def recorded(executor):
+            with recording(MetricsRegistry()) as registry:
+                run_sweep(
+                    MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                    backend="serial", executor=executor,
+                )
+            snapshot = registry.snapshot()
+            counters = {
+                name: value
+                for name, value in snapshot["counters"].items()
+                if name.startswith(("search.candidates.", "search.cells"))
+            }
+            counts = {
+                name: snapshot["histograms"][name]["count"]
+                for name in (
+                    "search.stage.simulate.seconds",
+                    "search.bound.tightness.DEPTH_FIRST",
+                )
+            }
+            return counters, counts
+
+        serial = recorded(None)
+        pool = recorded(
+            MultiprocessingExecutor(processes=2, start_method=start_method)
         )
-        assert got == outcomes
+        assert serial[0]["search.cells"] == len(CELLS)
+        assert pool == serial
+
+    #: What ``run_sweep`` hands a backend: the search context and
+    #: ``(index, key, cell)`` tasks.
+    POOL_CONTEXT = (
+        MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, SearchSettings()
+    )
+    POOL_TASKS = [(index, f"k{index}", cell) for index, cell in enumerate(CELLS)]
+
+    def test_pool_reports_carry_no_metrics_when_not_recording(self):
+        executor = MultiprocessingExecutor(processes=2, start_method="fork")
+        reports = [
+            report
+            for _index, _outcome, report in executor.run(
+                self.POOL_CONTEXT, self.POOL_TASKS
+            )
+        ]
+        assert len(reports) == len(CELLS)
+        assert all(report.metrics is None for report in reports)
+
+    def test_pool_reports_carry_their_own_cells_metrics(self):
+        # Each report holds one cell's snapshot, recorded in the worker;
+        # folding it into the coordinator is run_sweep's job, so running
+        # the backend alone leaves the coordinator's registry empty.
+        executor = MultiprocessingExecutor(processes=2, start_method="fork")
+        with recording(MetricsRegistry()) as registry:
+            results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
+        assert registry.counters == {}
+        assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
+        for _index, outcome, report in results:
+            counters = report.metrics["counters"]
+            assert counters["search.cells"] == 1
+            assert counters["search.candidates.simulated"] == outcome.n_tried
+            assert counters["search.candidates.excluded"] == outcome.n_excluded
 
 
 class TestTieBreak:

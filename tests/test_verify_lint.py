@@ -233,7 +233,6 @@ class TestBlockingOnLoopRule:
 
 
 class TestUnhashedLoadRule:
-    COST_STORE = "src/repro/sim/cost_store.py"
     CHECKPOINT = "src/repro/search/service/checkpoint.py"
 
     def test_unvalidated_json_load_is_a_finding(self, clean_sources):
@@ -242,10 +241,10 @@ class TestUnhashedLoadRule:
             "    import json\n"
             "    return json.loads(Path(path).read_bytes())\n"
         )
-        sources = _with_appended(clean_sources, self.COST_STORE, snippet)
+        sources = _with_appended(clean_sources, self.CHECKPOINT, snippet)
         findings = lint_sources(sources)
         assert any(
-            f.rule == "L504" and self.COST_STORE in f.location
+            f.rule == "L504" and self.CHECKPOINT in f.location
             for f in findings
         )
 
@@ -263,7 +262,7 @@ class TestUnhashedLoadRule:
             "\ndef _decode_checked(blob):\n"
             "    return struct.unpack('<4i', blob)  # lint: unhashed-load-ok\n"
         )
-        sources = _with_appended(clean_sources, self.COST_STORE, snippet)
+        sources = _with_appended(clean_sources, self.CHECKPOINT, snippet)
         assert not any(f.rule == "L504" for f in lint_sources(sources))
 
     def test_digest_verified_frame_never_flags(self, clean_sources):
@@ -274,7 +273,7 @@ class TestUnhashedLoadRule:
             "        raise ValueError('content hash mismatch')\n"
             "    return json.loads(blob)\n"
         )
-        sources = _with_appended(clean_sources, self.COST_STORE, snippet)
+        sources = _with_appended(clean_sources, self.CHECKPOINT, snippet)
         assert not any(f.rule == "L504" for f in lint_sources(sources))
 
     def test_key_echo_check_counts_as_validation(self, clean_sources):
@@ -292,23 +291,23 @@ class TestUnhashedLoadRule:
         sources = _with_appended(clean_sources, self.CHECKPOINT, snippet)
         assert not any(f.rule == "L504" for f in lint_sources(sources))
 
-    def test_removing_parse_digest_check_fires(self, clean_sources):
-        # The mutation the rule exists for: strip the sha256
-        # verification out of CostStore._parse and its own json/struct
-        # reads become findings.
+    def test_removing_load_key_echo_check_fires(self, clean_sources):
+        # The mutation the rule exists for: strip the key-echo check out
+        # of CheckpointStore.load and its json read becomes a finding.
         sources = dict(clean_sources)
         guard = (
-            '        digest = hashlib.sha256(data).hexdigest()\n'
-            '        if digest != header.get("sha256"):\n'
-            '            raise ValueError("content hash mismatch")\n'
+            '            if envelope.get("key") != key:\n'
+            '                raise ValueError(\n'
+            '                    f"key mismatch: file says {envelope.get(\'key\')!r}"\n'
+            '                )\n'
         )
-        assert guard in sources[self.COST_STORE]
-        sources[self.COST_STORE] = sources[self.COST_STORE].replace(
+        assert guard in sources[self.CHECKPOINT]
+        sources[self.CHECKPOINT] = sources[self.CHECKPOINT].replace(
             guard, "", 1
         )
         findings = lint_sources(sources)
         assert any(
-            f.rule == "L504" and self.COST_STORE in f.location
+            f.rule == "L504" and self.CHECKPOINT in f.location
             for f in findings
         )
 
