@@ -683,6 +683,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     try:
         options = build_sweep_options(args)
+    except OSError as exc:
+        parser.error(
+            f"cannot read calibration file {exc.filename}: {exc.strerror}"
+        )
     except ValueError as exc:
         parser.error(str(exc))
     names = (

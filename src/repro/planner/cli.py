@@ -26,12 +26,27 @@ from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 __all__ = ["plan_main", "serve_main"]
 
 
-def _load_calibration(path: str | None) -> Calibration:
+def _load_calibration(
+    parser: argparse.ArgumentParser, path: str | None
+) -> Calibration:
     if path is None:
         return DEFAULT_CALIBRATION
     from repro.fit import load_calibration
 
-    return load_calibration(path)
+    try:
+        return load_calibration(path)
+    except OSError as exc:
+        parser.error(f"cannot read calibration file {path}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _port(text: str) -> int:
+    """A TCP port number, checked when arguments are parsed."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0-65535, got {port}")
+    return port
 
 
 def serve_main(argv: Sequence[str] | None = None) -> int:
@@ -48,7 +63,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         help="memo-store directory (a sweep checkpoint dir works as-is)",
     )
     parser.add_argument("--host", default=DEFAULT_HOST)
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
+    parser.add_argument("--port", type=_port, default=DEFAULT_PORT)
     parser.add_argument(
         "--calibration",
         default=None,
@@ -57,7 +72,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         "default: hand-tuned constants",
     )
     args = parser.parse_args(argv)
-    calibration = _load_calibration(args.calibration)
+    calibration = _load_calibration(parser, args.calibration)
     with Planner(args.store, calibration=calibration) as planner:
         try:
             asyncio.run(serve(planner, args.host, args.port))
@@ -121,7 +136,7 @@ def plan_main(argv: Sequence[str] | None = None) -> int:
         request.resolve()  # unknown names and bad objectives, up front
     except ValueError as exc:
         parser.error(str(exc))
-    calibration = _load_calibration(args.calibration)
+    calibration = _load_calibration(parser, args.calibration)
     with Planner(args.store, calibration=calibration) as planner:
         answer = asyncio.run(planner.plan(request))
     if args.json:

@@ -408,14 +408,10 @@ def _simulate_stage(
             key = _delta_key(candidate)
             base = bases.get(key)
             result, new_base, replayed = simulate_delta(
-                spec,
-                candidate.config,
-                cluster,
+                candidate.cost,
+                candidate.materialized_schedule(),
+                candidate.memory,
                 base=base,
-                calibration=calibration,
-                schedule=candidate.materialized_schedule(),
-                memory=candidate.memory,
-                cost=candidate.cost,
             )
             if key not in bases and len(bases) >= _MAX_DELTA_BASES:
                 bases.pop(next(iter(bases)))

@@ -106,17 +106,14 @@ class CheckpointStore:
         *,
         worker: str | None = None,
         started_at: float | None = None,
-        warm_hit_rate: float | None = None,
     ) -> Path:
         """Atomically record a cell's measured search wall-clock.
 
         ``worker`` and ``started_at`` (epoch seconds) attribute the
         measurement to the worker that computed it — the raw material of
         the sweep-level Chrome trace (:mod:`repro.viz.sweep_trace`).
-        ``warm_hit_rate`` is the cell's observed warm-start cache hit
-        rate (in [0, 1]), consumed by the progress reporter's hot/cold
-        ETA blend.  All three are optional: scheduling (``load_timing``)
-        needs only the duration.
+        Both are optional: scheduling (``load_timing``) needs only the
+        duration.
         """
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
@@ -125,8 +122,6 @@ class CheckpointStore:
             payload["worker"] = worker
         if started_at is not None:
             payload["started_at"] = started_at
-        if warm_hit_rate is not None:
-            payload["warm_hit_rate"] = min(1.0, max(0.0, warm_hit_rate))
         path = self.timing_path_for(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         tmp.write_bytes(canonical_dumps(payload).encode("utf-8"))

@@ -39,7 +39,6 @@ from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.service.checkpoint import CheckpointStore
 from repro.search.service.queue import FileWorkQueue, heartbeat_interval_for_lease
 from repro.sim.calibration import Calibration
-from repro.sim.cost import comm_time_table, stage_time_table
 
 __all__ = [
     "CellReport",
@@ -69,11 +68,6 @@ class CellReport(NamedTuple):
         seconds: Search wall-clock (None when the backend could not
             measure the search itself, e.g. a cell satisfied by someone
             else's checkpoint).
-        warm_hit_rate: Fraction of this cell's pricing-table lookups
-            (stage-time + comm) served from warm caches, in [0, 1]; None
-            when no lookups happened or the backend has no measurement.
-            Feeds the progress reporter's hot/cold ETA blend and the
-            timing sidecar.
         metrics: Obs snapshot of this cell's search, recorded by a pool
             worker into a fresh registry (the worker's own registry dies
             with its process); the coordinator merges it into its
@@ -82,7 +76,6 @@ class CellReport(NamedTuple):
     """
 
     seconds: float | None
-    warm_hit_rate: float | None = None
     metrics: dict | None = None
 
 
@@ -92,8 +85,8 @@ class Executor:
     ``run`` yields ``(index, outcome, report)`` triples; the report's
     wall-clock feeds the checkpoint store's timing sidecars (and
     through them the family-clustered longest-first scheduling of later
-    runs), its warm-start hit rate feeds the cost-weighted ETA, and its
-    metrics snapshot (if any) feeds the coordinator's recorder.
+    runs), and its metrics snapshot (if any) feeds the coordinator's
+    recorder.
     """
 
     #: Backend name as selected by ``run_sweep(backend=...)``.
@@ -111,33 +104,13 @@ class Executor:
 def _timed_search(
     context: Context, cell: SweepCell
 ) -> tuple[SearchOutcome, CellReport]:
-    """Search one cell, returning (outcome, measurement report).
-
-    The warm-start hit rate comes from ``cache_info()`` deltas around
-    the search — measured here, in the process that ran the search,
-    because pool workers' caches die with them: deltas taken anywhere
-    else under-report.
-    """
+    """Search one cell, returning (outcome, measurement report)."""
     spec, cluster, calibration, settings = context
-    stage_before = stage_time_table.cache_info()
-    comm_before = comm_time_table.cache_info()
     start = obs_clock.perf()
     outcome = best_configuration(
         spec, cluster, cell.method, cell.batch_size, calibration, settings
     )
-    elapsed = obs_clock.perf() - start
-    stage_after = stage_time_table.cache_info()
-    comm_after = comm_time_table.cache_info()
-    hits = (stage_after.hits - stage_before.hits) + (
-        comm_after.hits - comm_before.hits
-    )
-    misses = (stage_after.misses - stage_before.misses) + (
-        comm_after.misses - comm_before.misses
-    )
-    lookups = hits + misses
-    return outcome, CellReport(
-        seconds=elapsed, warm_hit_rate=hits / lookups if lookups else None
-    )
+    return outcome, CellReport(seconds=obs_clock.perf() - start)
 
 
 # ------------------------------------------------------------------- serial
@@ -420,8 +393,7 @@ class FileQueueExecutor(Executor):
                     # with a recorder write their own snapshot files.
                     record = store.load_timing_record(key) or {}
                     yield remaining.pop(key), outcome, CellReport(
-                        seconds=record.get("seconds"),
-                        warm_hit_rate=record.get("warm_hit_rate"),
+                        seconds=record.get("seconds")
                     )
                 if not remaining:
                     break

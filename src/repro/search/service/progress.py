@@ -16,18 +16,6 @@ completion's estimated cost (``update(cost=...)``), the ETA scales the
 *remaining estimated seconds* by the observed seconds-per-estimated-
 second rate instead of counting cells.  Without estimates the reporter
 falls back to the naive rate.
-
-Family-clustered scheduling adds a second skew: the first cell of each
-family group prices its tables cold while every later sibling runs
-cache-hot, often an order of magnitude faster *than its own estimate*.
-A single observed rate blends the two regimes and overestimates the
-remaining (mostly hot) work.  When completions also report their
-observed warm-start hit rate and wall-clock
-(``update(seconds=..., warm_hit_rate=...)``), the reporter keeps
-separate hot/cold seconds-per-estimated-second rates and blends them by
-an exponential moving average of the recent hit rate — recent, because
-clustering front-loads the cold firsts, so what just completed predicts
-what remains far better than the all-time mean does.
 """
 
 from __future__ import annotations
@@ -49,17 +37,6 @@ def _format_duration(seconds: float) -> str:
         return f"{minutes}m{secs:02d}s"
     hours, minutes = divmod(minutes, 60)
     return f"{hours}h{minutes:02d}m"
-
-
-#: A completion whose pricing lookups hit warm caches at least this
-#: often counts toward the "hot" rate bucket; below it, the "cold" one.
-_HOT_THRESHOLD = 0.5
-
-#: Weight of the newest observation in the hit-rate moving average.
-#: High on purpose: family-clustered scheduling makes the *recent*
-#: regime (cold firsts done, hot siblings streaming) the right predictor
-#: of the remaining cells.
-_HIT_RATE_EMA_ALPHA = 0.5
 
 
 class ProgressReporter:
@@ -87,11 +64,6 @@ class ProgressReporter:
         self.skipped = 0
         self._expected_cost = 0.0
         self._completed_cost = 0.0
-        # Hot/cold ETA blend: [seconds, estimated cost] per regime, plus
-        # an EMA of the observed warm-start hit rate (None = no signal).
-        self._hot = [0.0, 0.0]
-        self._cold = [0.0, 0.0]
-        self._hit_rate_ema: float | None = None
 
     def expect(self, costs: Iterable[float]) -> None:
         """Register estimated costs (seconds) for the cells to be computed.
@@ -108,45 +80,16 @@ class ProgressReporter:
         self.done += n
         self._maybe_emit()
 
-    def update(
-        self,
-        n: int = 1,
-        *,
-        cost: float | None = None,
-        seconds: float | None = None,
-        warm_hit_rate: float | None = None,
-    ) -> None:
+    def update(self, n: int = 1, *, cost: float | None = None) -> None:
         """Record freshly computed cells.
 
         ``cost`` is the completed cell's *estimated* cost as registered
         via :meth:`expect`; reporting it moves that share of the
-        expected work into the ETA's "done" column.  ``seconds`` (the
-        cell's measured wall-clock) and ``warm_hit_rate`` (its observed
-        warm-start cache hit rate, in [0, 1]) additionally feed the
-        hot/cold rate split — without them the ETA uses the single
-        aggregate rate.
+        expected work into the ETA's "done" column.
         """
         self.done += n
         if cost is not None:
             self._completed_cost += max(0.0, cost)
-        if warm_hit_rate is not None:
-            warm_hit_rate = min(1.0, max(0.0, warm_hit_rate))
-            self._hit_rate_ema = (
-                warm_hit_rate
-                if self._hit_rate_ema is None
-                else (
-                    _HIT_RATE_EMA_ALPHA * warm_hit_rate
-                    + (1.0 - _HIT_RATE_EMA_ALPHA) * self._hit_rate_ema
-                )
-            )
-            if cost is not None and cost > 0.0 and seconds is not None:
-                bucket = (
-                    self._hot
-                    if warm_hit_rate >= _HOT_THRESHOLD
-                    else self._cold
-                )
-                bucket[0] += max(0.0, seconds)
-                bucket[1] += cost
         self._maybe_emit()
 
     def _maybe_emit(self) -> None:
@@ -162,31 +105,15 @@ class ProgressReporter:
 
         Cost-weighted when estimates were registered: remaining
         estimated seconds, scaled by how actual wall-clock has tracked
-        the estimates so far.  When completions carried warm-start hit
-        rates *and* both rate regimes have been observed, the scale is
-        the hot/cold blend (see the module docstring) instead of the
-        aggregate — so a sweep whose cold firsts are done stops pricing
-        the remaining cache-hot cells at cold speed.  Falls back to the
-        naive completed-cell rate when no estimates (or no costed
-        completions) exist.
+        the estimates so far.  Falls back to the naive completed-cell
+        rate when no estimates (or no costed completions) exist.
         """
         if now is None:
             now = self._clock()
         elapsed = max(now - self._start, 1e-9)
         if self._completed_cost > 0.0:
             remaining = max(0.0, self._expected_cost - self._completed_cost)
-            rate = elapsed / self._completed_cost
-            if (
-                self._hit_rate_ema is not None
-                and self._hot[1] > 0.0
-                and self._cold[1] > 0.0
-            ):
-                h = self._hit_rate_ema
-                rate = (
-                    h * (self._hot[0] / self._hot[1])
-                    + (1.0 - h) * (self._cold[0] / self._cold[1])
-                )
-            return remaining * rate
+            return remaining * (elapsed / self._completed_cost)
         computed = self.done - self.skipped
         if computed <= 0:
             return None

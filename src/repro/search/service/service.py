@@ -360,21 +360,13 @@ def run_sweep(
                     if store is not None and not backend.writes_checkpoints:
                         store.store(key, outcome, group=group)
                         if report.seconds is not None:
-                            store.store_timing(
-                                key,
-                                report.seconds,
-                                warm_hit_rate=report.warm_hit_rate,
-                            )
+                            store.store_timing(key, report.seconds)
                     outcomes[key] = outcome
                     rec.count("sweep.cells_computed")
                     if report.metrics is not None:
                         merge_snapshot(rec, report.metrics)
                     if reporter is not None:
-                        reporter.update(
-                            cost=estimates.get(key),
-                            seconds=report.seconds,
-                            warm_hit_rate=report.warm_hit_rate,
-                        )
+                        reporter.update(cost=estimates.get(key))
         if own_registry is not None:
             write_snapshot_line(
                 Path(options.metrics_out) / "coordinator.jsonl",

@@ -172,15 +172,9 @@ def _drain(
             store.store(claim.key, outcome, group=group)
             # Timing sidecar after the result: a crash in between loses
             # only scheduling advice, never the outcome.  Worker and
-            # start-time attribution feed the sweep-level Chrome trace;
-            # the warm-start hit rate rides along for the coordinator's
-            # hot/cold ETA blend.
+            # start-time attribution feed the sweep-level Chrome trace.
             store.store_timing(
-                claim.key,
-                elapsed,
-                worker=worker_id,
-                started_at=started_at,
-                warm_hit_rate=report.warm_hit_rate,
+                claim.key, elapsed, worker=worker_id, started_at=started_at
             )
         else:
             rec.count("worker.checkpoint_hits")

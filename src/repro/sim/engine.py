@@ -10,15 +10,27 @@ stream)``: an instruction enters the heap the moment it is both at the
 head of its stream and has no unfinished dependencies, and completing it
 releases its dependents through a reverse-dependency index.  Every
 instruction is therefore visited O(deps) times in total, versus once per
-relaxation pass in the seed sweep engine (preserved as
-:func:`repro.sim.engine_sweep.run_streams_sweep` and held to parity by
-``tests/test_engine_parity.py``).
+relaxation pass in the seed sweep engine.
+
+One private core does the work: an indexing pass (:func:`_index`), the
+ready-heap loop (:func:`_execute`) and the shared deadlock report and
+result assembly (:func:`_finish`).  The two public entry points only seed
+it differently:
+
+- :func:`run_streams` starts every stream at its first instruction;
+- :func:`run_streams_delta` starts each stream behind the prefix that is
+  unchanged from a sibling program, with that prefix's finish times
+  copied from the sibling's result, and replays only the rest.
 
 Because instructions within a stream are FIFO and start times depend only
-on already-finalized finish times, the result is deterministic and
-identical to the sweep engine's, including the deadlock diagnostics: if
-the heap drains with instructions still pending, every blocked stream
-head is reported with the dependencies it is waiting on.
+on already-finalized finish times, the result is deterministic, and both
+entry points match the seed sweep engine (preserved as
+:func:`repro.sim.engine_sweep.run_streams_sweep`, the independent
+oracle) bit for bit, including the deadlock diagnostics: if the heap
+drains with instructions still pending, every blocked stream head is
+reported with the dependencies it is waiting on.
+``tests/test_engine_parity.py`` holds the parity on real programs and
+``tests/test_engine_differential.py`` on random ones.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.obs import get_recorder
 from repro.sim.timeline import TimelineEvent
@@ -88,35 +101,39 @@ class EngineResult:
     events: list[TimelineEvent] = field(default_factory=list)
 
 
-def run_streams(
-    streams: dict[tuple[int, str], list[Instruction]],
-    *,
-    record_events: bool = True,
-) -> EngineResult:
-    """Execute all streams; raise :class:`EngineDeadlock` if they cannot finish.
+class _Program(NamedTuple):
+    """A stream dict translated to dense integer ids (see :func:`_index`)."""
 
-    Args:
-        streams: Instruction queues keyed by (rank, stream_name).
-        record_events: Set False to skip timeline construction (the grid
-            search runs thousands of simulations and only needs times).
+    keys: list  # stream index -> (rank, stream_name)
+    instrs: list  # instruction id -> Instruction
+    id_of: dict  # uid -> instruction id
+    queues: list  # stream index -> instruction ids in FIFO order
+    stream_id: list  # instruction id -> stream index
+    position: list  # instruction id -> position in its stream
+    orders: list  # stream index -> heap tie-break order
+    duration: list  # instruction id -> seconds
+    dependents: list  # instruction id -> ids waiting on it
+    orphans: list  # ids with a dependency on a uid absent from the program
+
+
+def _index(streams: dict[tuple[int, str], list[Instruction]]) -> _Program:
+    """Translate uids to dense integer ids once.
+
+    The hot loop then runs on flat lists instead of hashing uid tuples on
+    every visit.  The heap is keyed (start_time, stream_order,
+    instruction): stream_order is the stream's rank in (rank, name)
+    order, preserving the documented (time, rank, stream) pop ordering
+    without comparing tuples.
     """
-    # Translate uids to dense integer ids once, so the hot loop runs on
-    # flat lists instead of hashing uid tuples on every visit.  The heap
-    # is keyed (start_time, stream_order, instruction): stream_order is
-    # the stream's rank in (rank, name) order, preserving the documented
-    # (time, rank, stream) pop ordering without comparing tuples.
-    stream_keys = list(streams)
-    key_order = {
-        key: order for order, key in enumerate(sorted(stream_keys))
-    }
+    keys = list(streams)
+    key_order = {key: order for order, key in enumerate(sorted(keys))}
     instrs: list[Instruction] = []
     id_of: dict = {}
-    stream_id: list[int] = []  # instruction id -> stream index
-    position: list[int] = []  # instruction id -> position in its stream
-    queues: list[list[int]] = []  # stream index -> instruction ids in order
-    orders: list[int] = []  # stream index -> heap tie-break order
+    queues: list[list[int]] = []
+    stream_id: list[int] = []
+    position: list[int] = []
+    orders: list[int] = []
     duration: list[float] = []
-    pending: list[int] = []  # instruction id -> unfinished dependencies
     next_id = 0
     for s, (key, queue) in enumerate(streams.items()):
         orders.append(key_order[key])
@@ -130,43 +147,62 @@ def run_streams(
             id_of[instr.uid] = next_id
             next_id += 1
             duration.append(instr.duration)
-            pending.append(len(instr.deps))
 
-    total = next_id
-    # Dependencies on unknown uids are counted but never released,
-    # surfacing as a deadlock with the uid in the diagnostics — the same
-    # behaviour the sweep engine exhibits.
-    dependents: list[list[int]] = [[] for _ in range(total)]
+    dependents: list[list[int]] = [[] for _ in range(next_id)]
+    orphans: list[int] = []
     lookup = id_of.get
     for i, instr in enumerate(instrs):
         for dep in instr.deps:
             d = lookup(dep)
-            if d is not None:
+            if d is None:
+                orphans.append(i)
+            else:
                 dependents[d].append(i)
+    return _Program(
+        keys, instrs, id_of, queues, stream_id, position, orders, duration,
+        dependents, orphans,
+    )
 
-    n_streams = len(queues)
-    heads = [0] * n_streams
-    free_at = [0.0] * n_streams
-    busy = [0.0] * n_streams
-    ready_at = [0.0] * total
-    start_of = [0.0] * total
-    end_of = [0.0] * total
-    done = [False] * total
+
+def _execute(
+    program: _Program,
+    heads: list[int],
+    free_at: list[float],
+    pending: list[int],
+    ready_at: list[float],
+    start_of: list[float],
+    end_of: list[float],
+    track: bool,
+) -> int:
+    """Run every stream from ``heads`` as far as dependencies allow.
+
+    The state is seeded by the caller and advanced in place: ``heads``
+    and ``free_at`` per stream, ``pending`` (unreleased dependencies),
+    ``ready_at`` (latest finished dependency), ``start_of`` and
+    ``end_of`` per instruction.  A dependency on a uid absent from the
+    program must be counted in ``pending``: it is never released, so its
+    dependent surfaces as a deadlock.  Returns the heap's high-water mark
+    when ``track`` is set (the loop skips measuring it otherwise).
+    """
+    queues = program.queues
+    stream_id = program.stream_id
+    position = program.position
+    orders = program.orders
+    duration = program.duration
+    dependents = program.dependents
 
     heap: list = []
     push = heapq.heappush
     pop = heapq.heappop
     for s, ids in enumerate(queues):
-        if ids and not pending[ids[0]]:
-            push(heap, (ready_at[ids[0]], orders[s], ids[0]))
+        if heads[s] < len(ids):
+            j = ids[heads[s]]
+            if not pending[j]:
+                f = free_at[s]
+                r = ready_at[j]
+                push(heap, (f if f > r else r, orders[s], j))
 
-    # Observability: one flag read per run; when disabled the hot loop
-    # pays a single boolean test per blocking point and nothing else.
-    rec = get_recorder()
-    track = rec.enabled
     heap_high_water = len(heap)
-
-    executed = 0
     while heap:
         if track and len(heap) > heap_high_water:
             heap_high_water = len(heap)
@@ -183,9 +219,6 @@ def run_streams(
             end = start + duration[i]
             start_of[i] = start
             end_of[i] = end
-            done[i] = True
-            busy[s] += duration[i]
-            executed += 1
             for j in dependents[i]:
                 if end > ready_at[j]:
                     ready_at[j] = end
@@ -206,16 +239,32 @@ def run_streams(
                     i = j
                     continue
             break
+    return heap_high_water
 
-    if track:
-        rec.count("engine.runs")
-        rec.count("engine.events_popped", executed)
-        rec.gauge_max("engine.heap_high_water", heap_high_water)
 
-    if executed < total:
+def _finish(
+    program: _Program,
+    heads: list[int],
+    start_of: list[float],
+    end_of: list[float],
+    record_events: bool,
+) -> EngineResult:
+    """Report a deadlock, or assemble the result of a drained program.
+
+    The instructions in front of each stream's head are exactly the
+    executed ones.  Stream busy is summed after the loop in queue order:
+    the order FIFO execution accumulates it, so the floats do not depend
+    on which instructions a replay copied rather than executed.
+    """
+    keys, instrs, queues = program.keys, program.instrs, program.queues
+    if sum(heads) < len(instrs):
+        finished_uids = {
+            instrs[i].uid
+            for s, ids in enumerate(queues)
+            for i in ids[: heads[s]]
+        }
         blocked_heads = []
-        finished_uids = {instrs[i].uid for i in range(total) if done[i]}
-        for s, key in enumerate(stream_keys):
+        for s, key in enumerate(keys):
             q = queues[s]
             if heads[s] < len(q):
                 instr = instrs[q[heads[s]]]
@@ -228,10 +277,17 @@ def run_streams(
             + "\n  ".join(blocked_heads)
         )
 
+    duration = program.duration
+    stream_busy: dict = {}
+    for s, key in enumerate(keys):
+        busy = 0.0
+        for i in queues[s]:
+            busy += duration[i]
+        stream_busy[key] = busy
+
     events: list[TimelineEvent] = []
     if record_events:
-        for s, key in enumerate(stream_keys):
-            rank, stream_name = key
+        for s, (rank, stream_name) in enumerate(keys):
             for i in queues[s]:
                 instr = instrs[i]
                 events.append(
@@ -248,12 +304,49 @@ def run_streams(
 
     return EngineResult(
         finish_times={instr.uid: end_of[i] for i, instr in enumerate(instrs)},
-        stream_busy={
-            key: busy[s] for s, key in enumerate(stream_keys)
-        },
+        stream_busy=stream_busy,
         makespan=max(end_of, default=0.0),
         events=events,
     )
+
+
+def run_streams(
+    streams: dict[tuple[int, str], list[Instruction]],
+    *,
+    record_events: bool = True,
+) -> EngineResult:
+    """Execute all streams; raise :class:`EngineDeadlock` if they cannot finish.
+
+    Args:
+        streams: Instruction queues keyed by (rank, stream_name).
+        record_events: Set False to skip timeline construction (the grid
+            search runs thousands of simulations and only needs times).
+    """
+    program = _index(streams)
+    total = len(program.instrs)
+    n_streams = len(program.queues)
+    heads = [0] * n_streams
+    start_of = [0.0] * total
+    end_of = [0.0] * total
+    # Observability: one flag read per run; when disabled the hot loop
+    # pays a single boolean test per blocking point and nothing else.
+    rec = get_recorder()
+    track = rec.enabled
+    heap_high_water = _execute(
+        program,
+        heads,
+        [0.0] * n_streams,
+        [len(instr.deps) for instr in program.instrs],
+        [0.0] * total,
+        start_of,
+        end_of,
+        track,
+    )
+    if track:
+        rec.count("engine.runs")
+        rec.count("engine.events_popped", sum(heads))
+        rec.gauge_max("engine.heap_high_water", heap_high_water)
+    return _finish(program, heads, start_of, end_of, record_events)
 
 
 def run_streams_delta(
@@ -271,59 +364,37 @@ def run_streams_delta(
     the same position of the same stream as in the base with identical
     ``(uid, duration, deps)``, every earlier instruction of its stream is
     clean, and every dependency is clean; everything else is **dirty**.
-    Clean instructions keep their base start/finish times bit-exactly —
-    within a stream instructions run FIFO, so a clean prefix's timing
-    depends only on itself and its (clean) dependencies — and only the
-    dirty closure is re-executed through the ready-heap.
+    Clean instructions keep their base finish times bit-exactly — within
+    a stream instructions run FIFO, so a clean prefix's timing depends
+    only on itself and its (clean) dependencies — and only the dirty
+    closure is re-executed through the ready-heap.
 
     Returns ``None`` — caller falls back to a full run — when the dirty
     closure exceeds ``max_dirty_fraction`` of the program (the replay
     would cost as much as a fresh run and the bookkeeping is pure
     overhead).  Raises :class:`EngineDeadlock` exactly when a fresh run
     would.  The result is bit-identical to ``run_streams(streams,
-    record_events=False)``: identical finish times, stream busy sums
-    (accumulated in the same FIFO order) and makespan.  Timelines are
-    never recorded — delta replay serves the search fast path, which
-    builds label-free programs.
+    record_events=False)``: identical finish times, stream busy sums and
+    makespan.  Timelines are never recorded — delta replay serves the
+    search fast path, which builds label-free programs.
     """
-    stream_keys = list(streams)
-    key_order = {
-        key: order for order, key in enumerate(sorted(stream_keys))
-    }
-    instrs: list[Instruction] = []
-    id_of: dict = {}
-    stream_id: list[int] = []
-    position: list[int] = []
-    queues: list[list[int]] = []
-    orders: list[int] = []
-    duration: list[float] = []
-    next_id = 0
-    for s, (key, queue) in enumerate(streams.items()):
-        orders.append(key_order[key])
-        queues.append(list(range(next_id, next_id + len(queue))))
-        instrs += queue
-        stream_id += [s] * len(queue)
-        position += range(len(queue))
-        for instr in queue:
-            if instr.uid in id_of:
-                raise ValueError(f"duplicate instruction uid {instr.uid!r}")
-            id_of[instr.uid] = next_id
-            next_id += 1
-            duration.append(instr.duration)
-    total = next_id
-    if total == 0:
-        return EngineResult(events=[])
+    program = _index(streams)
+    instrs, queues = program.instrs, program.queues
+    stream_id, position = program.stream_id, program.position
+    dependents = program.dependents
+    total = len(instrs)
 
     # Seed dirtiness: the first per-stream position whose (uid, duration,
     # deps) deviates from the base queue dirties that whole stream suffix
-    # (FIFO — everything behind a changed instruction may shift).
+    # (FIFO — everything behind a changed instruction may shift), and a
+    # dependency on an absent uid dirties its dependent, which then
+    # deadlocks exactly as in a fresh run.
     dirty = [False] * total
     stack: list[int] = []
-    for s, key in enumerate(stream_keys):
-        base_queue = base_streams.get(key, ())
+    for s, key in enumerate(program.keys):
         ids = queues[s]
         n_same = 0
-        for i, base_instr in zip(ids, base_queue):
+        for i, base_instr in zip(ids, base_streams.get(key, ())):
             instr = instrs[i]
             if (
                 instr.uid != base_instr.uid
@@ -333,174 +404,63 @@ def run_streams_delta(
                 break
             n_same += 1
         if n_same < len(ids):
-            first = ids[n_same]
-            dirty[first] = True
-            stack.append(first)
-
+            stack.append(ids[n_same])
+    stack += program.orphans
     # Close over dependency and stream-succession edges: a dirty
     # instruction dirties its stream successor (FIFO) and its dependents.
-    # Dependencies on uids absent from the new program can never resolve;
-    # their dependents join the dirty set with a pending count that is
-    # never released, so the replay deadlocks exactly as a fresh run
-    # would ("counted but never released" in run_streams).
-    dependents: list[list[int]] = [[] for _ in range(total)]
-    blocked = [0] * total  # deps on uids absent from this program
-    lookup = id_of.get
-    for i, instr in enumerate(instrs):
-        for dep in instr.deps:
-            d = lookup(dep)
-            if d is not None:
-                dependents[d].append(i)
-            else:
-                blocked[i] += 1
-                if not dirty[i]:
-                    dirty[i] = True
-                    stack.append(i)
     while stack:
         i = stack.pop()
-        s = stream_id[i]
-        q = queues[s]
+        if dirty[i]:
+            continue
+        dirty[i] = True
+        q = queues[stream_id[i]]
         p = position[i] + 1
         if p < len(q):
-            j = q[p]
-            if not dirty[j]:
-                dirty[j] = True
-                stack.append(j)
-        for j in dependents[i]:
-            if not dirty[j]:
-                dirty[j] = True
-                stack.append(j)
+            stack.append(q[p])
+        stack += dependents[i]
 
     n_dirty = sum(dirty)
     if n_dirty > max_dirty_fraction * total:
         return None
 
-    # Clean instructions keep their base finish times; the replay only
-    # needs per-dirty-instruction ready times (max over clean deps'
-    # base finishes) and pending counts (dirty deps + absent deps).
+    # Clean instructions keep their base finish times; each dirty one
+    # starts with the latest clean dependency as its ready time and its
+    # dirty or absent dependencies pending.
     base_finish = base.finish_times
     end_of = [0.0] * total
     pending = [0] * total
     ready_at = [0.0] * total
+    lookup = program.id_of.get
     for i, instr in enumerate(instrs):
         if not dirty[i]:
             end_of[i] = base_finish[instr.uid]
-    for i, instr in enumerate(instrs):
-        if not dirty[i]:
             continue
-        n_pending = blocked[i]
-        ready = 0.0
         for dep in instr.deps:
             d = lookup(dep)
-            if d is None:
-                continue
-            if dirty[d]:
-                n_pending += 1
-            elif end_of[d] > ready:
-                ready = end_of[d]
-        pending[i] = n_pending
-        ready_at[i] = ready
+            if d is None or dirty[d]:
+                pending[i] += 1
+            elif base_finish[dep] > ready_at[i]:
+                ready_at[i] = base_finish[dep]
 
-    n_streams = len(queues)
-    heads = [0] * n_streams
-    free_at = [0.0] * n_streams
+    # Clean instructions form a prefix of every stream: the replay starts
+    # each stream behind it, free from the prefix's last finish.
+    heads = [0] * len(queues)
+    free_at = [0.0] * len(queues)
     for s, ids in enumerate(queues):
         head = 0
-        for i in ids:
-            if dirty[i]:
-                break
+        while head < len(ids) and not dirty[ids[head]]:
             head += 1
         heads[s] = head
         if head:
             free_at[s] = end_of[ids[head - 1]]
 
-    heap: list = []
-    push = heapq.heappush
-    pop = heapq.heappop
-    for s, ids in enumerate(queues):
-        if heads[s] < len(ids):
-            j = ids[heads[s]]
-            if not pending[j]:
-                f = free_at[s]
-                r = ready_at[j]
-                push(heap, (f if f > r else r, orders[s], j))
-
-    rec = get_recorder()
-    track = rec.enabled
-
-    executed = 0
-    while heap:
-        start, _, i = pop(heap)
-        s = stream_id[i]
-        q = queues[s]
-        # Same inline runnable-run loop as run_streams; every dependent
-        # of a dirty instruction is dirty (closure), so releases only
-        # ever touch replayed state.
-        while True:
-            end = start + duration[i]
-            end_of[i] = end
-            executed += 1
-            for j in dependents[i]:
-                if end > ready_at[j]:
-                    ready_at[j] = end
-                pending[j] -= 1
-                if not pending[j]:
-                    sj = stream_id[j]
-                    if heads[sj] == position[j]:
-                        f = free_at[sj]
-                        r = ready_at[j]
-                        push(heap, (f if f > r else r, orders[sj], j))
-            head = heads[s] = heads[s] + 1
-            free_at[s] = end
-            if head < len(q):
-                j = q[head]
-                if not pending[j]:
-                    r = ready_at[j]
-                    start = end if end > r else r
-                    i = j
-                    continue
-            break
-
-    if track:
-        rec.count("engine.delta.runs")
-        rec.count("engine.delta.replayed", executed)
-        rec.count("engine.delta.reused", total - n_dirty)
-
-    if executed < n_dirty:
-        blocked_heads = []
-        done_uids = {
-            instrs[i].uid
-            for s, ids in enumerate(queues)
-            for i in ids[: heads[s]]
-        }
-        for s, key in enumerate(stream_keys):
-            q = queues[s]
-            if heads[s] < len(q):
-                instr = instrs[q[heads[s]]]
-                missing = [d for d in instr.deps if d not in done_uids]
-                blocked_heads.append(
-                    f"{key}: {instr.label or instr.uid} waiting on {missing}"
-                )
-        raise EngineDeadlock(
-            "program deadlocked; blocked stream heads:\n  "
-            + "\n  ".join(blocked_heads)
-        )
-
-    # Stream busy is summed in queue order — the exact order a fresh
-    # run's FIFO execution accumulates it — so the floats are identical.
-    stream_busy: dict = {}
-    makespan = 0.0
-    for s, key in enumerate(stream_keys):
-        busy = 0.0
-        for i in queues[s]:
-            busy += duration[i]
-        stream_busy[key] = busy
-    for end in end_of:
-        if end > makespan:
-            makespan = end
-    return EngineResult(
-        finish_times={instr.uid: end_of[i] for i, instr in enumerate(instrs)},
-        stream_busy=stream_busy,
-        makespan=makespan,
-        events=[],
+    _execute(
+        program, heads, free_at, pending, ready_at, [0.0] * total, end_of,
+        False,
     )
+    rec = get_recorder()
+    if rec.enabled:
+        rec.count("engine.delta.runs")
+        rec.count("engine.delta.replayed", sum(heads) - (total - n_dirty))
+        rec.count("engine.delta.reused", total - n_dirty)
+    return _finish(program, heads, [], end_of, record_events=False)

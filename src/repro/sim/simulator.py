@@ -71,14 +71,10 @@ class SimulationBase:
     delta-replay state (see ``repro.search.grid``).
 
     Attributes:
-        config: The configuration the base program was built for.
-        implementation_name: The library profile that built it.
         streams: The label-free instruction queues of the base program.
         engine_result: The engine outcome those streams produced.
     """
 
-    config: ParallelConfig
-    implementation_name: str
     streams: dict
     engine_result: EngineResult
 
@@ -189,29 +185,26 @@ def _assemble_result(
 
 
 def simulate_delta(
-    spec: TransformerSpec,
-    config: ParallelConfig,
-    cluster: ClusterSpec,
+    cost: CostModel,
+    schedule: Schedule,
+    memory: MemoryBreakdown,
     *,
     base: SimulationBase | None,
-    implementation: ImplementationProfile | None = None,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    schedule: Schedule | None = None,
-    memory: MemoryBreakdown | None = None,
-    cost: CostModel | None = None,
 ) -> tuple[SimulationResult, SimulationBase, bool]:
     """Simulate one step, replaying only the event-graph delta from a sibling.
 
-    The incremental path of the batched grid walk: when ``base`` is the
-    :class:`SimulationBase` of a *sibling* configuration (same family,
-    one axis changed — e.g. DP0 vs DP_PS sharding of the same GPipe
-    cell), only the instruction suffix that actually differs is
-    re-executed; identical prefixes keep their timings.  Falls back to a
-    full :func:`repro.sim.engine.run_streams` — same streams, same
-    arithmetic — when ``base`` is ``None`` or the delta check finds the
-    programs too different, so the returned result is **bit-identical**
-    to ``simulate(...)`` either way (the parity suite in
-    ``tests/test_simulate_delta.py`` holds it there).
+    The incremental path of the batched grid walk, which has already
+    built every input: the candidate's cost model, its schedule and its
+    memory breakdown.  When ``base`` is the :class:`SimulationBase` of a
+    *sibling* configuration (same family, one axis changed — e.g. DP0 vs
+    DP_PS sharding of the same GPipe cell), only the instruction suffix
+    that actually differs is re-executed; identical prefixes keep their
+    timings.  Falls back to a full :func:`repro.sim.engine.run_streams` —
+    same streams, same arithmetic — when ``base`` is ``None`` or the
+    delta check finds the programs too different, so the returned result
+    is **bit-identical** to ``simulate(...)`` with the same inputs either
+    way (the parity suite in ``tests/test_simulate_delta.py`` holds it
+    there).
 
     Returns ``(result, new_base, replayed)``: ``new_base`` carries this
     program's streams and engine result for the next sibling, and
@@ -222,31 +215,6 @@ def simulate_delta(
     semantics): delta replay serves the search fast path, which never
     renders timelines.
     """
-    if cost is not None:
-        if implementation is not None and implementation is not cost.implementation:
-            raise ValueError(
-                f"cost was built for {cost.implementation.name}, but "
-                f"implementation={implementation.name} was also passed"
-            )
-        implementation = cost.implementation
-    elif implementation is None:
-        implementation = default_implementation_for(config.schedule)
-    if cost is None:
-        cost = CostModel(
-            spec=spec,
-            config=config,
-            cluster=cluster,
-            implementation=implementation,
-            calibration=calibration,
-        )
-    if schedule is None:
-        schedule = build_schedule(
-            config.schedule,
-            config.n_pp,
-            config.n_microbatches,
-            config.n_loop,
-            config.sequence_size,
-        )
     streams = build_program(cost, schedule, record_events=False)
     result: EngineResult | None = None
     if base is not None:
@@ -254,12 +222,5 @@ def simulate_delta(
     replayed = result is not None
     if result is None:
         result = run_streams(streams, record_events=False)
-    if memory is None:
-        memory = memory_model(spec, config, implementation, schedule)
-    new_base = SimulationBase(
-        config=config,
-        implementation_name=implementation.name,
-        streams=streams,
-        engine_result=result,
-    )
+    new_base = SimulationBase(streams=streams, engine_result=result)
     return _assemble_result(cost, memory, result), new_base, replayed

@@ -87,15 +87,32 @@ def _run_lint(root: Path) -> VerifyReport:
     )
 
 
-def _run_winner(selector: str) -> VerifyReport:
-    from repro.experiments.fig7 import QUICK_BATCHES, panel_setup
+def _parse_winner(selector: str) -> tuple[str, int]:
+    """``PANEL[:BATCH]`` as (panel, batch); ValueError names the problem."""
+    from repro.experiments.fig7 import PANEL_BATCHES, QUICK_BATCHES
+
+    panel, _, batch_text = selector.partition(":")
+    if panel not in PANEL_BATCHES:
+        raise ValueError(
+            f"--winner: unknown panel {panel!r}; choose from "
+            f"{', '.join(sorted(PANEL_BATCHES))}"
+        )
+    if not batch_text:
+        return panel, QUICK_BATCHES[panel][0]
+    if not batch_text.isdigit() or int(batch_text) < 1:
+        raise ValueError(
+            f"--winner: batch must be a positive integer, got {batch_text!r}"
+        )
+    return panel, int(batch_text)
+
+
+def _run_winner(panel: str, batch: int) -> VerifyReport:
+    from repro.experiments.fig7 import panel_setup
     from repro.parallel.config import Method
     from repro.search.grid import best_configuration
     from repro.verify.program import verify_outcome
 
-    panel, _, batch_text = selector.partition(":")
     spec, cluster = panel_setup(panel)
-    batch = int(batch_text) if batch_text else QUICK_BATCHES[panel][0]
     outcome = best_configuration(
         spec, cluster, Method.BREADTH_FIRST, batch
     )
@@ -152,6 +169,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     root = args.root or _default_root()
+    winner: tuple[str, int] | None = None
+    if args.winner:
+        try:
+            winner = _parse_winner(args.winner)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if not (args.lint or args.zoo or args.winner or args.self_test):
         args.lint = args.zoo = True
@@ -165,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         clean = sum(1 for r in zoo if r.ok)
         print(f"zoo: {clean}/{len(zoo)} programs verify clean")
         reports += [r for r in zoo if not r.ok]
-    if args.winner:
-        reports.append(_run_winner(args.winner))
+    if winner is not None:
+        reports.append(_run_winner(*winner))
     for report in reports:
         print(report.format())
         if not report.ok:

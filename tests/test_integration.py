@@ -129,6 +129,13 @@ class TestRunnerCli:
              "--memory-headroom", "5"],
             ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
              "--workers", "0"],
+            ["fig1", "--calibration", "/nonexistent.json"],
+            ["plan", "--calibration", "/nonexistent.json"],
+            ["serve", "--store", "{tmp}", "--calibration", "/nonexistent.json"],
+            ["serve", "--store", "{tmp}", "--port", "-5"],
+            ["verify", "--winner", "52B:0"],
+            ["verify", "--winner", "nope"],
+            ["verify", "--winner", "52B:abc"],
         ],
         ids=lambda argv: " ".join(argv),
     )

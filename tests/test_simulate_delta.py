@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analytical.memory import memory_model
+from repro.core.schedules.base import build_schedule
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
+from repro.sim.cost import CostModel
 from repro.sim.engine import run_streams, run_streams_delta
 from repro.sim.simulator import simulate, simulate_delta
 
@@ -47,6 +50,19 @@ def _impl_for(schedule):
     return OUR_IMPLEMENTATION
 
 
+def _simulate_delta(config, *, base, implementation):
+    """simulate_delta on the inputs the search builds for a candidate."""
+    cost = CostModel(
+        spec=SPEC, config=config, cluster=CLUSTER, implementation=implementation
+    )
+    schedule = build_schedule(
+        config.schedule, config.n_pp, config.n_microbatches, config.n_loop,
+        config.sequence_size,
+    )
+    memory = memory_model(SPEC, config, implementation, schedule)
+    return simulate_delta(cost, schedule, memory, base=base)
+
+
 ALL_SCHEDULES = list(ScheduleKind)
 
 
@@ -56,12 +72,11 @@ class TestParity:
         config = _config(schedule)
         impl = _impl_for(schedule)
         expected = simulate(SPEC, config, CLUSTER, implementation=impl)
-        result, base, replayed = simulate_delta(
-            SPEC, config, CLUSTER, base=None, implementation=impl
+        result, _, replayed = _simulate_delta(
+            config, base=None, implementation=impl
         )
         assert not replayed
         assert result == expected
-        assert base.config == config
 
     @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.name)
     def test_sibling_replay_is_bit_exact(self, schedule):
@@ -69,15 +84,14 @@ class TestParity:
         impl = _impl_for(schedule)
         base_config = _config(schedule, Sharding.NONE)
         sibling = _config(schedule, Sharding.PARTIAL)
-        _, base, _ = simulate_delta(
-            SPEC, base_config, CLUSTER, base=None, implementation=impl
+        _, base, _ = _simulate_delta(
+            base_config, base=None, implementation=impl
         )
         expected = simulate(SPEC, sibling, CLUSTER, implementation=impl)
-        result, new_base, replayed = simulate_delta(
-            SPEC, sibling, CLUSTER, base=base, implementation=impl
+        result, new_base, replayed = _simulate_delta(
+            sibling, base=base, implementation=impl
         )
         assert result == expected  # every field, every float
-        assert new_base.config == sibling
         # The replay itself must have engaged for at least the DP-heavy
         # schedules; either way the result above is already bit-equal.
         if replayed:
@@ -90,12 +104,12 @@ class TestParity:
         """The headline pair (GPipe DP0 -> DP_PS) must actually take the
         delta path, not silently fall back — the ≥10x win depends on it."""
         impl = OUR_IMPLEMENTATION
-        _, base, _ = simulate_delta(
-            SPEC, _config(ScheduleKind.GPIPE, Sharding.NONE), CLUSTER,
+        _, base, _ = _simulate_delta(
+            _config(ScheduleKind.GPIPE, Sharding.NONE),
             base=None, implementation=impl,
         )
-        _, _, replayed = simulate_delta(
-            SPEC, _config(ScheduleKind.GPIPE, Sharding.PARTIAL), CLUSTER,
+        _, _, replayed = _simulate_delta(
+            _config(ScheduleKind.GPIPE, Sharding.PARTIAL),
             base=base, implementation=impl,
         )
         assert replayed
@@ -105,14 +119,14 @@ class TestParity:
         event-graph prefix: the dirty-closure must refuse to replay
         (fallback), and the result must still equal simulate()."""
         impl = OUR_IMPLEMENTATION
-        _, base, _ = simulate_delta(
-            SPEC, _config(ScheduleKind.GPIPE, n_microbatches=2), CLUSTER,
+        _, base, _ = _simulate_delta(
+            _config(ScheduleKind.GPIPE, n_microbatches=2),
             base=None, implementation=impl,
         )
         target = _config(ScheduleKind.GPIPE, n_microbatches=16)
         expected = simulate(SPEC, target, CLUSTER, implementation=impl)
-        result, _, replayed = simulate_delta(
-            SPEC, target, CLUSTER, base=base, implementation=impl
+        result, _, replayed = _simulate_delta(
+            target, base=base, implementation=impl
         )
         assert not replayed
         assert result == expected
@@ -122,14 +136,14 @@ class TestParity:
         no-base and self-base paths."""
         config = _config(ScheduleKind.ONE_F_ONE_B, Sharding.NONE)
         expected = simulate(SPEC, config, CLUSTER, implementation=MEGATRON_LM)
-        result, base, _ = simulate_delta(
-            SPEC, config, CLUSTER, base=None, implementation=MEGATRON_LM
+        result, base, _ = _simulate_delta(
+            config, base=None, implementation=MEGATRON_LM
         )
         assert result == expected
         # Re-simulating the *same* config against its own base: zero
         # dirty instructions, everything reused, still bit-equal.
-        result2, _, replayed = simulate_delta(
-            SPEC, config, CLUSTER, base=base, implementation=MEGATRON_LM
+        result2, _, replayed = _simulate_delta(
+            config, base=base, implementation=MEGATRON_LM
         )
         assert replayed
         assert result2 == expected
@@ -138,8 +152,8 @@ class TestParity:
 class TestEngineDelta:
     def test_identical_streams_reuse_everything(self):
         config = _config(ScheduleKind.BREADTH_FIRST)
-        _, base, _ = simulate_delta(
-            SPEC, config, CLUSTER, base=None, implementation=OUR_IMPLEMENTATION
+        _, base, _ = _simulate_delta(
+            config, base=None, implementation=OUR_IMPLEMENTATION
         )
         result = run_streams_delta(
             base.streams, base.streams, base.engine_result
@@ -151,8 +165,8 @@ class TestEngineDelta:
 
     def test_dirty_fraction_threshold_returns_none(self):
         config = _config(ScheduleKind.BREADTH_FIRST)
-        _, base, _ = simulate_delta(
-            SPEC, config, CLUSTER, base=None, implementation=OUR_IMPLEMENTATION
+        _, base, _ = _simulate_delta(
+            config, base=None, implementation=OUR_IMPLEMENTATION
         )
         # Perturb every duration: 100% dirty, way over any threshold.
         perturbed = {
