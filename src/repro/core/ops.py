@@ -22,7 +22,7 @@ class OpKind(enum.Enum):
     BACKWARD = "B"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ComputeOp:
     """One unit of pipeline work: a micro-batch through a stage.
 

@@ -246,6 +246,23 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
     )
 
 
+def _create_output_dir(
+    parser: argparse.ArgumentParser, flag: str, directory: Path
+) -> None:
+    """Create an output directory before any work; a usage error if not.
+
+    Output is written after the search or fit, so an uncreatable path
+    must be refused up front rather than discovered at the end of a run.
+    """
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(
+            f"cannot create {flag} directory {directory}: "
+            f"{exc.strerror or exc}"
+        )
+
+
 def calibrate_main(argv: Sequence[str] | None = None) -> int:
     """``repro-experiments calibrate``: fit the calibration to the anchors.
 
@@ -274,6 +291,8 @@ def calibrate_main(argv: Sequence[str] | None = None) -> int:
         "to PATH — the file format --calibration consumes",
     )
     args = parser.parse_args(argv)
+    if args.out:
+        _create_output_dir(parser, "--out", Path(args.out).parent)
 
     start = time.time()
     result = fit_calibration(quick=args.quick)
@@ -689,6 +708,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if args.metrics_out is not None:
+        _create_output_dir(parser, "--metrics-out", Path(args.metrics_out))
     names = (
         list(PAPER_EXPERIMENTS)
         if not args.names or "all" in args.names

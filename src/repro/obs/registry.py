@@ -338,8 +338,7 @@ def merge_snapshot(recorder: Recorder, snapshot: dict) -> None:
 
     How a sweep coordinator keeps what its pool workers recorded:
     counters add, histogram observations append, and gauges merge as
-    high-water marks (the only gauges a search sets).  Spans are left
-    out.
+    high-water marks.  Spans are left out.
     """
     for name, value in snapshot.get("counters", {}).items():
         recorder.count(name, value)

@@ -14,7 +14,7 @@ prints where a run's time and pruning power actually went:
   deep non-looped pipelines — the premise of the drain-side-certificate
   work.
 - **Warm starts** — ``stage_time_table`` hit/miss rates across cells.
-- **Engine** — events popped and the ready-heap high-water mark.
+- **Engine** — runs, events popped and wavefront sweeps per run.
 - **Service** — per-worker busy fractions, claim/requeue/heartbeat
   counts and checkpoint hit rates for sweep runs.
 
@@ -189,10 +189,10 @@ class AttributionReport:
         if self.engine.get("runs"):
             blocks.append(
                 "engine: {runs:.0f} runs, {popped:.0f} events popped, "
-                "ready-heap high water {hw:.0f}".format(
+                "{per_run:.1f} sweeps per run".format(
                     runs=self.engine["runs"],
                     popped=self.engine["events_popped"],
-                    hw=self.engine["heap_high_water"],
+                    per_run=self.engine["sweeps_per_run"],
                 )
             )
         if self.service:
@@ -274,17 +274,16 @@ def build_report(snapshots: list[dict]) -> AttributionReport:
         "hit_rate": hits / lookups if lookups else 0.0,
     }
 
-    heap_high_water = max(
-        (
-            float(snap.get("gauges", {}).get("engine.heap_high_water", 0.0))
-            for snap in snapshots
-        ),
-        default=0.0,
+    # Sweeps are counted on full runs and delta replays alike.
+    sweeps = counters.get("engine.sweeps", 0.0)
+    core_runs = counters.get("engine.runs", 0.0) + counters.get(
+        "engine.delta.runs", 0.0
     )
     engine = {
         "runs": counters.get("engine.runs", 0.0),
         "events_popped": counters.get("engine.events_popped", 0.0),
-        "heap_high_water": heap_high_water,
+        "sweeps": sweeps,
+        "sweeps_per_run": sweeps / core_runs if core_runs else 0.0,
     }
 
     service = {

@@ -214,34 +214,74 @@ def request_to_json(request: PlanRequest) -> dict:
     return data
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+_REQUIRED = object()
+
+#: Wire field -> (type check, what the check requires, default).  Values
+#: are checked, never coerced: ``int("16")`` or ``bool("false")`` would
+#: silently plan something other than what the client asked for.
+_REQUEST_FIELDS = {
+    "model": (_is_str, "a string", _REQUIRED),
+    "cluster": (_is_str, "a string", _REQUIRED),
+    "batch_sizes": (_list_of(_is_int), "a list of integers", _REQUIRED),
+    "objective": (_is_str, "a string", "throughput"),
+    "memory_headroom": (
+        lambda value: value is None or _is_number(value), "a number", None,
+    ),
+    "include_hybrid": (
+        lambda value: isinstance(value, bool), "a boolean", False,
+    ),
+    "methods": (_list_of(_is_str), "a list of strings", ()),
+}
+
+
 def request_from_json(data: dict) -> PlanRequest:
-    """Build a request from wire JSON; ``ValueError`` on malformed input."""
+    """Build a request from wire JSON; ``ValueError`` on malformed input.
+
+    Every field must already have its JSON type (a list of integers for
+    ``batch_sizes``, a boolean for ``include_hybrid``, ...); a mistyped
+    or missing field raises a ``ValueError`` naming it.
+    """
     if not isinstance(data, dict):
         raise ValueError("plan request must be a JSON object")
-    unknown = set(data) - {
-        "model",
-        "cluster",
-        "batch_sizes",
-        "objective",
-        "memory_headroom",
-        "include_hybrid",
-        "methods",
-    }
+    unknown = set(data) - set(_REQUEST_FIELDS)
     if unknown:
         raise ValueError(f"unknown request fields: {sorted(unknown)}")
-    try:
-        headroom = data.get("memory_headroom")
-        return PlanRequest(
-            model=str(data["model"]),
-            cluster=str(data["cluster"]),
-            batch_sizes=tuple(int(b) for b in data["batch_sizes"]),
-            objective=str(data.get("objective", "throughput")),
-            memory_headroom=None if headroom is None else float(headroom),
-            include_hybrid=bool(data.get("include_hybrid", False)),
-            methods=tuple(str(m) for m in data.get("methods", ())),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plan request: {exc}") from exc
+    values = {}
+    for name, (check, what, default) in _REQUEST_FIELDS.items():
+        if name not in data:
+            if default is _REQUIRED:
+                raise ValueError(f"malformed plan request: missing {name!r}")
+            values[name] = default
+        elif check(data[name]):
+            values[name] = data[name]
+        else:
+            raise ValueError(f"{name!r} must be {what}, got {data[name]!r}")
+    headroom = values["memory_headroom"]
+    return PlanRequest(
+        model=values["model"],
+        cluster=values["cluster"],
+        batch_sizes=tuple(values["batch_sizes"]),
+        objective=values["objective"],
+        memory_headroom=None if headroom is None else float(headroom),
+        include_hybrid=values["include_hybrid"],
+        methods=tuple(values["methods"]),
+    )
 
 
 def answer_to_json(answer: PlanAnswer) -> dict:

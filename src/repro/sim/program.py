@@ -31,20 +31,47 @@ from repro.sim.engine import Instruction
 #: Stream names.
 COMPUTE, PP, DP = "compute", "pp", "dp"
 
-#: Enum -> uid tag without the per-access ``.value`` descriptor cost.
-_KIND_TAG = {kind: kind.value for kind in OpKind}
+#: Builds an instruction from a ``(uid, duration, deps, label, category)``
+#: tuple without re-running ``Instruction.__new__``'s duration check: the
+#: builder checks each distinct duration once per build instead.
+_new = tuple.__new__
 
 
 def _uid_of(op: ComputeOp) -> tuple:
-    return (_KIND_TAG[op.kind], op.microbatch, op.stage)
+    return (op.kind.value, op.microbatch, op.stage)
+
+
+def _checked(durations: list[float]) -> list[float]:
+    """Reject a negative duration with :class:`Instruction`'s own message."""
+    for duration in durations:
+        if duration < 0:
+            raise ValueError(f"duration must be >= 0, got {duration}")
+    return durations
+
+
+def _split(durations: tuple, fractions: list[float]) -> list[tuple]:
+    """Per-stage ``(head, bulk)`` parts of a DP collective, or ``(whole,)``.
+
+    A stage of one layer has nothing to pipeline, so its collective is a
+    single instruction; otherwise the head carries one layer's share.
+    """
+    parts = [
+        (d,) if frac >= 1.0 else (d * frac, d * (1.0 - frac))
+        for d, frac in zip(durations, fractions)
+    ]
+    _checked([d for part in parts for d in part])
+    return parts
 
 
 class _ProgramBuilder:
     """Accumulates instruction queues for one configuration.
 
-    Per-stage durations are evaluated once up front: the cost model
-    recomputes placement boundaries and network lookups on every call,
-    which dominated the grid search when charged per instruction.  With
+    Every distinct duration is computed and checked once per build, up
+    front, from the memoized family tables: ``forward[s]`` and
+    ``backward[s]`` (with the send launch overhead on sending stages),
+    the pipeline transfer, and each stage's gather and reduce head and
+    bulk.  The per-op loop then only picks values from these tables and
+    creates instructions without re-checking them.  With
     ``record_events=False`` no label strings are built either, so
     search-mode programs allocate nothing that only a timeline would read.
     """
@@ -59,6 +86,7 @@ class _ProgramBuilder:
         self.impl = cost.implementation
         self.n_stages = schedule.n_stages
         self.dp_active = self.config.n_dp > 1
+        self.overlap_dp = self.dp_active and self.impl.dp_overlap
         self.sharded_full = (
             self.config.sharding is Sharding.FULL and self.dp_active
         )
@@ -66,34 +94,44 @@ class _ProgramBuilder:
         # (repro.sim.cost.stage_time_table): candidates differing only in
         # n_dp / n_mb / sharding / schedule share one computation, within
         # a search cell and across adjacent batch-size cells of a sweep.
+        # Issuing an overlapped transfer still costs the compute stream
+        # its launch overhead, on every stage that sends: all forwards
+        # but the last stage's, all backwards but the first stage's.
         times = cost.stage_times()
-        self.pp_time = times.pp_transfer
-        self.pp_launch = times.pp_launch
-        self.forward_times = times.forward
-        self.backward_times = times.backward
         stages = range(self.n_stages)
-        self.head_fractions = [
-            1.0 / cost.placement.n_layers_of_stage(s) for s in stages
-        ]
+        last_stage = self.n_stages - 1
+        pp_launch = times.pp_launch
+        self.forward_durations = _checked([
+            times.forward[s] + pp_launch if s < last_stage else times.forward[s]
+            for s in stages
+        ])
+        self.backward_durations = _checked([
+            times.backward[s] + pp_launch if s > 0 else times.backward[s]
+            for s in stages
+        ])
+        self.pp_time = times.pp_transfer
+        if last_stage > 0:
+            _checked([self.pp_time])
         if self.dp_active:
             # DP-collective durations come from the memoized comm-family
             # table (repro.sim.cost.comm_time_table): one gather/reduce
             # pricing pass per (n_pp, n_loop, n_tp, n_dp, sharding)
             # family serves every schedule, micro-batch shape and batch
-            # size that shares it — the warm-start counterpart of
-            # stage_time_table for the DP side (the ROADMAP follow-on).
+            # size that shares it.  Each gather/reduce splits into a
+            # one-layer head and the bulk (see _emit_split).
             comm = cost.comm_times()
-            self.gather_times = comm.gather
-            self.reduce_times = comm.reduce
+            head_fractions = [
+                1.0 / cost.placement.n_layers_of_stage(s) for s in stages
+            ]
+            if self.overlap_dp:
+                if self.sharded_full:
+                    self.gather_parts = _split(comm.gather, head_fractions)
+                self.reduce_parts = _split(comm.reduce, head_fractions)
             self.post_gather_times = comm.post_gather
             self.dp_serial_times = comm.dp_serial
         self.streams: dict[tuple[int, str], list[Instruction]] = {}
 
     # ----------------------------------------------------------- helpers
-
-    def _head_fraction(self, stage: int) -> float:
-        """Share of a stage's DP volume in one layer (the gating head)."""
-        return self.head_fractions[stage]
 
     def _emit_split(
         self,
@@ -101,7 +139,7 @@ class _ProgramBuilder:
         prefix: str,
         stage: int,
         key: int,
-        duration: float,
+        parts: tuple,
         category: str,
         *,
         head_deps: tuple = (),
@@ -116,37 +154,35 @@ class _ProgramBuilder:
         ``head_last=False`` the head comes first (gathers: compute can
         start once the first layer arrived); with ``head_last=True`` it
         comes last (reductions: only the final layer's reduce trails the
-        last backward).  Single-layer stages emit one instruction.
+        last backward).  Single-layer stages emit one instruction, the
+        whole of ``parts``.
         """
-        frac = self._head_fraction(stage)
         labelled = self.record_events
         head_uid = (prefix + "H", stage, key)
-        if frac >= 1.0:
-            queue.append(
-                Instruction(
-                    uid=head_uid,
-                    duration=duration,
-                    deps=head_deps,
-                    label=f"{prefix}(s={stage}, g={key})" if labelled else "",
-                    category=category,
-                )
-            )
+        if len(parts) == 1:
+            queue.append(_new(Instruction, (
+                head_uid,
+                parts[0],
+                head_deps,
+                f"{prefix}(s={stage}, g={key})" if labelled else "",
+                category,
+            )))
             return head_uid, head_uid
         bulk_uid = (prefix + "R", stage, key)
-        head = Instruction(
-            uid=head_uid,
-            duration=duration * frac,
-            deps=head_deps,
-            label=f"{prefix}-head(s={stage}, g={key})" if labelled else "",
-            category=category,
-        )
-        bulk = Instruction(
-            uid=bulk_uid,
-            duration=duration * (1.0 - frac),
-            deps=bulk_deps,
-            label=f"{prefix}-bulk(s={stage}, g={key})" if labelled else "",
-            category=category,
-        )
+        head = _new(Instruction, (
+            head_uid,
+            parts[0],
+            head_deps,
+            f"{prefix}-head(s={stage}, g={key})" if labelled else "",
+            category,
+        ))
+        bulk = _new(Instruction, (
+            bulk_uid,
+            parts[1],
+            bulk_deps,
+            f"{prefix}-bulk(s={stage}, g={key})" if labelled else "",
+            category,
+        ))
         if head_last:
             queue.extend((bulk, head))
             return head_uid, head_uid
@@ -160,33 +196,33 @@ class _ProgramBuilder:
             self.streams[(rank, COMPUTE)] = []
             if self.impl.pp_overlap:
                 self.streams[(rank, PP)] = []
-            if self.impl.dp_overlap and self.dp_active:
+            if self.overlap_dp:
                 self.streams[(rank, DP)] = []
         for rank in range(self.schedule.n_pp):
             self._build_rank(rank)
         return self.streams
 
     def _build_rank(self, rank: int) -> None:
-        cost, config, impl = self.cost, self.config, self.impl
+        cost, config = self.cost, self.config
         order = self.schedule.ops_of(rank)
         compute_q = self.streams[(rank, COMPUTE)]
         pp_q = self.streams.get((rank, PP), compute_q)
         dp_q = self.streams.get((rank, DP))
-        overlap_dp = self.dp_active and impl.dp_overlap and dp_q is not None
+        overlap_dp = self.overlap_dp
 
         # The op loop below runs once per instruction of every simulated
         # configuration — the search's hottest Python.  Attribute lookups
-        # are hoisted and the group key inlined rather than closed over.
+        # are hoisted, durations come precomputed and checked from the
+        # per-stage tables, and instructions skip Instruction.__new__.
+        new, instruction = _new, Instruction
         forward_kind = OpKind.FORWARD
-        forward_times = self.forward_times
-        backward_times = self.backward_times
+        forward_durations = self.forward_durations
+        backward_durations = self.backward_durations
         last_stage = self.n_stages - 1
         pp_time = self.pp_time
-        pp_launch = self.pp_launch
         labelled = self.record_events
         sharded_full = self.sharded_full
         sharded_overlap = sharded_full and overlap_dp
-        kind_tag = _KIND_TAG
         compute_append = compute_q.append
         pp_append = pp_q.append
         # Only DP_FS repeats its network operations per group (Eqs.
@@ -224,9 +260,9 @@ class _ProgramBuilder:
         for position, op in enumerate(order):
             stage = op.stage
             microbatch = op.microbatch
-            is_forward = op.kind is forward_kind
             group = group_keys[position]
-            if is_forward:
+            if op.kind is forward_kind:
+                uid = ("F", microbatch, stage)
                 deps = (("XA", microbatch, stage - 1),) if stage > 0 else ()
                 if sharded_overlap:
                     if group not in gather_uids_fwd:
@@ -235,17 +271,32 @@ class _ProgramBuilder:
                             "GF",
                             stage,
                             group[1],
-                            self.gather_times[stage],
+                            self.gather_parts[stage],
                             "gather",
                         )
                     head, tail = gather_uids_fwd[group]
                     deps += (head,)
                     if last_fwd_of_group.get(group) == position:
                         deps += (tail,)
-                duration = forward_times[stage]
-                category = "forward"
-                produces_send = stage < last_stage
+                compute_append(new(instruction, (
+                    uid,
+                    forward_durations[stage],
+                    deps,
+                    str(op) if labelled else "",
+                    "forward",
+                )))
+                if stage < last_stage:
+                    pp_append(new(instruction, (
+                        ("XA", microbatch, stage),
+                        pp_time,
+                        (uid,),
+                        f"send-act(mb={microbatch}, s={stage})"
+                        if labelled
+                        else "",
+                        "pp_comm",
+                    )))
             else:
+                uid = ("B", microbatch, stage)
                 if stage < last_stage:
                     deps = (
                         ("F", microbatch, stage),
@@ -260,84 +311,55 @@ class _ProgramBuilder:
                             "GB",
                             stage,
                             group[1],
-                            self.gather_times[stage],
+                            self.gather_parts[stage],
                             "gather",
                         )
                     head, tail = gather_uids_bwd[group]
                     deps += (head,)
                     if last_bwd_of_group.get(group) == position:
                         deps += (tail,)
-                duration = backward_times[stage]
-                category = "backward"
-                produces_send = stage > 0
+                compute_append(new(instruction, (
+                    uid,
+                    backward_durations[stage],
+                    deps,
+                    str(op) if labelled else "",
+                    "backward",
+                )))
+                if stage > 0:
+                    pp_append(new(instruction, (
+                        ("XG", microbatch, stage),
+                        pp_time,
+                        (uid,),
+                        f"send-grad(mb={microbatch}, s={stage})"
+                        if labelled
+                        else "",
+                        "pp_comm",
+                    )))
 
-            # Issuing an overlapped transfer still costs the compute
-            # stream its launch overhead.
-            if produces_send:
-                duration += pp_launch
-
-            uid = (kind_tag[op.kind], microbatch, stage)
-            compute_append(
-                Instruction(
-                    uid=uid,
-                    duration=duration,
-                    deps=deps,
-                    label=str(op) if labelled else "",
-                    category=category,
-                )
-            )
-
-            if produces_send:
-                if is_forward:
-                    pp_append(
-                        Instruction(
-                            uid=("XA", microbatch, stage),
-                            duration=pp_time,
-                            deps=(uid,),
-                            label=(
-                                f"send-act(mb={microbatch}, s={stage})"
-                                if labelled
-                                else ""
-                            ),
-                            category="pp_comm",
-                        )
+                # Gradient reduction once the group's last backward ran:
+                # the bulk may overlap that backward (real reductions
+                # trail the per-layer backward front), only the head
+                # strictly follows it.
+                if overlap_dp and last_bwd_of_group.get(group) == position:
+                    bulk_deps = (
+                        (_uid_of(order[position - 1]),) if position else ()
                     )
-                else:
-                    pp_append(
-                        Instruction(
-                            uid=("XG", microbatch, stage),
-                            duration=pp_time,
-                            deps=(uid,),
-                            label=(
-                                f"send-grad(mb={microbatch}, s={stage})"
-                                if labelled
-                                else ""
-                            ),
-                            category="pp_comm",
-                        )
+                    head, _ = self._emit_split(
+                        dp_q,
+                        "RED",
+                        stage,
+                        group[1],
+                        self.reduce_parts[stage],
+                        "reduce",
+                        head_deps=(uid,),
+                        bulk_deps=bulk_deps,
+                        head_last=True,
                     )
-
-            # Gradient reduction once the group's last backward ran: the
-            # bulk may overlap that backward (real reductions trail the
-            # per-layer backward front), only the head strictly follows it.
-            if overlap_dp and last_bwd_of_group.get(group) == position:
-                bulk_deps = (_uid_of(order[position - 1]),) if position else ()
-                head, _ = self._emit_split(
-                    dp_q,
-                    "RED",
-                    stage,
-                    group[1],
-                    self.reduce_times[stage],
-                    "reduce",
-                    head_deps=(uid,),
-                    bulk_deps=bulk_deps,
-                    head_last=True,
-                )
-                reduce_heads.append(head)
+                    reduce_heads.append(head)
 
         # Tail: serial DP block (Megatron mode), optimizer, post-step gather.
         opt_deps: list[tuple] = list(reduce_heads)
-        if self.dp_active and not impl.dp_overlap:
+        if self.dp_active and not overlap_dp:
             compute_q.append(
                 Instruction(
                     uid=("DPALL", rank),

@@ -53,6 +53,18 @@ class TestAccounting:
         result = run_streams({(0, "c"): [instr(("a",), 2.0), instr(("b",), 3.0)]})
         assert result.stream_busy[(0, "c")] == pytest.approx(5.0)
 
+    def test_busy_time_adds_left_to_right_in_queue_order(self):
+        # Plain float addition in queue order, as the oracle and FIFO
+        # execution add it: 1e16 + 1.0 rounds back to 1e16 each time.  A
+        # compensated sum (math.fsum, or sum() on Python >= 3.12) gives
+        # 1e16 + 2.0.
+        result = run_streams({
+            (0, "c"): [
+                instr(("a",), 1e16), instr(("b",), 1.0), instr(("c",), 1.0),
+            ],
+        })
+        assert result.stream_busy[(0, "c")] == 1e16
+
     def test_events_recorded_in_order(self):
         result = run_streams(
             {(0, "c"): [instr(("a",)), instr(("b",))]}, record_events=True
@@ -72,11 +84,11 @@ class TestAccounting:
 
 
 class TestEventDriven:
-    """Behaviours specific to the heap + reverse-dependency-index engine."""
+    """Orderings the wavefront sweeps must get right."""
 
     def test_long_cross_stream_chain(self):
         # A strict ping-pong between two streams: every instruction is a
-        # blocking point, so everything goes through the ready-heap.
+        # blocking point, so each sweep runs one instruction per stream.
         n = 50
         left, right = [], []
         prev = None
@@ -142,6 +154,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="duplicate"):
             run_streams({
                 (0, "c"): [instr(("a",))],
+                (1, "c"): [instr(("a",))],
+            })
+
+    def test_duplicate_uid_is_reported_before_a_deadlock(self):
+        # The program also deadlocks on ("missing",); the duplicate uid is
+        # the error reported, as the oracle checks uids before running.
+        duplicate = r"duplicate instruction uid \('a',\)"
+        with pytest.raises(ValueError, match=duplicate):
+            run_streams({
+                (0, "c"): [instr(("a",)), instr(("b",), deps=[("missing",)])],
                 (1, "c"): [instr(("a",))],
             })
 

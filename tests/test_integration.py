@@ -136,13 +136,24 @@ class TestRunnerCli:
             ["verify", "--winner", "52B:0"],
             ["verify", "--winner", "nope"],
             ["verify", "--winner", "52B:abc"],
+            # Output paths under a regular file cannot be created; they
+            # must be refused before the fit or the search starts.
+            ["calibrate", "--quick", "--out", "{file}/new/fit.json"],
+            ["fig1", "--metrics-out", "{file}/metrics"],
         ],
         ids=lambda argv: " ".join(argv),
     )
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
         # Invalid requests and options are rejected before anything runs:
         # exit status 2 and one argparse error line, never a traceback.
-        argv = [arg.replace("{tmp}", str(tmp_path / "ckpt")) for arg in argv]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [
+            arg.replace("{tmp}", str(tmp_path / "ckpt")).replace(
+                "{file}", str(blocker)
+            )
+            for arg in argv
+        ]
         if argv[0] == "plan":
             defaults = {
                 "--store": str(tmp_path / "memo"),
@@ -161,6 +172,15 @@ class TestRunnerCli:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert not (tmp_path / "memo").exists()
         assert not (tmp_path / "ckpt").exists()
+
+    def test_calibrate_out_creates_directories_for_calibration(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "new" / "dir" / "fit.json"
+        assert main(["calibrate", "--quick", "--out", str(out)]) == 0
+        assert out.is_file()
+        assert main(["fig3", "--calibration", str(out)]) == 0
+        capsys.readouterr()
 
     def test_cli_default_selects_all(self, capsys):
         # Regression: `repro-experiments` with no arguments must expand to

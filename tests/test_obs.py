@@ -340,7 +340,7 @@ class TestSearchInstrumentation:
         c = registry.counters
         assert c["engine.runs"] == outcome.n_tried
         assert c["engine.events_popped"] > 0
-        assert registry.gauges["engine.heap_high_water"] >= 1
+        assert c["engine.sweeps"] >= c["engine.runs"]
         assert c["search.warm_start.hits"] + c["search.warm_start.misses"] > 0
 
     def test_stage_timers_and_tightness(self, searched):
@@ -416,6 +416,20 @@ class TestReport:
         assert w["cells_completed"] == 3
         assert w["busy_fraction"] == pytest.approx(0.8)
         assert "Per-worker sweep activity" in report.format()
+
+    def test_engine_section_prints_sweeps_per_core_run(self):
+        # Sweeps are counted on full runs and delta replays alike.
+        registry = MetricsRegistry(actor="cell")
+        registry.count("engine.runs", 3)
+        registry.count("engine.delta.runs", 1)
+        registry.count("engine.events_popped", 120)
+        registry.count("engine.sweeps", 10)
+        report = build_report([registry.snapshot()])
+        assert report.engine["sweeps_per_run"] == 2.5
+        assert (
+            "engine: 3 runs, 120 events popped, 2.5 sweeps per run"
+            in report.format()
+        )
 
     def test_json_rendering_round_trips(self):
         with recording(MetricsRegistry(actor="cell")) as registry:

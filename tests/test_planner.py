@@ -39,6 +39,26 @@ CLUSTER = "dgx1-64"
 BF = "Breadth-first"
 
 
+#: (field, value) pairs a client might send instead of the JSON type the
+#: wire protocol requires; each must be refused, never coerced (``"16"``
+#: once planned batches 1 and 6, ``"false"`` turned the hybrid axis on).
+MISTYPED_FIELDS = [
+    ("batch_sizes", "16"),
+    ("batch_sizes", [8.5]),
+    ("batch_sizes", [True]),
+    ("batch_sizes", 8),
+    ("include_hybrid", "false"),
+    ("include_hybrid", 0),
+    ("methods", "Breadth-first"),
+    ("methods", [1]),
+    ("model", 6.6),
+    ("cluster", None),
+    ("objective", ["throughput"]),
+    ("memory_headroom", "0.8"),
+    ("memory_headroom", True),
+]
+
+
 def _request(batch_sizes=(8,), **overrides):
     fields = dict(
         model=MODEL,
@@ -226,6 +246,26 @@ class TestProtocol:
         )
         assert request_from_json(request_to_json(request)) == request
 
+    @pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+    def test_mistyped_fields_are_rejected_by_name(self, field, value):
+        data = request_to_json(_request())
+        data[field] = value
+        with pytest.raises(ValueError, match=field):
+            request_from_json(data)
+
+    def test_missing_required_field_is_rejected_by_name(self):
+        data = request_to_json(_request())
+        del data["batch_sizes"]
+        with pytest.raises(ValueError, match="batch_sizes"):
+            request_from_json(data)
+
+    def test_integral_headroom_is_accepted_as_a_number(self):
+        data = request_to_json(
+            _request(objective="memory-constrained", memory_headroom=1.0)
+        )
+        data["memory_headroom"] = 1
+        assert request_from_json(data).memory_headroom == 1.0
+
     def test_unknown_request_fields_are_rejected(self):
         data = request_to_json(_request())
         data["batchsize"] = 8
@@ -317,6 +357,25 @@ class TestHttp:
         assert pre_s == 200 and pre_b == {f"{MODEL}/{CLUSTER}": {BF: [8]}}
         assert nf_s == 404
         assert bad_s == 400 and "error" in bad_b
+
+    def test_mistyped_requests_map_to_400(self, tmp_path):
+        raws = []
+        for field, value in MISTYPED_FIELDS:
+            data = request_to_json(_request())
+            data[field] = value
+            body = json.dumps(data).encode()
+            raws.append(
+                b"POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                + str(len(body)).encode()
+                + b"\r\n\r\n"
+                + body
+            )
+        with Planner(tmp_path) as planner:
+            responses = self._roundtrip(planner, raws)
+            assert len(planner.store) == 0
+        for (field, _), (status, payload) in zip(MISTYPED_FIELDS, responses):
+            assert status == 400
+            assert field in payload["error"]
 
     def test_unknown_model_maps_to_400(self, tmp_path):
         with Planner(tmp_path) as planner:

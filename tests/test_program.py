@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.schedules.base import build_schedule
@@ -141,6 +143,26 @@ class TestReductions:
         head = next(i for i in dp_q if i.uid[0] == "REDH")
         # Head must depend on a backward op of the same stage.
         assert any(dep[0] == "B" for dep in head.deps)
+
+
+class TestDurationChecks:
+    @pytest.mark.parametrize(
+        "table, column",
+        [("stage_times", "forward"), ("comm_times", "reduce")],
+    )
+    def test_negative_duration_is_rejected(self, monkeypatch, table, column):
+        # The builder checks each distinct duration once per build, with
+        # Instruction's own message, instead of once per instruction.
+        priced = getattr(CostModel, table)
+
+        def negative_first_stage(self):
+            times = priced(self)
+            values = (-1.0,) + getattr(times, column)[1:]
+            return dataclasses.replace(times, **{column: values})
+
+        monkeypatch.setattr(CostModel, table, negative_first_stage)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            make_streams()
 
 
 class TestTransfers:
