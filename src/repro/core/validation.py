@@ -1,20 +1,27 @@
 """Schedule validation and logical-time analysis.
 
-:func:`validate_schedule` checks the structural invariants every pipeline
-schedule must satisfy (each (micro-batch, stage) computed exactly once, on
-the right rank, forward before backward) and proves deadlock-freedom by
-executing the per-rank streams under their true dependencies with a
-logical clock.  The same executor doubles as an idealized (zero
-communication cost) timing model: with unit forward time and 2x backward
-time it reproduces the pipeline-bubble formulas, Eqs. (4) and (9).
+:func:`lower_schedule` lowers a schedule to one compute stream per rank:
+the program builder's ``(tag, microbatch, stage)`` uids, the cross-stage
+dataflow dependencies and unit op times.  :func:`analyze_schedule`
+rejects a broken schedule with the first finding of the static
+verifier's completeness check (each (micro-batch, stage) computed
+exactly once, on the right rank, forward before backward), then times
+the lowering on the simulator's engine, :func:`repro.sim.engine
+.run_streams`, which also proves it deadlock-free.  With unit forward
+time and 2x backward time the result is an idealized (zero
+communication cost) timing model that reproduces the pipeline-bubble
+formulas, Eqs. (4) and (9).  The NumPy runtime
+(:mod:`repro.runtime.executor`) runs its ops in the finish-time order
+of the same lowering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.ops import ComputeOp, OpKind
+from repro.core.ops import OpKind
 from repro.core.schedules.base import Schedule
+from repro.sim.engine import EngineDeadlock, Instruction, run_streams
 from repro.verify.labels import op_label
 
 
@@ -50,70 +57,38 @@ class ScheduleAnalysis:
     finish_times: dict[tuple[OpKind, int, int], float]
 
 
-def _op_key(op: ComputeOp) -> tuple[OpKind, int, int]:
-    return (op.kind, op.microbatch, op.stage)
+def lower_schedule(
+    schedule: Schedule,
+    forward_time: float = 1.0,
+    backward_time: float = 2.0,
+) -> dict[tuple[int, str], list[Instruction]]:
+    """One ``(rank, "compute")`` instruction stream per rank, in schedule order.
 
-
-def _dependencies(op: ComputeOp, n_stages: int) -> list[tuple[OpKind, int, int]]:
-    """Cross-stage dataflow dependencies of ``op``.
-
-    Forward needs the previous stage's forward output; backward needs this
-    stage's forward activation and the next stage's backward gradient.
+    Forward needs the previous stage's forward output; backward needs
+    this stage's forward activation and the next stage's backward
+    gradient.  Labels carry each op's rank and stream position, so the
+    engine's deadlock report names them as the verifier does.
     """
-    deps: list[tuple[OpKind, int, int]] = []
-    if op.kind is OpKind.FORWARD:
-        if op.stage > 0:
-            deps.append((OpKind.FORWARD, op.microbatch, op.stage - 1))
-    else:
-        deps.append((OpKind.FORWARD, op.microbatch, op.stage))
-        if op.stage < n_stages - 1:
-            deps.append((OpKind.BACKWARD, op.microbatch, op.stage + 1))
-    return deps
-
-
-def _check_structure(schedule: Schedule) -> None:
-    """Completeness, uniqueness, placement and per-rank F-before-B order."""
-    n_stages = schedule.n_stages
-    expected = {
-        (kind, mb, stage)
-        for kind in (OpKind.FORWARD, OpKind.BACKWARD)
-        for mb in range(schedule.n_microbatches)
-        for stage in range(n_stages)
-    }
-    seen: set[tuple[OpKind, int, int]] = set()
-    for rank, _, op in schedule.all_ops():
-        key = _op_key(op)
-        label = op_label(op.kind, op.microbatch, op.stage, rank=rank)
-        if key in seen:
-            raise ScheduleError(f"duplicate op {label}")
-        if key not in expected:
-            raise ScheduleError(
-                f"op {label} is outside the schedule's "
-                f"{schedule.n_microbatches} micro-batches x {n_stages} stages"
-            )
-        if op.stage % schedule.n_pp != rank:
-            raise ScheduleError(
-                f"op {label} is misplaced: stage {op.stage} "
-                f"lives on rank {op.stage % schedule.n_pp}"
-            )
-        seen.add(key)
-    missing = expected - seen
-    if missing:
-        kind, mb, stage = sorted(missing)[0]
-        raise ScheduleError(
-            f"{len(missing)} ops missing from the schedule, e.g. "
-            f"{op_label(kind, mb, stage, rank=stage % schedule.n_pp)}"
-        )
-    for rank in range(schedule.n_pp):
-        forwards_done: set[tuple[int, int]] = set()
-        for position, op in enumerate(schedule.ops_of(rank)):
+    last_stage = schedule.n_stages - 1
+    streams: dict[tuple[int, str], list[Instruction]] = {}
+    for rank, order in enumerate(schedule.device_orders):
+        queue = []
+        for position, op in enumerate(order):
+            mb, stage = op.microbatch, op.stage
             if op.kind is OpKind.FORWARD:
-                forwards_done.add((op.microbatch, op.stage))
-            elif (op.microbatch, op.stage) not in forwards_done:
-                raise ScheduleError(
-                    f"{op_label(op.kind, op.microbatch, op.stage, rank=rank, position=position)} "
-                    "runs before its forward"
-                )
+                duration = forward_time
+                deps: tuple = (("F", mb, stage - 1),) if stage > 0 else ()
+            else:
+                duration = backward_time
+                deps = (("F", mb, stage),)
+                if stage < last_stage:
+                    deps += (("B", mb, stage + 1),)
+            label = op_label(op.kind, mb, stage, rank=rank, position=position)
+            queue.append(
+                Instruction((op.kind.value, mb, stage), duration, deps, label)
+            )
+        streams[(rank, "compute")] = queue
+    return streams
 
 
 def analyze_schedule(
@@ -121,73 +96,39 @@ def analyze_schedule(
     forward_time: float = 1.0,
     backward_time: float = 2.0,
 ) -> ScheduleAnalysis:
-    """Execute the schedule with a logical clock; raise on deadlock.
+    """Execute the schedule with a logical clock; raise on a broken schedule.
 
     Each rank consumes its stream strictly in order (as a real static
     pipeline program does): the head op starts once its dependencies have
     finished, and blocks the rest of the stream until then.  If every
     unfinished rank is blocked, the schedule deadlocks and the error lists
-    each rank's blocking op.
+    each rank's blocked op with the ops it waits on.
     """
+    # Lazy: every importer of repro.core would otherwise load the
+    # verifier, and the search stack never validates schedules.
+    from repro.verify.program import check_completeness
+
     if forward_time <= 0 or backward_time <= 0:
         raise ValueError("op durations must be positive")
-    _check_structure(schedule)
+    streams = lower_schedule(schedule, forward_time, backward_time)
+    findings = check_completeness(streams, schedule)
+    if findings:
+        raise ScheduleError(findings[0].message)
+    try:
+        result = run_streams(streams, record_events=False)
+    except EngineDeadlock as exc:
+        raise ScheduleError(str(exc)) from exc
 
-    n_stages = schedule.n_stages
-    orders = schedule.device_orders
-    heads = [0] * schedule.n_pp
-    device_free = [0.0] * schedule.n_pp
-    busy = [0.0] * schedule.n_pp
-    finish: dict[tuple[OpKind, int, int], float] = {}
-
-    remaining = schedule.total_ops
-    while remaining > 0:
-        progressed = False
-        for rank in range(schedule.n_pp):
-            order = orders[rank]
-            while heads[rank] < len(order):
-                op = order[heads[rank]]
-                deps = _dependencies(op, n_stages)
-                if any(dep not in finish for dep in deps):
-                    break
-                dep_ready = max((finish[dep] for dep in deps), default=0.0)
-                start = max(device_free[rank], dep_ready)
-                duration = (
-                    forward_time if op.kind is OpKind.FORWARD else backward_time
-                )
-                finish[_op_key(op)] = start + duration
-                device_free[rank] = start + duration
-                busy[rank] += duration
-                heads[rank] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            blocked = []
-            for rank in range(schedule.n_pp):
-                if heads[rank] < len(orders[rank]):
-                    op = orders[rank][heads[rank]]
-                    blocked.append(
-                        "waiting on "
-                        + op_label(
-                            op.kind,
-                            op.microbatch,
-                            op.stage,
-                            rank=rank,
-                            position=heads[rank],
-                        )
-                    )
-            raise ScheduleError(
-                "schedule deadlocked; blocked streams:\n  " + "\n  ".join(blocked)
-            )
-
-    makespan = max(device_free)
-    max_busy = max(busy)
+    busy = tuple(result.stream_busy.values())
     return ScheduleAnalysis(
-        makespan=makespan,
-        compute_per_device=tuple(busy),
-        bubble_fraction=makespan / max_busy - 1.0,
+        makespan=result.makespan,
+        compute_per_device=busy,
+        bubble_fraction=result.makespan / max(busy) - 1.0,
         peak_in_flight=schedule.peak_in_flight(),
-        finish_times=finish,
+        finish_times={
+            (OpKind(tag), mb, stage): end
+            for (tag, mb, stage), end in result.finish_times.items()
+        },
     )
 
 

@@ -68,6 +68,7 @@ from repro.obs.report import build_report, report_to_json_text
 from repro.search.objective import OBJECTIVE_KINDS, parse_objective
 from repro.search.service import BACKENDS, SweepOptions
 from repro.sim.calibration import DEFAULT_CALIBRATION
+from repro.utils import create_output_dir
 from repro.utils.tables import ascii_table
 from repro.viz.chart import ascii_line_chart
 from repro.viz.chrome_trace import write_chrome_trace
@@ -246,23 +247,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
     )
 
 
-def _create_output_dir(
-    parser: argparse.ArgumentParser, flag: str, directory: Path
-) -> None:
-    """Create an output directory before any work; a usage error if not.
-
-    Output is written after the search or fit, so an uncreatable path
-    must be refused up front rather than discovered at the end of a run.
-    """
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        parser.error(
-            f"cannot create {flag} directory {directory}: "
-            f"{exc.strerror or exc}"
-        )
-
-
 def calibrate_main(argv: Sequence[str] | None = None) -> int:
     """``repro-experiments calibrate``: fit the calibration to the anchors.
 
@@ -292,7 +276,7 @@ def calibrate_main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.out:
-        _create_output_dir(parser, "--out", Path(args.out).parent)
+        create_output_dir(parser, "--out", Path(args.out).parent)
 
     start = time.time()
     result = fit_calibration(quick=args.quick)
@@ -364,6 +348,10 @@ def frontier_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and args.checkpoint_dir is None:
         parser.error("--resume requires --checkpoint-dir")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.checkpoint_dir is not None:
+        create_output_dir(parser, "--checkpoint-dir", Path(args.checkpoint_dir))
 
     start = time.time()
     options = SweepOptions(
@@ -414,6 +402,14 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--out", required=True, metavar="PATH")
     args = parser.parse_args(argv)
+    # The checkpoint directory is only read: a missing one would be
+    # created empty and exported as an empty trace.
+    if not Path(args.checkpoint_dir).is_dir():
+        parser.error(
+            f"--checkpoint-dir {args.checkpoint_dir} is not an existing "
+            "directory"
+        )
+    create_output_dir(parser, "--out", Path(args.out).parent)
 
     queue_dir = args.queue_dir
     if queue_dir is None:
@@ -700,6 +696,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--backend=file-queue requires --checkpoint-dir")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         options = build_sweep_options(args)
     except OSError as exc:
@@ -709,7 +707,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.metrics_out is not None:
-        _create_output_dir(parser, "--metrics-out", Path(args.metrics_out))
+        create_output_dir(parser, "--metrics-out", Path(args.metrics_out))
+    if args.checkpoint_dir is not None:
+        create_output_dir(parser, "--checkpoint-dir", Path(args.checkpoint_dir))
     names = (
         list(PAPER_EXPERIMENTS)
         if not args.names or "all" in args.names

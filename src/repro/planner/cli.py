@@ -13,6 +13,7 @@ import asyncio
 import json
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.planner.core import Planner
 from repro.planner.http import DEFAULT_HOST, DEFAULT_PORT, serve
@@ -22,6 +23,7 @@ from repro.planner.protocol import (
     answer_to_json,
 )
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
+from repro.utils import create_output_dir
 
 __all__ = ["plan_main", "serve_main"]
 
@@ -73,6 +75,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     calibration = _load_calibration(parser, args.calibration)
+    create_output_dir(parser, "--store", Path(args.store))
     with Planner(args.store, calibration=calibration) as planner:
         try:
             asyncio.run(serve(planner, args.host, args.port))
@@ -137,6 +140,7 @@ def plan_main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     calibration = _load_calibration(parser, args.calibration)
+    create_output_dir(parser, "--store", Path(args.store))
     with Planner(args.store, calibration=calibration) as planner:
         answer = asyncio.run(planner.plan(request))
     if args.json:

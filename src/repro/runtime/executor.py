@@ -8,9 +8,14 @@ consumes.  Activations flow between stages through explicit buffers
 (the virtual point-to-point transfers); gradients are reduced across
 replicas with the in-process collectives under the configured ZeRO mode.
 
+Ops run in the finish-time order of the schedule's logical-time
+lowering (:func:`repro.core.validation.lower_schedule`, timed by the
+simulator's engine): every op comes after the ops whose outputs it
+consumes, and each rank's ops keep their stream order.
+
 This is how schedule correctness is proven: any scheduling bug (wrong
 dependency order, missing op, double compute) either deadlocks the
-executor or produces weights that differ from serial training.
+lowering or produces weights that differ from serial training.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.ops import OpKind
 from repro.core.placement import Placement
 from repro.core.schedules.base import Schedule, dpfs_repetition_key
+from repro.core.validation import lower_schedule
 from repro.parallel.config import Sharding
 from repro.runtime import collectives
 from repro.runtime.model import ModelConfig, StageModule, build_stages
 from repro.runtime.optimizer import Adam, AdamConfig
+from repro.sim.engine import EngineDeadlock, run_streams
 
 
 @dataclass
@@ -173,89 +179,60 @@ class PipelineTrainer:
         mb_targets: list[np.ndarray],
         result: TrainStepResult,
     ) -> float:
-        """Drive one replica's ranks through their instruction streams."""
+        """Run one replica's ops in the finish-time order of the lowering."""
         schedule = self.schedule
         n_pp = schedule.n_pp
         last_stage = schedule.n_stages - 1
         for stage in stages:
             stage.zero_grads()
 
-        heads = [0] * n_pp
-        done: set[tuple[OpKind, int, int]] = set()
+        streams = lower_schedule(schedule)
+        try:
+            finish = run_streams(streams, record_events=False).finish_times
+        except EngineDeadlock as exc:
+            raise RuntimeError(f"runtime executor: {exc}") from exc
+        ops = sorted(
+            (finish[instr.uid], rank, instr.uid)
+            for (rank, _), queue in streams.items()
+            for instr in queue
+        )
+
         acts: dict[tuple[int, int], np.ndarray] = {}
         grads: dict[tuple[int, int], np.ndarray] = {}
         gathered: set[tuple[str, int, int]] = set()
-        remaining = schedule.total_ops
-
-        while remaining > 0:
-            progressed = False
-            for rank in range(n_pp):
-                order = schedule.ops_of(rank)
-                while heads[rank] < len(order):
-                    op = order[heads[rank]]
-                    if not self._ready(op, done, last_stage):
-                        break
-                    mb, s = op.microbatch, op.stage
-                    if self.sharding is Sharding.FULL:
-                        key = (
-                            "F" if op.kind is OpKind.FORWARD else "B",
-                            s,
-                            dpfs_repetition_key(
-                                schedule.kind, mb, n_pp,
-                                schedule.sequence_size,
-                            ),
-                        )
-                        if key not in gathered:
-                            gathered.add(key)
-                            result.gather_events += 1
-                    if op.kind is OpKind.FORWARD:
-                        x = mb_tokens[mb] if s == 0 else acts.pop((mb, s - 1))
-                        tgt = mb_targets[mb] if s == last_stage else None
-                        out = stages[s].forward(mb, x, targets=tgt)
-                        if out is not None:
-                            acts[(mb, s)] = out
-                    else:
-                        dy = None if s == last_stage else grads.pop((mb, s + 1))
-                        dx = stages[s].backward(mb, dy, loss_scale=1.0 / len(mb_tokens))
-                        if dx is not None and s > 0:
-                            grads[(mb, s)] = dx
-                    done.add((op.kind, mb, s))
-                    live = max(
-                        stages[st].live_microbatches
-                        for st in range(s % n_pp, schedule.n_stages, n_pp)
-                    )
-                    result.peak_in_flight[rank] = max(
-                        result.peak_in_flight.get(rank, 0), live
-                    )
-                    heads[rank] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:
-                blocked = [
-                    f"rank {r}: {schedule.ops_of(r)[heads[r]]}"
-                    for r in range(n_pp)
-                    if heads[r] < len(schedule.ops_of(r))
-                ]
-                raise RuntimeError(
-                    "schedule deadlocked in the runtime executor:\n  "
-                    + "\n  ".join(blocked)
+        for _, rank, (tag, mb, s) in ops:
+            if self.sharding is Sharding.FULL:
+                key = (
+                    tag,
+                    s,
+                    dpfs_repetition_key(
+                        schedule.kind, mb, n_pp, schedule.sequence_size
+                    ),
                 )
+                if key not in gathered:
+                    gathered.add(key)
+                    result.gather_events += 1
+            if tag == "F":
+                x = mb_tokens[mb] if s == 0 else acts.pop((mb, s - 1))
+                tgt = mb_targets[mb] if s == last_stage else None
+                out = stages[s].forward(mb, x, targets=tgt)
+                if out is not None:
+                    acts[(mb, s)] = out
+            else:
+                dy = None if s == last_stage else grads.pop((mb, s + 1))
+                dx = stages[s].backward(mb, dy, loss_scale=1.0 / len(mb_tokens))
+                if dx is not None and s > 0:
+                    grads[(mb, s)] = dx
+            live = max(
+                stages[st].live_microbatches
+                for st in range(s % n_pp, schedule.n_stages, n_pp)
+            )
+            result.peak_in_flight[rank] = max(
+                result.peak_in_flight.get(rank, 0), live
+            )
 
         mb_losses = [stages[last_stage].pop_loss(mb) for mb in range(len(mb_tokens))]
         return float(np.mean(mb_losses))
-
-    @staticmethod
-    def _ready(
-        op, done: set[tuple[OpKind, int, int]], last_stage: int
-    ) -> bool:
-        if op.kind is OpKind.FORWARD:
-            return op.stage == 0 or (OpKind.FORWARD, op.microbatch, op.stage - 1) in done
-        if (OpKind.FORWARD, op.microbatch, op.stage) not in done:
-            return False
-        return (
-            op.stage == last_stage
-            or (OpKind.BACKWARD, op.microbatch, op.stage + 1) in done
-        )
 
     # -------------------------------------------------------- dp + update
 

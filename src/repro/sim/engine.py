@@ -9,14 +9,21 @@ One private core, :func:`_sweep`, advances the program as a wavefront.
 It visits the streams in the dict's order and runs each stream's head
 for as long as every dependency of the head already has a finish time in
 one uid -> finish dict, then sweeps again until a sweep runs nothing.
-That dict is the result's ``finish_times``.  The two public entry points
-only seed the core differently:
+That dict is the result's ``finish_times``.  The two simulation entry
+points only seed the core differently:
 
 - :func:`run_streams` starts every stream at its first instruction with
   an empty dict;
 - :func:`run_streams_delta` starts each stream behind the prefix that is
   unchanged from a sibling program, with that prefix's finish times
   copied from the sibling's result, and sweeps only the rest.
+
+:func:`run_wavefront` is the bare core, seeded like :func:`run_streams`,
+for callers that need where each stream stopped rather than a result:
+the static verifier finds dependency cycles with it.  Schedule
+validation and the NumPy runtime run their lowered schedules through
+:func:`run_streams`, so this core is the package's one stream walk
+besides the oracle.
 
 The core keeps no index: no uid -> id map, no reverse-dependency lists
 and no pending counts.  A blocked head is simply re-tested on the next
@@ -155,6 +162,23 @@ def _sweep(
         if not progressed:
             return sweeps
         live = [s for s in live if heads[s] < len(queues[s])]
+
+
+def run_wavefront(
+    queues: list[list[Instruction]],
+) -> tuple[list[int], dict]:
+    """Run every queue from its first instruction as far as dependencies allow.
+
+    The core without the engine's bookkeeping: no uid checks, no
+    ``engine.*`` counters, no deadlock error.  Returns each queue's head
+    (the index of its first unrun instruction, or its length when it ran
+    to the end) and the uid -> finish-time dict of the instructions that
+    ran.
+    """
+    heads = [0] * len(queues)
+    finish: dict = {}
+    _sweep(queues, heads, [0.0] * len(queues), finish, None)
+    return heads, finish
 
 
 def _finish(

@@ -1,19 +1,24 @@
 """Reference relaxation engine (the original `run_streams`).
 
-This is the seed implementation of the multi-stream engine: time advances
-by repeatedly sweeping all streams and executing every head instruction
-whose dependencies are met, until nothing can make progress.  Each sweep
-is O(streams x instructions), so a program with a long dependency chain
-costs O(chain x program) — fine for one timeline, slow for the thousands
-of simulations a grid-search cell runs.
+This is the seed implementation of the multi-stream engine, kept
+verbatim as the independent correctness oracle.  It checks every uid
+for duplicates up front, then sweeps all streams repeatedly, running
+each head instruction whose dependencies have finished, until every
+instruction has run or a sweep runs nothing (a deadlock, reported with
+every blocked stream head).
 
-The production engine (:mod:`repro.sim.engine`) replaces the sweeps with
-an event-driven ready-heap and a reverse-dependency index.  This module
-is kept verbatim as the correctness oracle: the parity suite
-(``tests/test_engine_parity.py``) asserts both engines produce identical
-``finish_times``, ``stream_busy`` and ``makespan`` on every schedule
-kind, and the micro-benchmark (``benchmarks/test_engine_perf.py``) guards
-the speedup.
+The production engine (:mod:`repro.sim.engine`) runs the same wavefront
+without the up-front uid scan, drops finished streams from later sweeps
+and accumulates stream busy after the run; every stream walk in the
+package — simulation, delta replay, schedule validation, the NumPy
+runtime's op order and the static verifier's cycle search — goes
+through its core.  ``tests/test_engine_parity.py`` asserts both engines
+produce identical ``finish_times``, ``stream_busy`` and ``makespan`` on
+every schedule kind, and ``tests/test_engine_differential.py`` holds
+``run_streams``, ``run_streams_delta`` and the verifier's cycle search
+to this oracle on random programs, faulty ones included.  The search
+speedup gate in ``benchmarks/test_engine_perf.py`` also times this
+engine as the seed pipeline's.
 """
 
 from __future__ import annotations

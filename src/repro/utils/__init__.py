@@ -1,4 +1,9 @@
-"""Shared utilities: unit helpers, ASCII tables and plots."""
+"""Shared utilities: unit helpers, ASCII tables and plots, CLI output paths."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.utils.units import (
     GB,
@@ -13,6 +18,9 @@ from repro.utils.units import (
 )
 from repro.utils.tables import ascii_table
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = [
     "GB",
     "GIGA",
@@ -20,8 +28,27 @@ __all__ = [
     "MEGA",
     "TERA",
     "ascii_table",
+    "create_output_dir",
     "fmt_bytes",
     "fmt_count",
     "fmt_flops",
     "fmt_time",
 ]
+
+
+def create_output_dir(
+    parser: argparse.ArgumentParser, flag: str, directory: Path
+) -> None:
+    """Create an output directory before any work; a usage error if not.
+
+    Output is written during or after the search or fit, so an
+    uncreatable path must be refused up front rather than discovered
+    mid-run.
+    """
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(
+            f"cannot create {flag} directory {directory}: "
+            f"{exc.strerror or exc}"
+        )

@@ -7,7 +7,7 @@ the implicit FIFO edge from each instruction to its stream predecessor
 — is cyclic, or some dependency names a uid no instruction carries
 (a recv whose send was never emitted blocks its stream forever).
 
-This module proves the negative statically, without simulating:
+This module reports both, with no timing model:
 
 - **P301 unmatched dependency**: a dep uid that exists nowhere in the
   program.  For pipeline transfer uids (``XA``/``XG``) this is exactly
@@ -16,20 +16,21 @@ This module proves the negative statically, without simulating:
   depends on — the "send without a recv" half.  The engine tolerates
   these (the transfer just runs), but a real NCCL send with no matching
   recv blocks its stream, so the verifier treats it as an error.
-- **P303 dependency cycle**: Kahn's algorithm over dep + FIFO edges
-  leaves nodes unconsumed; the smallest blocked stream heads are
-  reported with what they wait on, mirroring the engine's dynamic
-  deadlock diagnostics.
+- **P303 dependency cycle**: the engine's wavefront core
+  (:func:`repro.sim.engine.run_wavefront`) runs a copy of the program
+  and stops exactly where dependency + FIFO edges cycle; each stream
+  head it stops at is reported with what it still waits on, mirroring
+  the engine's dynamic deadlock diagnostics.  An instruction that
+  depends on itself is reported separately and does not block the run.
 - **P304 duplicate uid**: two instructions share a uid, so dependency
   edges are ambiguous (the engine rejects this at load time).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping, Sequence
 
-from repro.sim.engine import Instruction
+from repro.sim.engine import Instruction, run_wavefront
 from repro.verify.labels import uid_label
 from repro.verify.report import Finding
 
@@ -113,80 +114,55 @@ def check_dependency_graph(
                     )
                 )
 
-    # Kahn's algorithm over dependency + FIFO edges.  Unmatched deps were
-    # already reported; they are excluded here so a single missing send
-    # does not additionally masquerade as a cycle.
+    # Run the engine's core over a copy in which unmatched deps (already
+    # reported) count as done, so a missing send does not additionally
+    # masquerade as a cycle; self-deps are dropped; and a repeated uid
+    # runs under a fresh uid, so its dependents wait on the first
+    # instruction that carries it.  The run stops at every stream whose
+    # head waits, directly or through FIFO order, on a cycle.
     keys = sorted(streams)
-    index_of: dict[object, int] = {}
-    nodes: list[tuple[int, str, int, Instruction]] = []
+    queues: list[list[Instruction]] = []
     for rank, stream in keys:
+        copy: list[Instruction] = []
         for position, instr in enumerate(streams[(rank, stream)]):
-            if owner.get(instr.uid) == (rank, stream, position):
-                index_of[instr.uid] = len(nodes)
-            nodes.append((rank, stream, position, instr))
-
-    total = len(nodes)
-    out_edges: list[list[int]] = [[] for _ in range(total)]
-    in_degree = [0] * total
-    node_index = 0
-    for rank, stream in keys:
-        queue = streams[(rank, stream)]
-        for position, instr in enumerate(queue):
-            if position > 0:  # FIFO edge from the stream predecessor
-                out_edges[node_index - 1].append(node_index)
-                in_degree[node_index] += 1
+            uid = instr.uid
+            if owner[uid] != (rank, stream, position):
+                uid = (object(),)  # equal to no other uid
+            deps: list[object] = []
             for dep in instr.deps:
-                dep_index = index_of.get(dep)
-                if dep_index is not None and dep_index != node_index:
-                    out_edges[dep_index].append(node_index)
-                    in_degree[node_index] += 1
-                elif dep_index == node_index:
+                if dep == uid:
                     findings.append(
                         Finding(
                             rule="P303",
                             location=f"rank {rank}/{stream}[{position}]",
-                            message=(
-                                f"{uid_label(instr.uid)} depends on itself"
-                            ),
+                            message=f"{uid_label(uid)} depends on itself",
                         )
                     )
-            node_index += 1
+                elif dep in owner:
+                    deps.append(dep)
+            copy.append(Instruction(uid, 0.0, tuple(deps)))
+        queues.append(copy)
 
-    ready = deque(i for i in range(total) if not in_degree[i])
-    consumed = 0
-    while ready:
-        i = ready.popleft()
-        consumed += 1
-        for j in out_edges[i]:
-            in_degree[j] -= 1
-            if not in_degree[j]:
-                ready.append(j)
-
-    if consumed < total:
-        # Report each stream's first stuck instruction, as the engine
-        # would have at runtime — but provably, without running it.
-        stuck = [i for i in range(total) if in_degree[i] > 0]
-        stuck_set = set(stuck)
-        seen_streams: set[tuple[int, str]] = set()
-        for i in stuck:
-            rank, stream, position, instr = nodes[i]
-            if (rank, stream) in seen_streams:
-                continue
-            seen_streams.add((rank, stream))
-            waiting = [
-                uid_label(dep)
-                for dep in instr.deps
-                if index_of.get(dep) in stuck_set
-            ]
-            findings.append(
-                Finding(
-                    rule="P303",
-                    location=f"rank {rank}/{stream}[{position}]",
-                    message=(
-                        "dependency cycle: "
-                        f"{uid_label(instr.uid)} can never start"
-                        + (f" (waits on {', '.join(waiting)})" if waiting else "")
-                    ),
-                )
+    heads, finish = run_wavefront(queues)
+    for (rank, stream), head in zip(keys, heads):
+        original = streams[(rank, stream)]
+        if head == len(original):
+            continue
+        instr = original[head]
+        waiting = [
+            uid_label(dep)
+            for dep in instr.deps
+            if dep in owner and dep not in finish
+        ]
+        findings.append(
+            Finding(
+                rule="P303",
+                location=f"rank {rank}/{stream}[{head}]",
+                message=(
+                    "dependency cycle: "
+                    f"{uid_label(instr.uid)} can never start"
+                    + (f" (waits on {', '.join(waiting)})" if waiting else "")
+                ),
             )
+        )
     return findings

@@ -50,6 +50,7 @@ if TYPE_CHECKING:
     from repro.sim.simulator import SimulationResult
 
 __all__ = [
+    "check_completeness",
     "compute_ops_of",
     "verify_config",
     "verify_outcome",
@@ -76,10 +77,15 @@ def compute_ops_of(
 # ------------------------------------------------- completeness / placement
 
 
-def _check_completeness(
+def check_completeness(
     streams: Mapping[tuple[int, str], Sequence[Instruction]],
     schedule: Schedule,
 ) -> list[Finding]:
+    """P101-P105 findings for the compute streams of a lowered program.
+
+    Also the structural check of :func:`repro.core.validation
+    .analyze_schedule`, which raises the first finding.
+    """
     findings: list[Finding] = []
     n_pp = schedule.n_pp
     n_stages = schedule.n_stages
@@ -326,7 +332,7 @@ def verify_program(
     and the dependency-graph deadlock/p2p proof (P3xx).  The memory
     cross-check needs the model context — use :func:`verify_config`.
     """
-    findings = _check_completeness(streams, schedule)
+    findings = check_completeness(streams, schedule)
     # Ordering diagnostics on a structurally broken stream would just
     # repeat the completeness findings at the first missing/duplicated
     # position; they still run, because a *pure* reorder leaves

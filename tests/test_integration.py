@@ -140,6 +140,22 @@ class TestRunnerCli:
             # must be refused before the fit or the search starts.
             ["calibrate", "--quick", "--out", "{file}/new/fit.json"],
             ["fig1", "--metrics-out", "{file}/metrics"],
+            # So must checkpoint and memo-store directories under a file.
+            ["fig7", "--jobs", "1", "--checkpoint-dir", "{file}/x"],
+            ["frontier", "--quick", "--no-chart", "--checkpoint-dir",
+             "{file}/x"],
+            ["plan", "--store", "{file}/x"],
+            ["serve", "--store", "{file}/x", "--port", "0"],
+            # sweep-trace only reads its checkpoint directory: a missing
+            # one is refused, not created.
+            ["sweep-trace", "--checkpoint-dir", "{tmp}", "--out",
+             "{tmp}/trace.json"],
+            ["sweep-trace", "--checkpoint-dir", "{file}", "--out",
+             "{tmp}/trace.json"],
+            ["sweep-trace", "--checkpoint-dir", "{dir}", "--out",
+             "{file}/x/trace.json"],
+            ["fig7", "--jobs", "0"],
+            ["frontier", "--quick", "--jobs", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -149,9 +165,9 @@ class TestRunnerCli:
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = [
-            arg.replace("{tmp}", str(tmp_path / "ckpt")).replace(
-                "{file}", str(blocker)
-            )
+            arg.replace("{tmp}", str(tmp_path / "ckpt"))
+            .replace("{file}", str(blocker))
+            .replace("{dir}", str(tmp_path))
             for arg in argv
         ]
         if argv[0] == "plan":
