@@ -68,7 +68,7 @@ from repro.obs.report import build_report, report_to_json_text
 from repro.search.objective import OBJECTIVE_KINDS, parse_objective
 from repro.search.service import BACKENDS, SweepOptions
 from repro.sim.calibration import DEFAULT_CALIBRATION
-from repro.utils import create_output_dir
+from repro.utils import create_output_dir, create_output_file
 from repro.utils.tables import ascii_table
 from repro.viz.chart import ascii_line_chart
 from repro.viz.chrome_trace import write_chrome_trace
@@ -239,7 +239,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         resume=args.resume,
         progress=args.progress,
         bound_pruning=not args.no_bound_pruning,
-        batch_eval=not getattr(args, "no_batch_eval", False),
         objective=objective,
         calibration=calibration,
         verify_winners=getattr(args, "verify_winners", False),
@@ -276,7 +275,7 @@ def calibrate_main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.out:
-        create_output_dir(parser, "--out", Path(args.out).parent)
+        create_output_file(parser, "--out", Path(args.out))
 
     start = time.time()
     result = fit_calibration(quick=args.quick)
@@ -409,7 +408,7 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
             f"--checkpoint-dir {args.checkpoint_dir} is not an existing "
             "directory"
         )
-    create_output_dir(parser, "--out", Path(args.out).parent)
+    create_output_file(parser, "--out", Path(args.out))
 
     queue_dir = args.queue_dir
     if queue_dir is None:
@@ -502,6 +501,8 @@ def report_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (args.metrics is None) == (args.cell is None):
         parser.error("exactly one of --metrics or --cell is required")
+    if args.out:
+        create_output_file(parser, "--out", Path(args.out))
 
     if args.cell is not None:
         snapshots = [_search_cell_snapshot(args.cell, parser)]
@@ -516,9 +517,7 @@ def report_main(argv: Sequence[str] | None = None) -> int:
     report = build_report(snapshots)
     print(report_to_json_text(report) if args.json else report.format())
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report_to_json_text(report) + "\n")
+        Path(args.out).write_text(report_to_json_text(report) + "\n")
     if not report.ok:
         print(
             "FAIL: required report sections are empty (stage-time "
@@ -629,13 +628,6 @@ def main(argv: Sequence[str] | None = None) -> int:
              "only slower — the escape hatch for validating the bound)",
     )
     parser.add_argument(
-        "--no-batch-eval",
-        action="store_true",
-        help="disable family-batched evaluation (vectorized cost pricing "
-             "and sibling delta replay); outcomes are byte-identical, "
-             "only slower — the escape hatch for validating batching",
-    )
-    parser.add_argument(
         "--verify-winners",
         action="store_true",
         help="statically verify every search winner (deadlock freedom, "
@@ -710,6 +702,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         create_output_dir(parser, "--metrics-out", Path(args.metrics_out))
     if args.checkpoint_dir is not None:
         create_output_dir(parser, "--checkpoint-dir", Path(args.checkpoint_dir))
+    if args.trace_out:
+        create_output_file(parser, "--trace-out", Path(args.trace_out))
     names = (
         list(PAPER_EXPERIMENTS)
         if not args.names or "all" in args.names

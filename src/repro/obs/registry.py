@@ -4,11 +4,10 @@ One recorder is active per process (:func:`get_recorder`); by default it
 is the :data:`NULL_RECORDER`, whose every method is a no-op — the
 instrumentation calls sprinkled through the search pipeline, the event
 engine and the sweep service cost nothing but a method dispatch when
-observability is off (benchmark-guarded: ``benchmarks/test_engine_perf.py
-::test_obs_disabled_overhead`` holds the disabled hot path within 2% of
-an instrumentation-free copy of the pipeline).  Hot loops that would pay
-per-iteration instrumentation gate it on ``recorder.enabled`` once and
-skip the work entirely when disabled.
+observability is off.  Hot loops that would pay per-iteration
+instrumentation gate it on ``recorder.enabled`` once and skip the work
+entirely when disabled (``benchmarks/test_engine_perf.py`` counts the
+calls a disabled search cell makes: none per candidate).
 
 :class:`MetricsRegistry` is the real implementation:
 

@@ -10,10 +10,11 @@ JSON list of entries, one per benchmark execution::
       "recorded_at": 1754650000.0,
       "cell": {"panel": "52B", "method": "DEPTH_FIRST", "batch": 64},
       "seconds": 0.31,
-      "counters": {"search.candidates.pruned": 1234, ...}
+      "counters": {"n_tried": 35, "stage_misses": 0, ...}
     }
 
-``benchmarks/test_engine_perf.py`` records its timed cells here and CI
+``benchmarks/test_engine_perf.py`` records its gated cells here — the
+work counts it asserts on, plus CPU seconds as data only — and CI
 uploads the file as an artifact, so the perf history accumulates across
 commits.  Writing is best-effort and tolerant: a corrupt existing file
 is replaced rather than crashing the benchmark that tried to append.

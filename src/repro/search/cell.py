@@ -61,22 +61,12 @@ class SearchSettings:
             default (pure post-check: winners are byte-identical either
             way), so it is deliberately *not* part of checkpoint
             content hashes.
-        batch_eval: Evaluate each cell as a family walk — vectorized
-            batch pricing of surviving config families plus delta
-            replay between sibling simulations (see the
-            :mod:`repro.search.grid` module docstring).  On by default;
-            ``--no-batch-eval`` is the escape hatch.  Winners,
-            frontiers, counters and checkpoint keys are byte-identical
-            either way (that is the whole contract), so like
-            ``verify_winners`` it is *not* part of checkpoint content
-            hashes.
     """
 
     bound_pruning: bool = True
     include_hybrid: bool = False
     objective: Objective = field(default=DEFAULT_OBJECTIVE)
     verify_winners: bool = False  # lint: not-serialized (post-check knob)
-    batch_eval: bool = True  # lint: not-serialized (outcome-neutral fast path)
 
 
 DEFAULT_SETTINGS = SearchSettings()

@@ -32,25 +32,24 @@ removes candidates that provably cannot affect the outcome, ties are
 never pruned (strict inequality), and equal-throughput ties resolve via
 ``ParallelConfig.sort_key`` regardless of evaluation order.
 
-**Batched evaluation** (``SearchSettings.batch_eval``, on by default;
-``--no-batch-eval`` is the escape hatch): the pipeline additionally walks
-the cell's config *families* — a cell's candidates are overwhelmingly
-siblings along one axis — composing three accelerations that each
-preserve the outcome bit-for-bit:
+**Batched evaluation**: the pipeline walks the cell's config
+*families* — a cell's candidates are overwhelmingly siblings along one
+axis — composing two accelerations that each preserve the outcome
+bit-for-bit:
 
 - the memory-feasible families are priced in one vectorized pass
-  (:func:`repro.sim.cost_batch.warm_family_tables`, bit-identical by the
-  hypothesis parity suite) before any bound is computed;
+  (:func:`repro.sim.cost_batch.warm_family_tables`, bit-identical to
+  scalar pricing by the hypothesis parity suite) before any bound is
+  computed;
 - the simulate stage replays only event-graph deltas between sibling
   candidates of a family (:func:`repro.sim.simulator.simulate_delta`,
-  bit-exact with automatic full-simulation fallback);
-- the visit order is untouched — delta bases are keyed by family, so
-  batching changes *how* a candidate is evaluated, never *which* or
-  *when*.
+  bit-exact with automatic full-simulation fallback).
 
-Winners, frontiers, the ``n_tried``/``n_excluded``/``n_pruned`` split and
-checkpoint keys are therefore byte-identical with batching on or off
-(held by ``tests/test_batched_grid.py``).
+Neither touches the visit order — delta bases are keyed by family, so
+batching changes *how* a candidate is evaluated, never *which* or
+*when*.  ``tests/test_batched_grid.py`` holds winners, frontiers, the
+``n_tried``/``n_excluded``/``n_pruned`` split and checkpoint bytes equal
+to a scalar-priced, fully simulated reference.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ class Candidate:
     process-wide, see :func:`repro.sim.cost.stage_time_table`) and the
     dual-sided bound — so the simulation stage re-derives nothing.
 
-    ``schedule`` is **lazy**: the feasibility filter and the bound price
+    The schedule is **lazy**: the feasibility filter and the bound price
     candidates from closed forms alone
     (:func:`repro.core.schedules.base.max_in_flight_closed`,
     :func:`repro.sim.cost_batch.bound_partials`), so no per-rank
@@ -130,12 +129,9 @@ class Candidate:
     memory: MemoryBreakdown
     cost: CostModel
     bound: CandidateBound
-    schedule: Schedule | None = None
 
     def materialized_schedule(self) -> Schedule:
         """This candidate's schedule, built (memoized) on first use."""
-        if self.schedule is not None:
-            return self.schedule
         config = self.config
         return cached_schedule(
             config.schedule,
@@ -239,8 +235,6 @@ def _memory_stage(
     calibration: Calibration,
     pairs,
     objective: Objective,
-    *,
-    batch_eval: bool = False,
 ) -> tuple[list[Candidate], int]:
     """Stage 1+2 producer: feasibility-filter the space, bound survivors.
 
@@ -249,13 +243,11 @@ def _memory_stage(
     (dual-sided bound attached, enumeration order) and the count of
     excluded configurations.
 
-    With ``batch_eval`` the stage runs as a family walk: feasibility
-    first for the whole space, then one vectorized pricing pass over the
-    surviving families, then the bounds — which at that point only ever
-    *hit* the stage-time cache.  The candidate list (order included) and
-    the exclusion count are identical either way; only where the table
-    floats come from changes, and those are bit-identical by
-    construction.
+    The stage runs as a family walk: feasibility first for the whole
+    space, then one vectorized pricing pass over the surviving families,
+    then the bounds — which at that point only ever *hit* the stage-time
+    cache.  The vector-priced floats are bit-identical to scalar pricing
+    by construction.
     """
     n_excluded = 0
     memory_limit = cluster.gpu.memory_bytes * MEMORY_HEADROOM
@@ -273,7 +265,7 @@ def _memory_stage(
             continue
         survivors.append((config, impl, memory))
 
-    if batch_eval and survivors:
+    if survivors:
         _price_survivor_families(spec, cluster, calibration, survivors)
 
     candidates: list[Candidate] = []
@@ -365,7 +357,6 @@ def _simulate_stage(
     objective: Objective,
     *,
     bound_pruning: bool,
-    batch_eval: bool = False,
     method_label: str = "",
 ) -> tuple[SimulationResult | None, int, int, tuple[SimulationResult, ...] | None]:
     """Stage 3: simulate under per-objective branch-and-bound.
@@ -378,17 +369,18 @@ def _simulate_stage(
     prune is prunable too and the stage stops there; non-monotone
     objectives (Pareto) test every candidate individually.
 
-    With ``batch_eval``, eligible candidates go through
+    Eligible candidates go through
     :func:`repro.sim.simulator.simulate_delta` keyed by sibling group:
     the first member of a group simulates fully and becomes the base,
     later members replay only the differing event-graph suffix.  The
     visit order, the prune decisions and every
     :class:`~repro.sim.simulator.SimulationResult` are bit-identical to
-    the plain path (``tests/test_batched_grid.py``).
+    full simulation (``tests/test_batched_grid.py``).
     """
     rec = get_recorder()
     # One flag read per cell keeps the per-candidate loop free of
-    # instrumentation when observability is off (the ≤2% contract).
+    # instrumentation when observability is off (the overhead contract,
+    # gated on recorder call counts in benchmarks/test_engine_perf.py).
     track = rec.enabled
     tightness_metric = f"search.bound.tightness.{method_label}" if track else ""
     state = objective.new_state()
@@ -404,7 +396,7 @@ def _simulate_stage(
                 break
             n_pruned += 1
             continue
-        if batch_eval and _delta_eligible(candidate):
+        if _delta_eligible(candidate):
             key = _delta_key(candidate)
             base = bases.get(key)
             result, new_base, replayed = simulate_delta(
@@ -502,7 +494,6 @@ def best_configuration(
                     method, spec, cluster, batch_size, settings=settings
                 ),
                 settings.objective,
-                batch_eval=settings.batch_eval,
             )
         with (
             rec.span("search.stage.bound_order"),
@@ -520,7 +511,6 @@ def best_configuration(
                 ordered,
                 settings.objective,
                 bound_pruning=settings.bound_pruning,
-                batch_eval=settings.batch_eval,
                 method_label=method.name,
             )
     if rec.enabled:

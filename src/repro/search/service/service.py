@@ -103,11 +103,6 @@ class SweepOptions:
             the outcome (``--verify-winners`` on the experiments CLI;
             see :class:`repro.search.cell.SearchSettings`).  A pure
             post-check — not part of checkpoint content hashes.
-        batch_eval: Family-batched evaluation in every cell — vectorized
-            pricing plus sibling delta replay (``--no-batch-eval`` on
-            the experiments CLI turns it off; see
-            :class:`repro.search.cell.SearchSettings`).  Outcome-neutral
-            by contract, so not part of checkpoint content hashes.
         metrics_out: Directory for observability snapshots
             (``--metrics-out`` on the experiments CLI): the coordinator
             appends to ``coordinator.jsonl`` and file-queue workers each
@@ -131,7 +126,6 @@ class SweepOptions:
     objective: Objective = DEFAULT_OBJECTIVE
     calibration: Calibration = DEFAULT_CALIBRATION
     verify_winners: bool = False
-    batch_eval: bool = True
     metrics_out: str | os.PathLike | None = None
 
     @property
@@ -142,7 +136,6 @@ class SweepOptions:
             include_hybrid=self.include_hybrid,
             objective=self.objective,
             verify_winners=self.verify_winners,
-            batch_eval=self.batch_eval,
         )
 
 

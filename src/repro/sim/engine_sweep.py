@@ -16,9 +16,7 @@ through its core.  ``tests/test_engine_parity.py`` asserts both engines
 produce identical ``finish_times``, ``stream_busy`` and ``makespan`` on
 every schedule kind, and ``tests/test_engine_differential.py`` holds
 ``run_streams``, ``run_streams_delta`` and the verifier's cycle search
-to this oracle on random programs, faulty ones included.  The search
-speedup gate in ``benchmarks/test_engine_perf.py`` also times this
-engine as the seed pipeline's.
+to this oracle on random programs, faulty ones included.
 """
 
 from __future__ import annotations

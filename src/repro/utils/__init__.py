@@ -29,6 +29,7 @@ __all__ = [
     "TERA",
     "ascii_table",
     "create_output_dir",
+    "create_output_file",
     "fmt_bytes",
     "fmt_count",
     "fmt_flops",
@@ -52,3 +53,16 @@ def create_output_dir(
             f"cannot create {flag} directory {directory}: "
             f"{exc.strerror or exc}"
         )
+
+
+def create_output_file(
+    parser: argparse.ArgumentParser, flag: str, path: Path
+) -> None:
+    """Create an output file's directory before any work; refuse a directory.
+
+    Writing to an existing directory, like creating a parent under a
+    regular file, would only fail after the work that produced the file.
+    """
+    if path.is_dir():
+        parser.error(f"{flag} {path} is a directory, not a file")
+    create_output_dir(parser, flag, path.parent)

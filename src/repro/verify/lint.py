@@ -41,10 +41,10 @@ time*, from source structure alone:
   :mod:`repro.sim.cost_batch`) may not *call* the scalar
   ``stage_time_table`` — pricing there must flow through the
   vectorized batch pass or plain cache-object access
-  (``.seed``/``.seeded``/``.cache_info``), or the ≥10x batching win
-  silently regresses one innocuous-looking call at a time.  The
-  deliberate fallback seam carries a ``# lint: scalar-cost-ok``
-  marker on the call line.
+  (``.seed``/``.seeded``/``.cache_info``), or batched evaluation
+  silently falls back to scalar pricing one innocuous-looking call at
+  a time.  The deliberate fallback seam carries a
+  ``# lint: scalar-cost-ok`` marker on the call line.
 - **L503 blocking calls on the planner event loop**: coroutine bodies
   in the planner service (:mod:`repro.planner.core`,
   :mod:`repro.planner.http`) may not directly call filesystem or

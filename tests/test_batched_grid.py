@@ -1,19 +1,20 @@
-"""Batched grid walk: byte-identical outcomes with batching on or off.
+"""Batched grid walk: byte-identical outcomes to a scalar reference.
 
-``SearchSettings.batch_eval`` composes three accelerations — vectorized
-family pricing, sibling delta replay, the tighter drain-side bound —
-each individually bit-exact.  This suite holds the composition to the
-search's own contract: winners, frontiers, the
-``n_tried``/``n_excluded``/``n_pruned`` split, and the *serialized
-checkpoint payload bytes* are identical with ``batch_eval`` on or off,
-for every method and every objective.  It also pins the batched walk's
-own obs counters and the accounting identity under batching.
+Every search prices its surviving config families in one vector pass and
+delta-replays eligible sibling candidates, each individually bit-exact.
+This suite holds the composition to the search's own contract: winners,
+frontiers, the ``n_tried``/``n_excluded``/``n_pruned`` split, and the
+*serialized checkpoint payload bytes* equal those of a reference search
+that prices every family scalar-wise and simulates every candidate in
+full, for every method and every objective.  It also pins the batched
+walk's own obs counters and the accounting identity.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.search.grid as grid
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.obs import MetricsRegistry, recording
@@ -43,12 +44,23 @@ def _cold_search(method, batch, settings):
     return best_configuration(SPEC, CLUSTER, method, batch, settings=settings)
 
 
+def _reference_search(monkeypatch, method, batch, settings):
+    """The same cell with batching faked away: the vector pass prices no
+    family, so every stage-time lookup prices scalar-wise, and no
+    candidate is delta-eligible, so every one is simulated in full."""
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "warm_family_tables", lambda *args: (0, 0))
+        patch.setattr(grid, "_delta_eligible", lambda candidate: False)
+        return _cold_search(method, batch, settings)
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.name)
-    def test_outcome_identical_across_methods(self, method):
-        on = _cold_search(method, 64, SearchSettings(batch_eval=True))
-        off = _cold_search(method, 64, SearchSettings(batch_eval=False))
-        assert on == off  # winner, counters, frontier — every field
+    def test_outcome_identical_across_methods(self, method, monkeypatch):
+        settings = SearchSettings()
+        batched = _cold_search(method, 64, settings)
+        reference = _reference_search(monkeypatch, method, 64, settings)
+        assert batched == reference  # winner, counters, frontier — every field
 
     @pytest.mark.parametrize(
         "objective",
@@ -59,32 +71,26 @@ class TestByteIdentity:
         ],
         ids=lambda o: o.kind,
     )
-    def test_outcome_identical_across_objectives(self, objective):
-        on = _cold_search(
-            Method.BREADTH_FIRST, 64,
-            SearchSettings(batch_eval=True, objective=objective),
+    def test_outcome_identical_across_objectives(self, objective, monkeypatch):
+        settings = SearchSettings(objective=objective)
+        batched = _cold_search(Method.BREADTH_FIRST, 64, settings)
+        reference = _reference_search(
+            monkeypatch, Method.BREADTH_FIRST, 64, settings
         )
-        off = _cold_search(
-            Method.BREADTH_FIRST, 64,
-            SearchSettings(batch_eval=False, objective=objective),
-        )
-        assert on == off
+        assert batched == reference
         if objective.kind == "pareto":
-            assert on.frontier == off.frontier and on.frontier
+            assert batched.frontier == reference.frontier and batched.frontier
 
-    def test_identical_without_bound_pruning_too(self):
-        on = _cold_search(
-            Method.DEPTH_FIRST, 32,
-            SearchSettings(batch_eval=True, bound_pruning=False),
+    def test_identical_without_bound_pruning_too(self, monkeypatch):
+        settings = SearchSettings(bound_pruning=False)
+        batched = _cold_search(Method.DEPTH_FIRST, 32, settings)
+        reference = _reference_search(
+            monkeypatch, Method.DEPTH_FIRST, 32, settings
         )
-        off = _cold_search(
-            Method.DEPTH_FIRST, 32,
-            SearchSettings(batch_eval=False, bound_pruning=False),
-        )
-        assert on == off
-        assert on.n_pruned == 0
+        assert batched == reference
+        assert batched.n_pruned == 0
 
-    def test_checkpoint_payload_bytes_identical(self, tmp_path):
+    def test_checkpoint_payload_bytes_identical(self, tmp_path, monkeypatch):
         """The end-to-end guarantee a resumable sweep actually depends
         on: the hashed key and the serialized payload bytes must not
         know whether batching produced the outcome."""
@@ -95,29 +101,40 @@ class TestByteIdentity:
             cell=SweepCell(Method.BREADTH_FIRST, 64),
         )
         store = CheckpointStore(tmp_path)
-        payloads = {}
-        for flag in (True, False):
-            outcome = _cold_search(
-                Method.BREADTH_FIRST, 64, SearchSettings(batch_eval=flag)
-            )
-            payloads[flag] = store.payload_bytes(key, outcome)
-        assert payloads[True] == payloads[False]
+        batched = _cold_search(Method.BREADTH_FIRST, 64, SearchSettings())
+        reference = _reference_search(
+            monkeypatch, Method.BREADTH_FIRST, 64, SearchSettings()
+        )
+        assert store.payload_bytes(key, batched) == store.payload_bytes(
+            key, reference
+        )
 
-    def test_hybrid_axis_identical(self):
-        on = _cold_search(
-            Method.BREADTH_FIRST, 32,
-            SearchSettings(batch_eval=True, include_hybrid=True),
+    def test_hybrid_axis_identical(self, monkeypatch):
+        settings = SearchSettings(include_hybrid=True)
+        batched = _cold_search(Method.BREADTH_FIRST, 32, settings)
+        reference = _reference_search(
+            monkeypatch, Method.BREADTH_FIRST, 32, settings
         )
-        off = _cold_search(
-            Method.BREADTH_FIRST, 32,
-            SearchSettings(batch_eval=False, include_hybrid=True),
-        )
-        assert on == off
+        assert batched == reference
+
+    def test_reference_prices_scalar_and_simulates_in_full(self, monkeypatch):
+        # The fake must really take the other path, or the identities
+        # above would compare the batched walk with itself.
+        with recording(MetricsRegistry(actor="test")) as registry:
+            _reference_search(
+                monkeypatch, Method.NON_LOOPED, 64,
+                SearchSettings(bound_pruning=False),
+            )
+        c = registry.counters
+        assert stage_time_table.cache_info().misses > 0
+        assert c["search.batch.families_priced"] == 0.0
+        assert c.get("search.delta.replayed", 0.0) == 0.0
+        assert "engine.delta.runs" not in c
 
 
 class TestBatchedAccounting:
     def test_counters_cover_the_space_exactly(self):
-        settings = SearchSettings(batch_eval=True)
+        settings = SearchSettings()
         outcome = _cold_search(Method.BREADTH_FIRST, 64, settings)
         space = list(
             configuration_space(
@@ -134,18 +151,14 @@ class TestBatchedAccounting:
         # The vector pass prices every family the search will look up:
         # from cold caches, with every feasible candidate simulated, each
         # scalar stage-time lookup (bounds, program builds) is a hit.
-        _cold_search(
-            method, 64, SearchSettings(batch_eval=True, bound_pruning=False)
-        )
+        _cold_search(method, 64, SearchSettings(bound_pruning=False))
         info = stage_time_table.cache_info()
         assert info.misses == 0
         assert info.hits > 0
 
     def test_batched_obs_counters(self):
         with recording(MetricsRegistry(actor="test")) as registry:
-            outcome = _cold_search(
-                Method.BREADTH_FIRST, 64, SearchSettings(batch_eval=True)
-            )
+            outcome = _cold_search(Method.BREADTH_FIRST, 64, SearchSettings())
         c = registry.counters
         # Cold caches: every surviving family was vector-priced, none
         # were already cached, and the later bound/build lookups hit.
@@ -166,8 +179,7 @@ class TestBatchedAccounting:
         agree on what happened."""
         with recording(MetricsRegistry(actor="test")) as registry:
             _cold_search(
-                Method.NON_LOOPED, 64,
-                SearchSettings(batch_eval=True, bound_pruning=False),
+                Method.NON_LOOPED, 64, SearchSettings(bound_pruning=False)
             )
         c = registry.counters
         assert c["search.delta.replayed"] > 0
@@ -177,12 +189,3 @@ class TestBatchedAccounting:
         )
         assert c["engine.delta.runs"] == attempts
         assert c["engine.delta.reused"] > 0
-
-    def test_no_batch_means_no_batch_counters(self):
-        with recording(MetricsRegistry(actor="test")) as registry:
-            _cold_search(
-                Method.BREADTH_FIRST, 64, SearchSettings(batch_eval=False)
-            )
-        c = registry.counters
-        assert "search.batch.families_priced" not in c
-        assert c.get("search.delta.replayed", 0.0) == 0.0

@@ -154,6 +154,15 @@ class TestRunnerCli:
              "{tmp}/trace.json"],
             ["sweep-trace", "--checkpoint-dir", "{dir}", "--out",
              "{file}/x/trace.json"],
+            # Output files are checked before any work: an existing
+            # directory or a parent under a regular file is refused.
+            ["fig3", "--trace-out", "{dir}"],
+            ["fig3", "--trace-out", "{file}/x.json"],
+            ["calibrate", "--quick", "--out", "{dir}"],
+            ["sweep-trace", "--checkpoint-dir", "{dir}", "--out", "{dir}"],
+            ["report", "--cell", "52B:DEPTH_FIRST:8", "--out", "{dir}"],
+            ["report", "--cell", "52B:DEPTH_FIRST:8", "--out",
+             "{file}/r.json"],
             ["fig7", "--jobs", "0"],
             ["frontier", "--quick", "--jobs", "-1"],
         ],

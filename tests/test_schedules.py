@@ -177,7 +177,8 @@ def test_max_in_flight_closed_matches_materialized(
 
     This is what licenses :func:`repro.analytical.memory.memory_model` to
     price candidates without building a schedule (and transitively the
-    search's byte-identity with ``batch_eval`` on or off).
+    search's byte-identity with the scalar reference in
+    ``tests/test_batched_grid.py``).
     """
     if not kind.is_looped:
         n_loop = 1

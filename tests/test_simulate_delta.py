@@ -102,7 +102,8 @@ class TestParity:
 
     def test_replay_engages_for_gpipe_sharding_flip(self):
         """The headline pair (GPipe DP0 -> DP_PS) must actually take the
-        delta path, not silently fall back — the ≥10x win depends on it."""
+        delta path, not silently fall back: it is the sibling shape
+        delta replay exists for (8 of the 1,644 fig7 simulations)."""
         impl = OUR_IMPLEMENTATION
         _, base, _ = _simulate_delta(
             _config(ScheduleKind.GPIPE, Sharding.NONE),
