@@ -1,8 +1,8 @@
-"""Work-count gates: the search pipeline's four wins, counted, not timed.
+"""Work-count gates: the search pipeline's five wins, counted, not timed.
 
-Each gate pins the deterministic count that carries one algorithmic win,
-as an upper bound at the value measured when the gate landed, so a later
-improvement still passes and the machine's load can never fail it:
+Each gate pins the deterministic count that carries one win, as an upper
+bound at the value measured when the gate landed, so a later improvement
+still passes and the machine's load can never fail it:
 
 1. **Feasibility filter before simulation** (52B depth-first, B=64,
    pruning off): the memory filter excludes 100 of the 135 enumerated
@@ -20,6 +20,12 @@ improvement still passes and the machine's load can never fail it:
    off): with a recorder installed whose ``enabled`` is False, a cell
    opens its 4 spans and 3 timers, records nothing, and reads the flag
    once per cell or engine run, never per candidate.
+5. **Collector paused** (the 7 batched-grid cells, then one anchor
+   evaluation of the calibration fit): every memory-filter call and
+   every program build runs with the cyclic garbage collector off, and
+   the collector is on again afterwards.  The collections the run still
+   triggers are recorded as data only: their counts differ between
+   Python versions.
 
 Each gate appends its counts, with the searches' thread CPU seconds as
 data only, to ``benchmarks/BENCH_search.json`` under its bench name (see
@@ -28,11 +34,14 @@ data only, to ``benchmarks/BENCH_search.json`` under its bench name (see
 
 from __future__ import annotations
 
+import gc
 import time
 from pathlib import Path
 
+import repro.search.grid as grid
 import repro.sim.simulator as simulator
 from repro.analytical.memory import _rank_param_groups, _rank_param_table
+from repro.fit.residuals import AnchorEvaluator
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.obs import MetricsRegistry, Recorder, recording
@@ -41,6 +50,7 @@ from repro.parallel.config import Method
 from repro.search.cell import SearchSettings
 from repro.search.grid import best_configuration, cached_schedule
 from repro.search.service.serialize import result_to_json
+from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import comm_time_table, stage_time_table
 from repro.sim.cost_batch import bound_partials, comm_rank_sums
 
@@ -168,15 +178,16 @@ def test_bound_pruning_simulates_one_candidate():
     assert pruned.n_tried <= 1
 
 
-def test_batched_grid_work():
-    def grid():
-        return [
-            _search(spec, Method.NON_LOOPED, batch, PRUNE_ON)
-            for _name, spec, batch in GRID_CELLS
-        ]
+def _grid_cells() -> list:
+    return [
+        _search(spec, Method.NON_LOOPED, batch, PRUNE_ON)
+        for _name, spec, batch in GRID_CELLS
+    ]
 
+
+def test_batched_grid_work():
     _cold_caches()
-    outcomes, seconds = _cpu_seconds(grid)
+    outcomes, seconds = _cpu_seconds(_grid_cells)
     n_simulated = sum(o.n_tried for o in outcomes)
     schedule_misses = cached_schedule.cache_info().misses
     stage_misses = stage_time_table.cache_info().misses
@@ -276,3 +287,61 @@ def test_obs_disabled_makes_no_per_candidate_calls():
         assert recorder.calls == {"span": 4, "timer": 3}
         # One read per cell stage and one per engine run.
         assert recorder.enabled_reads <= outcome.n_tried + 4
+
+
+def _collections() -> list[int]:
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def test_search_and_simulation_run_with_the_collector_paused(monkeypatch):
+    phase = ["grid"]
+    reads: dict[str, list[bool]] = {}
+
+    def reading(stage: str, fn):
+        def read(*args, **kwargs):
+            reads.setdefault(f"{phase[0]}_{stage}", []).append(gc.isenabled())
+            return fn(*args, **kwargs)
+
+        return read
+
+    monkeypatch.setattr(grid, "memory_model", reading("memory", grid.memory_model))
+    monkeypatch.setattr(
+        simulator, "build_program", reading("build", simulator.build_program)
+    )
+    assert gc.isenabled()
+    _cold_caches()
+    before = _collections()
+    outcomes, grid_seconds = _cpu_seconds(_grid_cells)
+    phase[0] = "fit"
+    evaluator = AnchorEvaluator()
+    residuals, fit_seconds = _cpu_seconds(evaluator.evaluate, DEFAULT_CALIBRATION)
+    collections = [b - a for a, b in zip(before, _collections())]
+    calls = {name: len(values) for name, values in sorted(reads.items())}
+    enabled_reads = sum(sum(values) for values in reads.values())
+    print(
+        f"\ncollector paused ({len(GRID_CELLS)} grid cells, "
+        f"{len(residuals)} anchors): calls {calls}, {enabled_reads} with "
+        f"the collector on, collections per generation {collections} "
+        f"({grid_seconds + fit_seconds:.2f}s CPU)"
+    )
+    record_entry(
+        TRAJECTORY_PATH,
+        bench="gc_paused",
+        seconds=grid_seconds + fit_seconds,
+        cell={
+            "models": ["52B", "6.6B"],
+            "method": "NON_LOOPED",
+            "batches": sorted({batch for _n, _s, batch in GRID_CELLS}),
+            "anchors": len(residuals),
+        },
+        counters={
+            **{f"{name}_calls": n for name, n in calls.items()},
+            "enabled_reads": enabled_reads,
+            **{f"gen{i}_collections": n for i, n in enumerate(collections)},
+        },
+    )
+    assert all(o.best is not None for o in outcomes)
+    # The memory filter runs only in a search; the fit builds programs.
+    assert set(calls) == {"grid_memory", "grid_build", "fit_build"}
+    assert enabled_reads == 0
+    assert gc.isenabled()

@@ -10,20 +10,25 @@ JSON list of entries, one per benchmark execution::
       "recorded_at": 1754650000.0,
       "cell": {"panel": "52B", "method": "DEPTH_FIRST", "batch": 64},
       "seconds": 0.31,
-      "counters": {"n_tried": 35, "stage_misses": 0, ...}
+      "counters": {"n_tried": 35, "stage_misses": 0, ...},
+      "machine": {"python": "3.11.7", "cpus": 2}
     }
 
 ``benchmarks/test_engine_perf.py`` records its gated cells here — the
 work counts it asserts on, plus CPU seconds as data only — and CI
 uploads the file as an artifact, so the perf history accumulates across
-commits.  Writing is best-effort and tolerant: a corrupt existing file
-is replaced rather than crashing the benchmark that tried to append.
+commits.  ``machine`` fingerprints the interpreter and host an entry was
+measured on, so seconds from different machines are not compared as
+one series; entries recorded before it existed lack it.  Writing is
+best-effort and tolerant: a corrupt existing file is replaced rather
+than crashing the benchmark that tried to append.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 from pathlib import Path
 
@@ -101,6 +106,10 @@ def record_entry(
         "cell": dict(cell) if cell else None,
         "seconds": seconds,
         "counters": dict(counters) if counters else {},
+        "machine": {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        },
     }
     trajectory["entries"] = [
         e

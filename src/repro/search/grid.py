@@ -77,6 +77,7 @@ from repro.sim.simulator import (
     simulate,
     simulate_delta,
 )
+from repro.utils import gc_paused
 
 #: Fraction of device memory usable before fragmentation makes OOM likely
 #: (Appendix D.2 motivates the safety margin).  Always applied; an
@@ -472,7 +473,28 @@ def best_configuration(
     before the stages run.  Seeding is outcome-neutral by construction —
     it only moves cache fills earlier, so the returned outcome is
     byte-identical to an unseeded search.
+
+    The cell runs with the cyclic garbage collector paused
+    (:func:`repro.utils.gc_paused`): the search creates no reference
+    cycles, and its candidates, programs and engine results are freed by
+    reference counting before the collector comes back on.
     """
+    with gc_paused():
+        return _best_configuration(
+            spec, cluster, method, batch_size, calibration, settings, seed
+        )
+
+
+def _best_configuration(
+    spec: TransformerSpec,
+    cluster: ClusterSpec,
+    method: Method,
+    batch_size: int,
+    calibration: Calibration,
+    settings: SearchSettings,
+    seed: WarmStartSeed | None,
+) -> SearchOutcome:
+    """:func:`best_configuration`'s body, run with the collector paused."""
     rec = get_recorder()
     if seed:
         n_seeded = warm_seed_caches(spec, cluster, calibration, seed)

@@ -24,6 +24,7 @@ from repro.sim.implementation import (
 )
 from repro.sim.program import build_program
 from repro.sim.timeline import TimelineEvent
+from repro.utils import gc_paused
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,31 @@ def simulate(
             implementation is authoritative: passing a conflicting
             ``implementation`` raises rather than silently mixing the
             cost model's program with another profile's memory/labels.
+
+    The step runs with the cyclic garbage collector paused
+    (:func:`repro.utils.gc_paused`): building and running a program
+    creates no reference cycles, and the program and the engine result
+    are freed by reference counting before the collector comes back on.
     """
+    with gc_paused():
+        return _simulate(
+            spec, config, cluster, implementation, calibration, schedule,
+            record_events, memory, cost,
+        )
+
+
+def _simulate(
+    spec: TransformerSpec,
+    config: ParallelConfig,
+    cluster: ClusterSpec,
+    implementation: ImplementationProfile | None,
+    calibration: Calibration,
+    schedule: Schedule | None,
+    record_events: bool,
+    memory: MemoryBreakdown | None,
+    cost: CostModel | None,
+) -> SimulationResult:
+    """:func:`simulate`'s body, run with the collector paused."""
     if cost is not None:
         if implementation is not None and implementation is not cost.implementation:
             raise ValueError(

@@ -1,7 +1,10 @@
-"""Shared utilities: unit helpers, ASCII tables and plots, CLI output paths."""
+"""Shared utilities: unit helpers, ASCII tables and plots, CLI output
+paths, and the cyclic garbage collector's pause."""
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,6 +23,7 @@ from repro.utils.tables import ascii_table
 
 if TYPE_CHECKING:
     import argparse
+    from collections.abc import Iterator
 
 __all__ = [
     "GB",
@@ -34,6 +38,7 @@ __all__ = [
     "fmt_count",
     "fmt_flops",
     "fmt_time",
+    "gc_paused",
 ]
 
 
@@ -66,3 +71,32 @@ def create_output_file(
     if path.is_dir():
         parser.error(f"{flag} {path} is a directory, not a file")
     create_output_dir(parser, flag, path.parent)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run a block with the cyclic garbage collector off.
+
+    For units of work that allocate many container objects but create no
+    reference cycles (a search cell, one simulation): reference counting
+    frees all of it, so the collections the allocations would trigger
+    find nothing and only cost time.  ``tests/test_gc_pause.py`` holds
+    both units to that.
+
+    If the collector is on, it is turned off on entry and back on when
+    the block exits, also by an exception.  If it is already off, the
+    pause does nothing, so nested pauses and a caller's own
+    ``gc.disable()`` are respected.  The collector's state is
+    process-wide: if another thread calls ``gc.disable()`` while a pause
+    is open, the collector is turned back on when that pause exits, and
+    of two pauses open in different threads, the first to open turns it
+    back on when it exits.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -17,13 +17,16 @@ The contracts pinned here:
   claims to measure;
 - the attribution report aggregates multi-actor snapshots and its ``ok``
   flag tracks the two required sections;
-- the perf-trajectory recorder appends one entry per (bench, commit) and
-  survives corrupt files.
+- the perf-trajectory recorder appends one entry per (bench, commit),
+  fingerprints the machine, still loads entries recorded without a
+  fingerprint, and survives corrupt files.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 
 import pytest
 
@@ -470,6 +473,30 @@ class TestTrajectory:
             ("b", "c2"),
             ("other", "c2"),
         ]
+
+    def test_entries_carry_the_machine_fingerprint(self, tmp_path):
+        path = tmp_path / "BENCH_search.json"
+        entry = record_entry(path, bench="b", seconds=1.0, commit="c")
+        assert entry["machine"] == {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+        }
+        assert load_trajectory(path)["entries"] == [entry]
+
+    def test_entries_without_a_fingerprint_still_load(self, tmp_path):
+        path = tmp_path / "BENCH_search.json"
+        old = {
+            "bench": "b",
+            "commit": "c1",
+            "recorded_at": 1.0,
+            "cell": None,
+            "seconds": 1.0,
+            "counters": {"n_tried": 7},
+        }
+        path.write_text(json.dumps({"format": 1, "entries": [old]}))
+        assert load_trajectory(path)["entries"] == [old]
+        new = record_entry(path, bench="b", seconds=2.0, commit="c2")
+        assert load_trajectory(path)["entries"] == [old, new]
 
     def test_corrupt_file_is_replaced_not_fatal(self, tmp_path):
         path = tmp_path / "BENCH_search.json"
