@@ -1,4 +1,4 @@
-"""Work-count gates: the search pipeline's five wins, counted, not timed.
+"""Work-count gates: the pipeline's six wins, counted, not timed.
 
 Each gate pins the deterministic count that carries one win, as an upper
 bound at the value measured when the gate landed, so a later improvement
@@ -26,6 +26,13 @@ still passes and the machine's load can never fail it:
    the collector is on again afterwards.  The collections the run still
    triggers are recorded as data only: their counts differ between
    Python versions.
+6. **Re-pricing the fit's programs** (three evaluations of the default
+   anchor evaluator under three calibrations): the 12 anchor schedules
+   are walked 12 times in all, once each when the evaluator lowers them
+   (a rebuild per evaluation walked them 36 times), and each evaluation
+   vector-prices its stage tables before building, so its 12 program
+   builds (18,288 instructions) never miss the stage-time table (scalar
+   pricing misses it 12 times per evaluation).
 
 Each gate appends its counts, with the searches' thread CPU seconds as
 data only, to ``benchmarks/BENCH_search.json`` under its bench name (see
@@ -36,9 +43,11 @@ from __future__ import annotations
 
 import gc
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import repro.search.grid as grid
+import repro.sim.program as program
 import repro.sim.simulator as simulator
 from repro.analytical.memory import _rank_param_groups, _rank_param_table
 from repro.fit.residuals import AnchorEvaluator
@@ -70,6 +79,15 @@ GRID_CELLS = (
     ("6.6B", MODEL_6_6B, 128),
     ("6.6B", MODEL_6_6B, 256),
     ("6.6B", MODEL_6_6B, 512),
+)
+
+#: The fit gate's three trial calibrations.
+FIT_CALIBRATIONS = (
+    DEFAULT_CALIBRATION,
+    replace(DEFAULT_CALIBRATION, network_overhead_scale=2.0),
+    replace(
+        DEFAULT_CALIBRATION, kernel_efficiency_max=0.6, fixed_step_overhead=0.03
+    ),
 )
 
 #: Perf-trajectory file (committed; CI uploads it as an artifact).
@@ -345,3 +363,63 @@ def test_search_and_simulation_run_with_the_collector_paused(monkeypatch):
     assert set(calls) == {"grid_memory", "grid_build", "fit_build"}
     assert enabled_reads == 0
     assert gc.isenabled()
+
+
+def test_fit_reprices_anchor_programs(monkeypatch):
+    walks = []
+    walk = program._ProgramBuilder.build
+
+    def counting_walk(self):
+        walks.append(None)
+        return walk(self)
+
+    builds: list[list[int]] = []
+    build_program = simulator.build_program
+
+    def counting_build(*args, **kwargs):
+        streams = build_program(*args, **kwargs)
+        builds[-1].append(sum(len(queue) for queue in streams.values()))
+        return streams
+
+    monkeypatch.setattr(program._ProgramBuilder, "build", counting_walk)
+    monkeypatch.setattr(simulator, "build_program", counting_build)
+    _cold_caches()
+    evaluator = AnchorEvaluator()
+    misses = []
+    seconds = 0.0
+    for calibration in FIT_CALIBRATIONS:
+        builds.append([])
+        before = stage_time_table.cache_info().misses
+        _residuals, spent = _cpu_seconds(evaluator.evaluate, calibration)
+        seconds += spent
+        misses.append(stage_time_table.cache_info().misses - before)
+    built = [len(counts) for counts in builds]
+    instructions = [sum(counts) for counts in builds]
+    print(
+        f"\nfit re-pricing ({len(evaluator.anchors)} anchors, "
+        f"{len(FIT_CALIBRATIONS)} evaluations): {len(walks)} schedule walks, "
+        f"stage-table misses per evaluation {misses}, programs built "
+        f"{built}, instructions {instructions} ({seconds:.2f}s CPU)"
+    )
+    record_entry(
+        TRAJECTORY_PATH,
+        bench="fit_reprices",
+        seconds=seconds,
+        cell={
+            "anchors": len(evaluator.anchors),
+            "evaluations": len(FIT_CALIBRATIONS),
+        },
+        counters={
+            "walks": len(walks),
+            "stage_misses": sum(misses),
+            "n_built": sum(built),
+            "instructions": sum(instructions),
+        },
+    )
+    # Each anchor is walked once, when the evaluator lowers it.
+    assert len(walks) <= 12
+    # Each evaluation vector-prices first, so no scalar pricing.
+    assert misses == [0] * len(FIT_CALIBRATIONS)
+    # The benchmark's counting point: one full program per anchor.
+    assert built == [12] * len(FIT_CALIBRATIONS)
+    assert instructions == [18_288] * len(FIT_CALIBRATIONS)

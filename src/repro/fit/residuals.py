@@ -33,7 +33,10 @@ from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.models.spec import TransformerSpec
 from repro.paper_data import PAPER_ANCHORS, PaperAnchor
 from repro.sim.calibration import Calibration
+from repro.sim.cost import CostModel
+from repro.sim.cost_batch import warm_family_tables
 from repro.sim.implementation import default_implementation_for
+from repro.sim.program import ProgramLowering, lower_program
 from repro.sim.simulator import simulate
 from repro.utils.units import GB
 
@@ -112,10 +115,16 @@ class AnchorEvaluator:
     """Re-simulates the anchor set for many candidate calibrations.
 
     Everything that does not depend on the calibration is computed once
-    at construction: the model/cluster of each row, its schedule, and its
-    memory breakdown (the memory model takes no calibration).  One
-    :meth:`evaluate` call then costs exactly one engine run per anchor —
-    cheap enough (~10 ms per anchor) to sit inside an optimizer loop.
+    at construction: the model/cluster of each row, its schedule, its
+    memory breakdown (the memory model takes no calibration) and its
+    program's lowering (:func:`repro.sim.program.lower_program`: streams,
+    uids, dependencies and duration slots).  One :meth:`evaluate` call
+    then prices the calibration's per-stage durations in one vectorized
+    pass per (model, cluster, implementation) group
+    (:func:`repro.sim.cost_batch.warm_family_tables`), and per anchor
+    builds the cost model, fills and checks the program's duration table,
+    materializes its instructions from the lowering and runs the engine
+    once.
     """
 
     def __init__(self, anchors: Sequence[PaperAnchor] = PAPER_ANCHORS) -> None:
@@ -124,27 +133,50 @@ class AnchorEvaluator:
         self.anchors = tuple(anchors)
         self._setups: list[
             tuple[PaperAnchor, TransformerSpec, ClusterSpec, Schedule,
-                  MemoryBreakdown]
+                  MemoryBreakdown, ProgramLowering]
         ] = []
+        # (spec, cluster, implementation) -> its anchors' stage-time
+        # families (n_pp, n_loop, microbatch_size, n_tp), in order.
+        families: dict[tuple, dict[tuple, None]] = {}
         for anchor in self.anchors:
             spec, cluster = anchor_environment(anchor)
             cfg = anchor.config
+            implementation = default_implementation_for(cfg.schedule)
             schedule = build_schedule(
                 cfg.schedule, cfg.n_pp, cfg.n_microbatches, cfg.n_loop,
                 cfg.sequence_size,
             )
-            memory = memory_model(
-                spec, cfg, default_implementation_for(cfg.schedule), schedule
+            memory = memory_model(spec, cfg, implementation, schedule)
+            # A lowering reads no duration, so any calibration builds it.
+            lowering = lower_program(
+                CostModel(
+                    spec=spec, config=cfg, cluster=cluster,
+                    implementation=implementation,
+                ),
+                schedule,
             )
-            self._setups.append((anchor, spec, cluster, schedule, memory))
+            self._setups.append(
+                (anchor, spec, cluster, schedule, memory, lowering)
+            )
+            families.setdefault((spec, cluster, implementation), {})[
+                (cfg.n_pp, cfg.n_loop, cfg.microbatch_size, cfg.n_tp)
+            ] = None
+        self._families = tuple(
+            (spec, cluster, implementation, tuple(group))
+            for (spec, cluster, implementation), group in families.items()
+        )
 
     def evaluate(self, calibration: Calibration) -> tuple[AnchorResidual, ...]:
         """Simulate every anchor under ``calibration``."""
+        # Seed the stage-time table, so every anchor's build hits it.
+        for spec, cluster, implementation, group in self._families:
+            warm_family_tables(spec, cluster, calibration, implementation, group)
         residuals = []
-        for anchor, spec, cluster, schedule, memory in self._setups:
+        for anchor, spec, cluster, schedule, memory, lowering in self._setups:
             result = simulate(
                 spec, anchor.config, cluster,
                 calibration=calibration, schedule=schedule, memory=memory,
+                lowering=lowering,
             )
             tput = result.throughput_per_gpu / 1e12
             mem = result.memory.total / GB

@@ -18,9 +18,22 @@ gather/reduce is split into a one-layer *head* — the only part that truly
 gates or trails compute — and a *bulk* that pipelines against it on the
 DP stream, which provides backpressure when the network, not compute, is
 the bottleneck.
+
+A build is one walk over the schedule that reads every duration by
+*slot*, its index in one flat duration table (:func:`_duration_table`).
+:func:`build_program` walks over the cost model's durations.
+:func:`lower_program` runs the same walk over a table whose entries are
+the slot numbers themselves, which gives a calibration-free
+:class:`ProgramLowering`; ``build_program(..., lowering=...)`` then only
+fills the table and materializes the instructions, so a program that is
+re-priced under many calibrations (the calibration fit) is walked once.
 """
 
 from __future__ import annotations
+
+import sys
+from itertools import repeat
+from typing import NamedTuple
 
 from repro.core.ops import ComputeOp, OpKind
 from repro.core.schedules.base import Schedule, dpfs_repetition_key as _rep_key
@@ -33,8 +46,12 @@ COMPUTE, PP, DP = "compute", "pp", "dp"
 
 #: Builds an instruction from a ``(uid, duration, deps, label, category)``
 #: tuple without re-running ``Instruction.__new__``'s duration check: the
-#: builder checks each distinct duration once per build instead.
+#: builder checks each distinct duration once per build instead.  With
+#: ``tuple`` as the class it returns the tuple itself (the lowering's rows).
 _new = tuple.__new__
+
+#: The lowering's duration table: entry ``i`` is ``i``, the slot number.
+_SLOTS = range(sys.maxsize)
 
 
 def _uid_of(op: ComputeOp) -> tuple:
@@ -49,93 +66,186 @@ def _checked(durations: list[float]) -> list[float]:
     return durations
 
 
-def _split(durations: tuple, fractions: list[float]) -> list[tuple]:
-    """Per-stage ``(head, bulk)`` parts of a DP collective, or ``(whole,)``.
+class _Layout(NamedTuple):
+    """Everything the walk reads of a cost model besides durations.
+
+    Two cost models with equal layouts lower a schedule to the same
+    streams, uids, dependencies and slots, so a lowering made with one
+    prices under the other.
+    """
+
+    pp_overlap: bool
+    dp_active: bool
+    overlap_dp: bool
+    sharding: Sharding
+    #: Layers per stage when DP collectives run on their own stream (a
+    #: one-layer stage's collective is one instruction, not head+bulk).
+    stage_layers: tuple[int, ...]
+
+    @property
+    def sharded_full(self) -> bool:
+        """DP_FS: weights are gathered before use (once per group)."""
+        return self.dp_active and self.sharding is Sharding.FULL
+
+    @property
+    def dp_serial(self) -> bool:
+        """Each rank ends with one serial DP block on its compute stream."""
+        return self.dp_active and not self.overlap_dp
+
+    @property
+    def post_gather(self) -> bool:
+        """DP_PS: each rank's weights are gathered after its optimizer."""
+        return self.overlap_dp and self.sharding is Sharding.PARTIAL
+
+
+def _layout(cost: CostModel, schedule: Schedule) -> _Layout:
+    config = cost.config
+    dp_active = config.n_dp > 1
+    overlap_dp = dp_active and cost.implementation.dp_overlap
+    stage_layers = ()
+    if overlap_dp:
+        stage_layers = tuple(
+            map(cost.placement.n_layers_of_stage, range(schedule.n_stages))
+        )
+    return _Layout(
+        cost.implementation.pp_overlap,
+        dp_active,
+        overlap_dp,
+        config.sharding,
+        stage_layers,
+    )
+
+
+def _split(durations: tuple, stage_layers: tuple[int, ...]) -> list[float]:
+    """Per-stage ``head, bulk`` parts of a DP collective, flat, checked.
 
     A stage of one layer has nothing to pipeline, so its collective is a
     single instruction; otherwise the head carries one layer's share.
     """
-    parts = [
-        (d,) if frac >= 1.0 else (d * frac, d * (1.0 - frac))
-        for d, frac in zip(durations, fractions)
-    ]
-    _checked([d for part in parts for d in part])
-    return parts
+    parts: list[float] = []
+    for d, layers in zip(durations, stage_layers):
+        if layers == 1:
+            parts.append(d)
+        else:
+            frac = 1.0 / layers
+            parts += (d * frac, d * (1.0 - frac))
+    return _checked(parts)
+
+
+def _duration_table(
+    cost: CostModel, schedule: Schedule, layout: _Layout
+) -> list[float]:
+    """Every distinct duration of one build, in slot order, checked once.
+
+    Slot order is: each stage's forward, then each stage's backward (both
+    with the send launch overhead on sending stages: all forwards but the
+    last stage's, all backwards but the first stage's), the pipeline
+    transfer when there are two stages or more, each stage's gather parts
+    (fully sharded) and reduce parts when DP collectives overlap, then per
+    rank its serial DP block (non-overlapped DP), optimizer and post-step
+    gather (partially sharded), whichever the layout has.  Sections are
+    checked in that order, the order builds have always checked them in,
+    so a cost with several negative durations reports the same one on
+    every path.
+    """
+    # Per-stage durations come from the memoized family table
+    # (repro.sim.cost.stage_time_table): candidates differing only in
+    # n_dp / n_mb / sharding / schedule share one computation, within
+    # a search cell and across adjacent batch-size cells of a sweep.
+    times = cost.stage_times()
+    stages = range(schedule.n_stages)
+    last_stage = schedule.n_stages - 1
+    pp_launch = times.pp_launch
+    table = _checked([
+        times.forward[s] + pp_launch if s < last_stage else times.forward[s]
+        for s in stages
+    ])
+    table += _checked([
+        times.backward[s] + pp_launch if s > 0 else times.backward[s]
+        for s in stages
+    ])
+    if last_stage > 0:
+        table += _checked([times.pp_transfer])
+    # DP-collective durations come from the memoized comm-family table
+    # (repro.sim.cost.comm_time_table): one gather/reduce pricing pass per
+    # (n_pp, n_loop, n_tp, n_dp, sharding) family serves every schedule,
+    # micro-batch shape and batch size that shares it.
+    comm = cost.comm_times() if layout.dp_active else None
+    if layout.overlap_dp:
+        if layout.sharded_full:
+            table += _split(comm.gather, layout.stage_layers)
+        table += _split(comm.reduce, layout.stage_layers)
+    dp_serial, post_gather = layout.dp_serial, layout.post_gather
+    tail = []
+    for rank in range(schedule.n_pp):
+        if dp_serial:
+            tail.append(comm.dp_serial[rank])
+        tail.append(cost.optimizer_time(rank))
+        if post_gather:
+            tail.append(comm.post_gather[rank])
+    return table + _checked(tail)
+
+
+def _parts(table, slot: int, stage_layers: tuple[int, ...]) -> tuple[list, int]:
+    """Per-stage ``(head, bulk)`` or ``(whole,)`` views from ``slot`` on.
+
+    Returns the views and the slot after them.
+    """
+    parts = []
+    for layers in stage_layers:
+        width = 1 if layers == 1 else 2
+        parts.append(tuple(table[slot:slot + width]))
+        slot += width
+    return parts, slot
 
 
 class _ProgramBuilder:
-    """Accumulates instruction queues for one configuration.
+    """Accumulates instruction queues for one walk over a schedule.
 
-    Every distinct duration is computed and checked once per build, up
-    front, from the memoized family tables: ``forward[s]`` and
-    ``backward[s]`` (with the send launch overhead on sending stages),
-    the pipeline transfer, and each stage's gather and reduce head and
-    bulk.  The per-op loop then only picks values from these tables and
-    creates instructions without re-checking them.  With
-    ``record_events=False`` no label strings are built either, so
-    search-mode programs allocate nothing that only a timeline would read.
+    Every duration comes from ``table`` by slot (see
+    :func:`_duration_table`): the per-op loop only picks values from
+    per-stage views of the table and creates instructions without
+    re-checking them.  With ``labelled=False`` no label strings are built
+    either, so search-mode programs allocate nothing that only a
+    timeline would read.  ``instruction`` is the class of what is
+    emitted: :class:`Instruction` for a program, ``tuple`` for a lowering.
     """
 
     def __init__(
-        self, cost: CostModel, schedule: Schedule, *, record_events: bool = True
+        self,
+        schedule: Schedule,
+        layout: _Layout,
+        table,
+        *,
+        labelled: bool,
+        instruction: type,
     ) -> None:
-        self.cost = cost
         self.schedule = schedule
-        self.record_events = record_events
-        self.config = cost.config
-        self.impl = cost.implementation
-        self.n_stages = schedule.n_stages
-        self.dp_active = self.config.n_dp > 1
-        self.overlap_dp = self.dp_active and self.impl.dp_overlap
-        self.sharded_full = (
-            self.config.sharding is Sharding.FULL and self.dp_active
-        )
-        # Per-stage durations come from the memoized family table
-        # (repro.sim.cost.stage_time_table): candidates differing only in
-        # n_dp / n_mb / sharding / schedule share one computation, within
-        # a search cell and across adjacent batch-size cells of a sweep.
-        # Issuing an overlapped transfer still costs the compute stream
-        # its launch overhead, on every stage that sends: all forwards
-        # but the last stage's, all backwards but the first stage's.
-        times = cost.stage_times()
-        stages = range(self.n_stages)
-        last_stage = self.n_stages - 1
-        pp_launch = times.pp_launch
-        self.forward_durations = _checked([
-            times.forward[s] + pp_launch if s < last_stage else times.forward[s]
-            for s in stages
-        ])
-        self.backward_durations = _checked([
-            times.backward[s] + pp_launch if s > 0 else times.backward[s]
-            for s in stages
-        ])
-        self.pp_time = times.pp_transfer
-        if last_stage > 0:
-            _checked([self.pp_time])
-        if self.dp_active:
-            # DP-collective durations come from the memoized comm-family
-            # table (repro.sim.cost.comm_time_table): one gather/reduce
-            # pricing pass per (n_pp, n_loop, n_tp, n_dp, sharding)
-            # family serves every schedule, micro-batch shape and batch
-            # size that shares it.  Each gather/reduce splits into a
-            # one-layer head and the bulk (see _emit_split).
-            comm = cost.comm_times()
-            head_fractions = [
-                1.0 / cost.placement.n_layers_of_stage(s) for s in stages
-            ]
-            if self.overlap_dp:
-                if self.sharded_full:
-                    self.gather_parts = _split(comm.gather, head_fractions)
-                self.reduce_parts = _split(comm.reduce, head_fractions)
-            self.post_gather_times = comm.post_gather
-            self.dp_serial_times = comm.dp_serial
-        self.streams: dict[tuple[int, str], list[Instruction]] = {}
+        self.layout = layout
+        self.labelled = labelled
+        self.instruction = instruction
+        self.n_stages = n_stages = schedule.n_stages
+        self.forward_durations = table[:n_stages]
+        self.backward_durations = table[n_stages:2 * n_stages]
+        slot = 2 * n_stages
+        # A one-stage pipeline sends nothing, so it has no transfer slot.
+        self.pp_time = None
+        if n_stages > 1:
+            self.pp_time = table[slot]
+            slot += 1
+        if layout.overlap_dp:
+            if layout.sharded_full:
+                self.gather_parts, slot = _parts(table, slot, layout.stage_layers)
+            self.reduce_parts, slot = _parts(table, slot, layout.stage_layers)
+        self.tail = table[slot:]
+        self.tail_width = 1 + layout.dp_serial + layout.post_gather
+        self.streams: dict[tuple[int, str], list] = {}
 
     # ----------------------------------------------------------- helpers
 
     def _emit_split(
         self,
-        queue: list[Instruction],
+        queue: list,
         prefix: str,
         stage: int,
         key: int,
@@ -157,10 +267,11 @@ class _ProgramBuilder:
         last backward).  Single-layer stages emit one instruction, the
         whole of ``parts``.
         """
-        labelled = self.record_events
+        labelled = self.labelled
+        instruction = self.instruction
         head_uid = (prefix + "H", stage, key)
         if len(parts) == 1:
-            queue.append(_new(Instruction, (
+            queue.append(_new(instruction, (
                 head_uid,
                 parts[0],
                 head_deps,
@@ -169,14 +280,14 @@ class _ProgramBuilder:
             )))
             return head_uid, head_uid
         bulk_uid = (prefix + "R", stage, key)
-        head = _new(Instruction, (
+        head = _new(instruction, (
             head_uid,
             parts[0],
             head_deps,
             f"{prefix}-head(s={stage}, g={key})" if labelled else "",
             category,
         ))
-        bulk = _new(Instruction, (
+        bulk = _new(instruction, (
             bulk_uid,
             parts[1],
             bulk_deps,
@@ -191,37 +302,37 @@ class _ProgramBuilder:
 
     # ------------------------------------------------------------- build
 
-    def build(self) -> dict[tuple[int, str], list[Instruction]]:
+    def build(self) -> dict[tuple[int, str], list]:
         for rank in range(self.schedule.n_pp):
             self.streams[(rank, COMPUTE)] = []
-            if self.impl.pp_overlap:
+            if self.layout.pp_overlap:
                 self.streams[(rank, PP)] = []
-            if self.overlap_dp:
+            if self.layout.overlap_dp:
                 self.streams[(rank, DP)] = []
         for rank in range(self.schedule.n_pp):
             self._build_rank(rank)
         return self.streams
 
     def _build_rank(self, rank: int) -> None:
-        cost, config = self.cost, self.config
         order = self.schedule.ops_of(rank)
         compute_q = self.streams[(rank, COMPUTE)]
         pp_q = self.streams.get((rank, PP), compute_q)
         dp_q = self.streams.get((rank, DP))
-        overlap_dp = self.overlap_dp
+        overlap_dp = self.layout.overlap_dp
 
         # The op loop below runs once per instruction of every simulated
         # configuration — the search's hottest Python.  Attribute lookups
         # are hoisted, durations come precomputed and checked from the
-        # per-stage tables, and instructions skip Instruction.__new__.
-        new, instruction = _new, Instruction
+        # per-stage views of the table, and instructions skip
+        # Instruction.__new__.
+        new, instruction = _new, self.instruction
         forward_kind = OpKind.FORWARD
         forward_durations = self.forward_durations
         backward_durations = self.backward_durations
         last_stage = self.n_stages - 1
         pp_time = self.pp_time
-        labelled = self.record_events
-        sharded_full = self.sharded_full
+        labelled = self.labelled
+        sharded_full = self.layout.sharded_full
         sharded_overlap = sharded_full and overlap_dp
         compute_append = compute_q.append
         pp_append = pp_q.append
@@ -357,44 +468,114 @@ class _ProgramBuilder:
                     )
                     reduce_heads.append(head)
 
-        # Tail: serial DP block (Megatron mode), optimizer, post-step gather.
+        # Tail: serial DP block (Megatron mode), optimizer, post-step
+        # gather, from this rank's slots of the table's last section.
+        # Their labels are set even in label-free builds.
+        slot = rank * self.tail_width
         opt_deps: list[tuple] = list(reduce_heads)
-        if self.dp_active and not overlap_dp:
-            compute_q.append(
-                Instruction(
-                    uid=("DPALL", rank),
-                    duration=self.dp_serial_times[rank],
-                    deps=(),
-                    label=f"dp-all(rank={rank})",
-                    category="dp_comm",
-                )
-            )
+        if self.layout.dp_serial:
+            compute_q.append(new(instruction, (
+                ("DPALL", rank),
+                self.tail[slot],
+                (),
+                f"dp-all(rank={rank})",
+                "dp_comm",
+            )))
             opt_deps.append(("DPALL", rank))
+            slot += 1
 
-        compute_q.append(
-            Instruction(
-                uid=("OPT", rank),
-                duration=cost.optimizer_time(rank),
-                deps=tuple(opt_deps),
-                label=f"optimizer(rank={rank})",
-                category="optimizer",
-            )
+        compute_q.append(new(instruction, (
+            ("OPT", rank),
+            self.tail[slot],
+            tuple(opt_deps),
+            f"optimizer(rank={rank})",
+            "optimizer",
+        )))
+
+        if self.layout.post_gather:
+            dp_q.append(new(instruction, (
+                ("POST", rank),
+                self.tail[slot + 1],
+                (("OPT", rank),),
+                f"post-gather(rank={rank})",
+                "gather",
+            )))
+
+
+class ProgramLowering(NamedTuple):
+    """A label-free program without durations, made by :func:`lower_program`.
+
+    Each stream holds, column by column, its instructions' uids, *slots*
+    (indices into the flat duration table a build fills from the cost
+    model), dependency tuples, labels and categories.  Nothing here
+    depends on a calibration, so pricing it under any cost model with the
+    same stream layout gives exactly the program a fresh label-free
+    :func:`build_program` would.
+
+    Attributes:
+        schedule: The schedule that was lowered.
+        layout: What the walk read of the cost model: overlap flags,
+            ``n_dp > 1``, sharding and, when DP collectives overlap, the
+            layers per stage.
+        streams: ``(key, uids, slots, deps, labels, categories)`` per
+            stream, in the build's stream order.
+    """
+
+    schedule: Schedule
+    layout: _Layout
+    streams: tuple[tuple, ...]
+
+    def _price(
+        self, table: list[float]
+    ) -> dict[tuple[int, str], list[Instruction]]:
+        """Materialize the instructions with ``table``'s durations."""
+        new, instruction = _new, Instruction
+        duration_of = table.__getitem__
+        return {
+            key: list(map(
+                new,
+                repeat(instruction),
+                zip(uids, map(duration_of, slots), deps, labels, categories),
+            ))
+            for key, uids, slots, deps, labels, categories in self.streams
+        }
+
+
+def lower_program(cost: CostModel, schedule: Schedule) -> ProgramLowering:
+    """Walk ``schedule`` once, without durations, for repeated pricing.
+
+    Runs :func:`build_program`'s walk, label-free, over a table whose
+    entries are the slot numbers, so each emitted duration is its slot.
+    Only the stream layout of ``cost`` is read (its implementation's
+    overlap flags, ``n_dp``, sharding and placement), never a duration,
+    so the calibration ``cost`` was built with does not matter.  Price
+    the result with ``build_program(cost, schedule, record_events=False,
+    lowering=...)``.
+    """
+    layout = _layout(cost, schedule)
+    streams = _ProgramBuilder(
+        schedule, layout, _SLOTS, labelled=False, instruction=tuple
+    ).build()
+    # A dependency names its uid with a tuple of its own; point it at the
+    # instruction's uid object instead, which keeps the lowering smaller
+    # (and lets the engine's uid lookups match by identity).
+    uid_of = {row[0]: row[0] for queue in streams.values() for row in queue}
+    columns = []
+    for key, queue in streams.items():
+        uids, slots, deps, labels, categories = (
+            zip(*queue) if queue else ((),) * 5
         )
-
-        if overlap_dp and config.sharding is Sharding.PARTIAL:
-            dp_q.append(
-                Instruction(
-                    uid=("POST", rank),
-                    duration=self.post_gather_times[rank],
-                    deps=(("OPT", rank),),
-                    label=f"post-gather(rank={rank})",
-                    category="gather",
-                )
-            )
+        deps = tuple(tuple(map(uid_of.get, row, row)) for row in deps)
+        columns.append((key, uids, slots, deps, labels, categories))
+    return ProgramLowering(schedule, layout, tuple(columns))
 
 
 def build_program(
-    cost: CostModel, schedule: Schedule, *, record_events: bool = True
+    cost: CostModel,
+    schedule: Schedule,
+    *,
+    record_events: bool = True,
+    lowering: ProgramLowering | None = None,
 ) -> dict[tuple[int, str], list[Instruction]]:
     """Build the instruction queues for every rank and stream.
 
@@ -405,5 +586,34 @@ def build_program(
             search never renders timelines, and label construction is a
             measurable share of search time.  Durations, uids and
             dependencies are identical either way.
+        lowering: A :func:`lower_program` result for ``schedule`` and a
+            cost with this stream layout.  When given, the schedule is not
+            walked again: the durations are computed and checked as in a
+            fresh build and placed by slot, which gives the same program
+            as a fresh label-free build.  It requires
+            ``record_events=False``; another schedule or stream layout
+            raises ``ValueError``.  The search passes none: each of its
+            program shapes serves a handful of builds, too few to repay a
+            kept lowering.
     """
-    return _ProgramBuilder(cost, schedule, record_events=record_events).build()
+    layout = _layout(cost, schedule)
+    if lowering is None:
+        return _ProgramBuilder(
+            schedule,
+            layout,
+            _duration_table(cost, schedule, layout),
+            labelled=record_events,
+            instruction=Instruction,
+        ).build()
+    if record_events:
+        raise ValueError(
+            "a lowering is label-free: price it with record_events=False"
+        )
+    if lowering.schedule is not schedule and lowering.schedule != schedule:
+        raise ValueError("the lowering was made for another schedule")
+    if lowering.layout != layout:
+        raise ValueError(
+            "the lowering was made for another stream layout: "
+            f"{lowering.layout} != {layout}"
+        )
+    return lowering._price(_duration_table(cost, schedule, layout))

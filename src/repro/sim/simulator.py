@@ -22,7 +22,7 @@ from repro.sim.implementation import (
     ImplementationProfile,
     default_implementation_for,
 )
-from repro.sim.program import build_program
+from repro.sim.program import ProgramLowering, build_program
 from repro.sim.timeline import TimelineEvent
 from repro.utils import gc_paused
 
@@ -90,6 +90,7 @@ def simulate(
     record_events: bool = False,
     memory: MemoryBreakdown | None = None,
     cost: CostModel | None = None,
+    lowering: ProgramLowering | None = None,
 ) -> SimulationResult:
     """Simulate one training step.
 
@@ -115,6 +116,14 @@ def simulate(
             implementation is authoritative: passing a conflicting
             ``implementation`` raises rather than silently mixing the
             cost model's program with another profile's memory/labels.
+            A cost built for another ``spec``, ``config``, ``cluster`` or
+            ``calibration`` than the ones passed raises ``ValueError``
+            naming the field.
+        lowering: The schedule's :func:`repro.sim.program.lower_program`
+            result, priced instead of walking the schedule again (see
+            :func:`repro.sim.program.build_program`).  Requires
+            ``record_events=False``.  The calibration fit passes one per
+            anchor; the result is the same either way.
 
     The step runs with the cyclic garbage collector paused
     (:func:`repro.utils.gc_paused`): building and running a program
@@ -124,7 +133,7 @@ def simulate(
     with gc_paused():
         return _simulate(
             spec, config, cluster, implementation, calibration, schedule,
-            record_events, memory, cost,
+            record_events, memory, cost, lowering,
         )
 
 
@@ -138,6 +147,7 @@ def _simulate(
     record_events: bool,
     memory: MemoryBreakdown | None,
     cost: CostModel | None,
+    lowering: ProgramLowering | None,
 ) -> SimulationResult:
     """:func:`simulate`'s body, run with the collector paused."""
     if cost is not None:
@@ -146,6 +156,19 @@ def _simulate(
                 f"cost was built for {cost.implementation.name}, but "
                 f"implementation={implementation.name} was also passed"
             )
+        # Identity first: the search passes the very objects its cost
+        # models were built from, so the check costs it four `is` tests.
+        for name, passed in (
+            ("calibration", calibration),
+            ("config", config),
+            ("spec", spec),
+            ("cluster", cluster),
+        ):
+            built = getattr(cost, name)
+            if built is not passed and built != passed:
+                raise ValueError(
+                    f"cost was built for another {name} than the one passed"
+                )
         implementation = cost.implementation
     elif implementation is None:
         implementation = default_implementation_for(config.schedule)
@@ -165,7 +188,9 @@ def _simulate(
             config.n_loop,
             config.sequence_size,
         )
-    streams = build_program(cost, schedule, record_events=record_events)
+    streams = build_program(
+        cost, schedule, record_events=record_events, lowering=lowering
+    )
     result = run_streams(streams, record_events=record_events)
     if memory is None:
         memory = memory_model(spec, config, implementation, schedule)

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fit import FIT_PARAMETERS
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.models.presets import MODEL_6_6B, MODEL_52B
@@ -54,6 +55,19 @@ _FAMILIES = st.tuples(
     st.sampled_from([1, 2, 4, 8]),
 )
 
+#: The default calibration or one inside the fitter's box: the fit prices
+#: every trial calibration with the vectorized pass.
+_CALIBRATIONS = st.one_of(
+    st.just(DEFAULT_CALIBRATION),
+    st.builds(
+        Calibration,
+        **{
+            p.name: st.floats(p.lower, p.upper, allow_nan=False)
+            for p in FIT_PARAMETERS
+        },
+    ),
+)
+
 
 class TestPriceFamilyParity:
     @settings(max_examples=200, deadline=None)
@@ -62,9 +76,10 @@ class TestPriceFamilyParity:
         cluster_name=st.sampled_from(sorted(_CLUSTERS)),
         impl_name=st.sampled_from(sorted(_IMPLS)),
         families=st.lists(_FAMILIES, min_size=1, max_size=12),
+        calibration=_CALIBRATIONS,
     )
     def test_bit_identical_to_scalar_table(
-        self, spec_name, cluster_name, impl_name, families
+        self, spec_name, cluster_name, impl_name, families, calibration
     ):
         """Property: cross-family vector pricing == scalar pricing, to
         the last bit, for every family of the list."""
@@ -78,12 +93,12 @@ class TestPriceFamilyParity:
                 continue
             try:
                 scalar[family] = _stage_time_table(
-                    spec, cluster, DEFAULT_CALIBRATION, impl, *family
+                    spec, cluster, calibration, impl, *family
                 )
             except ValueError:
                 continue  # family invalid for this model/cluster
         batched = price_families(
-            spec, cluster, DEFAULT_CALIBRATION, impl,
+            spec, cluster, calibration, impl,
             [family for family in families if family in scalar],
         )
         # Dataclass equality: every family, every stage, every float.

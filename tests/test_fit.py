@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.fit.residuals as residuals_module
 from repro.fit import (
     FIT_PARAMETERS,
     AnchorEvaluator,
@@ -42,7 +43,7 @@ from repro.search.service.serialize import (
     cell_key,
 )
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.sim.simulator import simulate
+from repro.sim.cost import stage_time_table
 from repro.utils.units import GB
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -129,19 +130,84 @@ class TestOptimizers:
 
 
 class TestResiduals:
-    def test_evaluator_matches_direct_simulation(self):
-        anchor = PAPER_ANCHORS[8]  # E.2 BF B=256 FS (6.6B, InfiniBand)
-        spec, cluster = anchor_environment(anchor)
-        assert spec == MODEL_6_6B and cluster == DGX1_CLUSTER_64
-        direct = simulate(spec, anchor.config, cluster)
-        [residual] = AnchorEvaluator([anchor]).evaluate(DEFAULT_CALIBRATION)
-        assert residual.throughput_tflops == pytest.approx(
-            direct.throughput_per_gpu / 1e12
+    def test_evaluator_matches_direct_simulation(self, monkeypatch):
+        # Exact parity on every anchor under four calibrations.  Each
+        # direct run prices its stages scalar-wise from an empty table;
+        # the evaluator vector-prices them (after the table is emptied
+        # again) and prices each anchor's kept lowering.
+        calibrations = (
+            DEFAULT_CALIBRATION,
+            load_calibration(FITTED_PATH),
+            Calibration(
+                kernel_efficiency_max=0.45,
+                tokens_half_point=400.0,
+                width_half_point=900.0,
+                optimizer_bytes_per_param=64.0,
+                fixed_step_overhead=0.02,
+                network_overhead_scale=3.0,
+            ),
+            Calibration(
+                kernel_efficiency_max=0.9,
+                tokens_half_point=20.0,
+                network_overhead_scale=0.5,
+            ),
         )
-        assert residual.memory_gb == pytest.approx(direct.memory.total / GB)
-        assert residual.throughput_ratio == pytest.approx(
-            (direct.throughput_per_gpu / 1e12) / anchor.throughput_tflops
+        evaluator = AnchorEvaluator()
+        assert len(evaluator.anchors) == 12
+        seen = []
+        direct_simulate = residuals_module.simulate
+
+        def recording(*args, **kwargs):
+            seen.append(direct_simulate(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(residuals_module, "simulate", recording)
+        for calibration in calibrations:
+            stage_time_table.cache_clear()
+            direct = []
+            for anchor in PAPER_ANCHORS:
+                spec, cluster = anchor_environment(anchor)
+                direct.append(
+                    direct_simulate(
+                        spec, anchor.config, cluster, calibration=calibration
+                    )
+                )
+            stage_time_table.cache_clear()
+            seen.clear()
+            residuals = evaluator.evaluate(calibration)
+            assert stage_time_table.cache_info().misses == 0
+            assert len(seen) == len(direct) == len(residuals) == 12
+            for anchor, result, ours, residual in zip(
+                PAPER_ANCHORS, direct, seen, residuals
+            ):
+                assert residual.anchor == anchor
+                assert ours == result
+                assert ours.step_time == result.step_time
+                assert ours.throughput_per_gpu == result.throughput_per_gpu
+                assert ours.memory == result.memory
+                assert residual.throughput_tflops == (
+                    result.throughput_per_gpu / 1e12
+                )
+                assert residual.memory_gb == result.memory.total / GB
+                assert residual.throughput_ratio == pytest.approx(
+                    (result.throughput_per_gpu / 1e12) / anchor.throughput_tflops
+                )
+
+    def test_evaluations_share_no_state(self):
+        # Two evaluators fed the same calibrations, one repeated, agree
+        # exactly, and a repeat reproduces its first evaluation.
+        sequence = (
+            DEFAULT_CALIBRATION,
+            Calibration(network_overhead_scale=2.0),
+            load_calibration(FITTED_PATH),
+            DEFAULT_CALIBRATION,
         )
+        first, second = AnchorEvaluator(), AnchorEvaluator()
+        ours = [first.evaluate(c) for c in sequence]
+        again = [second.evaluate(c) for c in sequence]
+        assert ours == again
+        assert ours[3] == ours[0]
+        assert ours[1] != ours[0]
 
     def test_objective_and_headline_metric(self):
         # Both metrics weight each anchor by the paper's own confidence

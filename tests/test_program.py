@@ -5,17 +5,31 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.schedules.base import build_schedule
+from repro.core.schedules.base import build_schedule, schedule_for
+from repro.fit import FIT_PARAMETERS
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
+from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel
+from repro.sim.engine import Instruction
 from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
-from repro.sim.program import COMPUTE, DP, PP, build_program
+from repro.sim.program import (
+    COMPUTE,
+    DP,
+    PP,
+    _duration_table,
+    _layout,
+    build_program,
+    lower_program,
+)
+from repro.verify.cli import zoo_configs
 
 
-def make_streams(impl=OUR_IMPLEMENTATION, **kw):
+def make_cost(impl=OUR_IMPLEMENTATION, **kw):
     base = dict(
         n_dp=2, n_pp=2, n_tp=2, microbatch_size=1, n_microbatches=4,
         n_loop=2, schedule=ScheduleKind.BREADTH_FIRST,
@@ -29,7 +43,12 @@ def make_streams(impl=OUR_IMPLEMENTATION, **kw):
     schedule = build_schedule(
         config.schedule, config.n_pp, config.n_microbatches, config.n_loop
     )
-    return build_program(cost, schedule), config, schedule
+    return cost, schedule
+
+
+def make_streams(impl=OUR_IMPLEMENTATION, **kw):
+    cost, schedule = make_cost(impl, **kw)
+    return build_program(cost, schedule), cost.config, schedule
 
 
 def uids_by_prefix(queue, prefix):
@@ -145,24 +164,58 @@ class TestReductions:
         assert any(dep[0] == "B" for dep in head.deps)
 
 
+def _make_negative(monkeypatch, table: str, column: str, value: float) -> None:
+    """Make ``CostModel.<table>()`` report ``value`` for stage 0's ``column``."""
+    priced = getattr(CostModel, table)
+
+    def negative_first_stage(self):
+        times = priced(self)
+        values = (value,) + getattr(times, column)[1:]
+        return dataclasses.replace(times, **{column: values})
+
+    monkeypatch.setattr(CostModel, table, negative_first_stage)
+
+
 class TestDurationChecks:
     @pytest.mark.parametrize(
-        "table, column",
-        [("stage_times", "forward"), ("comm_times", "reduce")],
+        "table, column, priced",
+        [
+            pytest.param("stage_times", "forward", False, id="stage_times-forward"),
+            pytest.param("comm_times", "reduce", False, id="comm_times-reduce"),
+            pytest.param(
+                "stage_times", "forward", True, id="stage_times-forward-priced"
+            ),
+            pytest.param(
+                "comm_times", "reduce", True, id="comm_times-reduce-priced"
+            ),
+        ],
     )
-    def test_negative_duration_is_rejected(self, monkeypatch, table, column):
+    def test_negative_duration_is_rejected(
+        self, monkeypatch, table, column, priced
+    ):
         # The builder checks each distinct duration once per build, with
-        # Instruction's own message, instead of once per instruction.
-        priced = getattr(CostModel, table)
-
-        def negative_first_stage(self):
-            times = priced(self)
-            values = (-1.0,) + getattr(times, column)[1:]
-            return dataclasses.replace(times, **{column: values})
-
-        monkeypatch.setattr(CostModel, table, negative_first_stage)
+        # Instruction's own message, instead of once per instruction; so
+        # does pricing a lowering.
+        cost, schedule = make_cost()
+        kwargs = {}
+        if priced:
+            kwargs = dict(
+                record_events=False, lowering=lower_program(cost, schedule)
+            )
+        _make_negative(monkeypatch, table, column, -1.0)
         with pytest.raises(ValueError, match="duration must be >= 0"):
-            make_streams()
+            build_program(cost, schedule, **kwargs)
+
+    def test_both_paths_report_the_first_negative_duration(self, monkeypatch):
+        # Forwards are checked before reductions, on either path (stage 0
+        # sends, so its forward carries the launch overhead).
+        cost, schedule = make_cost()
+        lowering = lower_program(cost, schedule)
+        _make_negative(monkeypatch, "stage_times", "forward", -1.0)
+        _make_negative(monkeypatch, "comm_times", "reduce", -2.0)
+        for kwargs in ({}, {"record_events": False, "lowering": lowering}):
+            with pytest.raises(ValueError, match=r"got -0\.99999"):
+                build_program(cost, schedule, **kwargs)
 
 
 class TestTransfers:
@@ -191,3 +244,146 @@ class TestTransfers:
             n_loop=1,
         )
         assert not [i for i in streams[(0, PP)] if True]
+
+
+#: Every zoo schedule (hybrid included) as (kind, n_pp, n_mb, n_loop, seq).
+_ZOO = sorted(
+    {
+        (c.schedule, c.n_pp, c.n_microbatches, c.n_loop, c.sequence_size)
+        for c in zoo_configs()
+    },
+    key=repr,
+)
+
+#: A calibration inside the fitter's box.  ``network_overhead_scale``
+#: also takes 1.0, the other branch of ``pp_transfer_time``.
+_CALIBRATIONS = st.builds(
+    Calibration,
+    **{
+        p.name: st.floats(p.lower, p.upper, allow_nan=False)
+        for p in FIT_PARAMETERS
+        if p.name != "network_overhead_scale"
+    },
+    network_overhead_scale=st.one_of(
+        st.just(1.0), st.floats(0.25, 8.0, allow_nan=False)
+    ),
+)
+
+
+def _as_tuples(streams):
+    return [(key, [tuple(i) for i in queue]) for key, queue in streams.items()]
+
+
+class TestPricedLowering:
+    """A lowering priced under a cost equals a fresh label-free build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(_ZOO),
+        impl=st.sampled_from([OUR_IMPLEMENTATION, MEGATRON_LM]),
+        n_dp=st.sampled_from([1, 2, 4]),
+        sharding=st.sampled_from(list(Sharding)),
+        n_tp=st.sampled_from([1, 2]),
+        extra_layers=st.integers(0, 12),
+        calibration=_CALIBRATIONS,
+    )
+    def test_priced_lowering_equals_a_fresh_build(
+        self, shape, impl, n_dp, sharding, n_tp, extra_layers, calibration
+    ):
+        kind, n_pp, n_mb, n_loop, seq = shape
+        if not impl.supports(sharding):
+            sharding = Sharding.NONE
+        config = ParallelConfig(
+            n_dp=n_dp, n_pp=n_pp, n_tp=n_tp, microbatch_size=1,
+            n_microbatches=n_mb, n_loop=n_loop, schedule=kind,
+            sequence_size=seq, sharding=sharding,
+        )
+        # Fewer layers than twice the stages: some stages hold one layer,
+        # whose DP collectives are one instruction instead of head+bulk.
+        spec = dataclasses.replace(
+            MODEL_6_6B, n_layers=config.n_stages + extra_layers
+        )
+        schedule = schedule_for(config)
+
+        def cost_under(calibration):
+            return CostModel(
+                spec=spec, config=config, cluster=DGX1_CLUSTER_64,
+                implementation=impl, calibration=calibration,
+            )
+
+        # Lowered under one calibration, priced under another.
+        lowering = lower_program(cost_under(DEFAULT_CALIBRATION), schedule)
+        cost = cost_under(calibration)
+        priced = build_program(
+            cost, schedule, record_events=False, lowering=lowering
+        )
+        fresh = build_program(cost, schedule, record_events=False)
+        assert list(priced) == list(fresh)
+        assert _as_tuples(priced) == _as_tuples(fresh)
+        assert all(
+            type(i) is Instruction for queue in priced.values() for i in queue
+        )
+        # The slots index the whole duration table, each entry at least once.
+        table = _duration_table(cost, schedule, _layout(cost, schedule))
+        slots = {
+            slot
+            for _key, _uids, queue_slots, *_ in lowering.streams
+            for slot in queue_slots
+        }
+        assert slots == set(range(len(table)))
+
+    def test_rejects_a_labelled_build(self):
+        cost, schedule = make_cost()
+        lowering = lower_program(cost, schedule)
+        with pytest.raises(ValueError, match="record_events=False"):
+            build_program(cost, schedule, lowering=lowering)
+        with pytest.raises(ValueError, match="record_events=False"):
+            build_program(
+                cost, schedule, record_events=True, lowering=lowering
+            )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(n_dp=1),
+            dict(sharding=Sharding.FULL),
+            dict(sharding=Sharding.PARTIAL),
+            dict(impl=MEGATRON_LM, sharding=Sharding.NONE),
+        ],
+        ids=["n_dp", "fully-sharded", "partially-sharded", "megatron"],
+    )
+    def test_rejects_a_cost_with_another_stream_layout(self, other):
+        cost, schedule = make_cost(sharding=Sharding.NONE)
+        lowering = lower_program(cost, schedule)
+        other_cost, other_schedule = make_cost(
+            **{"sharding": Sharding.NONE, **other}
+        )
+        assert other_schedule == schedule
+        with pytest.raises(ValueError, match="another stream layout"):
+            build_program(
+                other_cost, schedule, record_events=False, lowering=lowering
+            )
+
+    def test_rejects_a_cost_with_other_layers_per_stage(self):
+        cost, schedule = make_cost(n_loop=4, n_pp=2)
+        lowering = lower_program(cost, schedule)
+        spec = dataclasses.replace(MODEL_6_6B, n_layers=9)
+        other = dataclasses.replace(cost, spec=spec)
+        with pytest.raises(ValueError, match="another stream layout"):
+            build_program(other, schedule, record_events=False, lowering=lowering)
+
+    def test_rejects_another_schedule(self):
+        cost, schedule = make_cost()
+        lowering = lower_program(cost, schedule)
+        _, other = make_cost(n_microbatches=8)
+        with pytest.raises(ValueError, match="another schedule"):
+            build_program(cost, other, record_events=False, lowering=lowering)
+        # An equal schedule built again is the same schedule.
+        again = build_schedule(
+            schedule.kind, schedule.n_pp, schedule.n_microbatches,
+            schedule.n_loop,
+        )
+        assert again is not schedule
+        assert _as_tuples(
+            build_program(cost, again, record_events=False, lowering=lowering)
+        ) == _as_tuples(build_program(cost, schedule, record_events=False))

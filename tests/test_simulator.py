@@ -6,11 +6,18 @@ import dataclasses
 
 import pytest
 
+from repro.fit import anchor_environment
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B, MODEL_52B
+from repro.paper_data import PAPER_ANCHORS
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.calibration import DEFAULT_CALIBRATION
-from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
+from repro.sim.cost import CostModel
+from repro.sim.implementation import (
+    MEGATRON_LM,
+    OUR_IMPLEMENTATION,
+    default_implementation_for,
+)
 from repro.sim.simulator import simulate
 
 
@@ -201,3 +208,71 @@ class TestAnchors:
         # Paper: ~14.7-16 GB for the B=9 loop-8 DP0 config.
         r = sim(n_loop=8, n_microbatches=9)
         assert 12 < r.memory.total / 2**30 < 20
+
+
+class TestPrebuiltCost:
+    """A ``cost`` passed to :func:`simulate` must match the other inputs."""
+
+    #: E.2 breadth-first, B=256, fully sharded (6.6B, InfiniBand), with
+    #: three times the default fixed step overhead.
+    ANCHOR = PAPER_ANCHORS[8]
+    CALIBRATION = dataclasses.replace(
+        DEFAULT_CALIBRATION,
+        fixed_step_overhead=3 * DEFAULT_CALIBRATION.fixed_step_overhead,
+    )
+
+    def _cost(self, **changes):
+        spec, cluster = anchor_environment(self.ANCHOR)
+        inputs = dict(
+            spec=spec,
+            config=self.ANCHOR.config,
+            cluster=cluster,
+            implementation=default_implementation_for(
+                self.ANCHOR.config.schedule
+            ),
+            calibration=self.CALIBRATION,
+        )
+        inputs.update(changes)
+        return CostModel(**inputs)
+
+    def _simulate(self, cost=None):
+        spec, cluster = anchor_environment(self.ANCHOR)
+        return simulate(
+            spec, self.ANCHOR.config, cluster,
+            calibration=self.CALIBRATION, cost=cost,
+        )
+
+    def test_a_matching_cost_gives_the_same_result(self):
+        # Equal inputs that are not the same objects are accepted.
+        cost = self._cost(
+            calibration=dataclasses.replace(self.CALIBRATION),
+            config=dataclasses.replace(self.ANCHOR.config),
+        )
+        assert cost.calibration is not self.CALIBRATION
+        assert self._simulate(cost) == self._simulate()
+        assert self._simulate().step_time == pytest.approx(3.7073, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("calibration", DEFAULT_CALIBRATION),
+            (
+                "config",
+                dataclasses.replace(
+                    PAPER_ANCHORS[8].config, sharding=Sharding.PARTIAL
+                ),
+            ),
+            (
+                "spec",
+                dataclasses.replace(
+                    MODEL_6_6B, seq_length=2 * MODEL_6_6B.seq_length
+                ),
+            ),
+            ("cluster", DGX1_CLUSTER_64_ETHERNET),
+        ],
+        ids=["calibration", "config", "spec", "cluster"],
+    )
+    def test_a_cost_built_for_other_inputs_is_rejected(self, field, value):
+        cost = self._cost(**{field: value})
+        with pytest.raises(ValueError, match=f"another {field} "):
+            self._simulate(cost)
