@@ -32,7 +32,12 @@ still passes and the machine's load can never fail it:
    (a rebuild per evaluation walked them 36 times), and each evaluation
    vector-prices its stage tables before building, so its 12 program
    builds (18,288 instructions) never miss the stage-time table (scalar
-   pricing misses it 12 times per evaluation).
+   pricing misses it 12 times per evaluation).  The lowerings' 12
+   execution orders are recorded at construction and none per
+   evaluation, and each evaluation replays its 12 programs along them:
+   ``engine.events_popped`` counts the 18,288 instructions executed, and
+   the evaluation runs no wavefront sweep (the wavefront ran 520 per
+   evaluation).
 
 Each gate appends its counts, with the searches' thread CPU seconds as
 data only, to ``benchmarks/BENCH_search.json`` under its bench name (see
@@ -381,25 +386,43 @@ def test_fit_reprices_anchor_programs(monkeypatch):
         builds[-1].append(sum(len(queue) for queue in streams.values()))
         return streams
 
+    orders = []
+    record_order = program.record_order
+
+    def counting_record(streams):
+        orders.append(None)
+        return record_order(streams)
+
     monkeypatch.setattr(program._ProgramBuilder, "build", counting_walk)
     monkeypatch.setattr(simulator, "build_program", counting_build)
+    monkeypatch.setattr(program, "record_order", counting_record)
     _cold_caches()
     evaluator = AnchorEvaluator()
+    recorded = len(orders)
     misses = []
+    engine = []
     seconds = 0.0
     for calibration in FIT_CALIBRATIONS:
         builds.append([])
         before = stage_time_table.cache_info().misses
-        _residuals, spent = _cpu_seconds(evaluator.evaluate, calibration)
+        with recording(MetricsRegistry(actor="bench")) as registry:
+            _residuals, spent = _cpu_seconds(evaluator.evaluate, calibration)
         seconds += spent
         misses.append(stage_time_table.cache_info().misses - before)
+        engine.append(tuple(
+            int(registry.counters.get(f"engine.{name}", 0))
+            for name in ("ordered_runs", "events_popped", "sweeps")
+        ))
     built = [len(counts) for counts in builds]
     instructions = [sum(counts) for counts in builds]
     print(
         f"\nfit re-pricing ({len(evaluator.anchors)} anchors, "
         f"{len(FIT_CALIBRATIONS)} evaluations): {len(walks)} schedule walks, "
-        f"stage-table misses per evaluation {misses}, programs built "
-        f"{built}, instructions {instructions} ({seconds:.2f}s CPU)"
+        f"{recorded} orders recorded at construction and "
+        f"{len(orders) - recorded} after, stage-table misses per evaluation "
+        f"{misses}, programs built {built}, instructions {instructions}, "
+        f"(ordered runs, events popped, sweeps) per evaluation {engine} "
+        f"({seconds:.2f}s CPU)"
     )
     record_entry(
         TRAJECTORY_PATH,
@@ -411,13 +434,23 @@ def test_fit_reprices_anchor_programs(monkeypatch):
         },
         counters={
             "walks": len(walks),
+            "orders": len(orders),
             "stage_misses": sum(misses),
             "n_built": sum(built),
             "instructions": sum(instructions),
+            "ordered_runs": sum(runs for runs, _, _ in engine),
+            "events": sum(events for _, events, _ in engine),
+            "sweeps": sum(sweeps for _, _, sweeps in engine),
         },
     )
     # Each anchor is walked once, when the evaluator lowers it.
     assert len(walks) <= 12
+    # Its order is recorded then too, and never per evaluation.
+    assert recorded <= 12
+    assert len(orders) == recorded
+    # Each evaluation runs its 12 programs along their orders: every
+    # instruction executes once and no wavefront sweep runs.
+    assert engine == [(12, 18_288, 0)] * len(FIT_CALIBRATIONS)
     # Each evaluation vector-prices first, so no scalar pricing.
     assert misses == [0] * len(FIT_CALIBRATIONS)
     # The benchmark's counting point: one full program per anchor.

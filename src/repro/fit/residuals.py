@@ -118,13 +118,14 @@ class AnchorEvaluator:
     at construction: the model/cluster of each row, its schedule, its
     memory breakdown (the memory model takes no calibration) and its
     program's lowering (:func:`repro.sim.program.lower_program`: streams,
-    uids, dependencies and duration slots).  One :meth:`evaluate` call
-    then prices the calibration's per-stage durations in one vectorized
-    pass per (model, cluster, implementation) group
+    uids, dependencies, duration slots and the execution order the
+    engine recorded for it).  One :meth:`evaluate` call then prices the
+    calibration's per-stage durations in one vectorized pass per (model,
+    cluster, implementation) group
     (:func:`repro.sim.cost_batch.warm_family_tables`), and per anchor
     builds the cost model, fills and checks the program's duration table,
-    materializes its instructions from the lowering and runs the engine
-    once.
+    materializes its instructions from the lowering and runs them along
+    the recorded order in one engine pass, with no wavefront sweep.
     """
 
     def __init__(self, anchors: Sequence[PaperAnchor] = PAPER_ANCHORS) -> None:

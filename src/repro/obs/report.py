@@ -13,8 +13,11 @@ prints where a run's time and pruning power actually went:
   the ROADMAP's claim that the analytical bound is loosest (~0.16x) on
   deep non-looped pipelines — the premise of the drain-side-certificate
   work.
-- **Warm starts** — ``stage_time_table`` hit/miss rates across cells.
-- **Engine** — runs, events popped and wavefront sweeps per run.
+- **Warm starts** — the share of each cell's stage-time families that an
+  earlier cell or a seed had already priced
+  (``search.batch.families_{priced,cached}``).
+- **Engine** — wavefront runs, ordered runs, events popped and
+  wavefront sweeps per wavefront run.
 - **Service** — per-worker busy fractions, claim/requeue/heartbeat
   counts and checkpoint hit rates for sweep runs.
 
@@ -179,18 +182,20 @@ class AttributionReport:
 
         if self.warm_start.get("lookups"):
             blocks.append(
-                "warm starts: {hits:.0f}/{lookups:.0f} stage-time-table hits "
-                "({rate:.1f}%)".format(
+                "warm starts: {hits:.0f}/{lookups:.0f} stage-time families "
+                "already priced ({rate:.1f}%)".format(
                     hits=self.warm_start["hits"],
                     lookups=self.warm_start["lookups"],
                     rate=100.0 * self.warm_start["hit_rate"],
                 )
             )
-        if self.engine.get("runs"):
+        if self.engine.get("runs") or self.engine.get("ordered_runs"):
             blocks.append(
-                "engine: {runs:.0f} runs, {popped:.0f} events popped, "
-                "{per_run:.1f} sweeps per run".format(
+                "engine: {runs:.0f} runs, {ordered:.0f} ordered runs, "
+                "{popped:.0f} events popped, {per_run:.1f} sweeps per "
+                "run".format(
                     runs=self.engine["runs"],
+                    ordered=self.engine["ordered_runs"],
                     popped=self.engine["events_popped"],
                     per_run=self.engine["sweeps_per_run"],
                 )
@@ -264,8 +269,11 @@ def build_report(snapshots: list[dict]) -> AttributionReport:
         if name.startswith(_TIGHTNESS_PREFIX) and values
     }
 
-    hits = counters.get("search.warm_start.hits", 0.0)
-    misses = counters.get("search.warm_start.misses", 0.0)
+    # A family lookup of the vectorized pricing pass hits when an earlier
+    # cell (or a seed) already priced the family, and misses when the
+    # pass prices it.
+    hits = counters.get("search.batch.families_cached", 0.0)
+    misses = counters.get("search.batch.families_priced", 0.0)
     lookups = hits + misses
     warm_start = {
         "hits": hits,
@@ -274,13 +282,15 @@ def build_report(snapshots: list[dict]) -> AttributionReport:
         "hit_rate": hits / lookups if lookups else 0.0,
     }
 
-    # Sweeps are counted on full runs and delta replays alike.
+    # Sweeps are counted on full runs and delta replays alike; an ordered
+    # run sweeps nothing, so it is counted apart and not averaged in.
     sweeps = counters.get("engine.sweeps", 0.0)
     core_runs = counters.get("engine.runs", 0.0) + counters.get(
         "engine.delta.runs", 0.0
     )
     engine = {
         "runs": counters.get("engine.runs", 0.0),
+        "ordered_runs": counters.get("engine.ordered_runs", 0.0),
         "events_popped": counters.get("engine.events_popped", 0.0),
         "sweeps": sweeps,
         "sweeps_per_run": sweeps / core_runs if core_runs else 0.0,

@@ -68,7 +68,7 @@ from repro.search.cell import DEFAULT_SETTINGS, SearchSettings
 from repro.search.objective import Objective
 from repro.search.space import configuration_space
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.sim.cost import CostModel, WarmStartSeed, comm_time_table, stage_time_table
+from repro.sim.cost import CostModel, WarmStartSeed, comm_time_table
 from repro.sim.cost_batch import warm_family_tables, warm_seed_caches
 from repro.sim.implementation import ImplementationProfile
 from repro.sim.simulator import (
@@ -501,7 +501,6 @@ def _best_configuration(
         if rec.enabled:
             rec.count("search.warm_start.seeded_families", n_seeded)
     if rec.enabled:
-        warm_before = stage_time_table.cache_info()
         comm_before = comm_time_table.cache_info()
     with rec.span("search.cell", method=method.name, batch_size=batch_size):
         with (
@@ -536,15 +535,12 @@ def _best_configuration(
                 method_label=method.name,
             )
     if rec.enabled:
-        warm_after = stage_time_table.cache_info()
         comm_after = comm_time_table.cache_info()
         rec.count("search.cells")
         rec.count("search.candidates.enumerated", len(candidates) + n_excluded)
         rec.count("search.candidates.excluded", n_excluded)
         rec.count("search.candidates.simulated", n_tried)
         rec.count("search.candidates.pruned", n_pruned)
-        rec.count("search.warm_start.hits", warm_after.hits - warm_before.hits)
-        rec.count("search.warm_start.misses", warm_after.misses - warm_before.misses)
         rec.count(
             "search.warm_start.comm.hits", comm_after.hits - comm_before.hits
         )

@@ -30,27 +30,47 @@ and no pending counts.  A blocked head is simply re-tested on the next
 sweep.  A pipeline program drains in a few dozen sweeps (28 on average
 over the Figure-7 grid, counting the last one, 230 at most), so those
 re-tests cost less than the index a ready-heap builds on every run:
-each program is built for one run, so nothing amortizes an index.
+each program the search builds serves one run, so nothing amortizes an
+index.
+
+A program kept and run again under new durations amortizes its order
+instead.  Which instructions a sweep can run depends only on which have
+run, never on a duration, so the core runs a program in the same order
+whatever its durations.  :func:`record_order` runs the core once and
+keeps that order, and ``run_streams(..., order=...)`` replays a program
+along it in one pass, with no uid lookup, re-test or sweep.  The
+wavefront stays the one readiness walk; the order is what it found.
+The calibration fit keeps one order per anchor, on the anchor's
+lowering (:func:`repro.sim.program.lower_program`); the search keeps
+no lowerings, so it runs the wavefront.
 
 An instruction's start time depends only on finish times that are
 already final and on its stream's previous instruction, never on the
-order the sweeps visit streams in, so both entry points match the seed
-relaxation engine (preserved as
+order the sweeps visit streams in, so both entry points and the ordered
+replay match the seed relaxation engine (preserved as
 :func:`repro.sim.engine_sweep.run_streams_sweep`, the independent
 oracle) bit for bit, including its diagnostics: a duplicate uid raises
 ``ValueError``, and otherwise a program that stops short of completion
 reports every blocked stream head with the dependencies it is waiting
-on.  ``tests/test_engine_parity.py`` holds the parity on real programs
-and ``tests/test_engine_differential.py`` on random ones.
+on (:func:`record_order` rejects such a program with the same
+messages).  ``tests/test_engine_parity.py`` holds the parity on real
+programs and ``tests/test_engine_differential.py`` on random ones.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.obs import get_recorder
 from repro.sim.timeline import TimelineEvent
+
+
+#: An instruction's duration, read as a tuple item.
+_DURATION = itemgetter(1)
 
 
 class EngineDeadlock(Exception):
@@ -181,22 +201,18 @@ def run_wavefront(
     return heads, finish
 
 
-def _finish(
+def _check_complete(
     streams: dict[tuple[int, str], list[Instruction]],
     heads: list[int],
     finish: dict,
-    starts: list[list[float]] | None,
-) -> EngineResult:
-    """Report a duplicate uid or a deadlock, or assemble the result.
+) -> None:
+    """Report a duplicate uid or a deadlock, if the core stopped short.
 
     Every instruction run (or copied from a base) adds one entry to
     ``finish``, so the dict holds one entry per instruction exactly when
     the program ran to completion with distinct uids.  Only otherwise is
     the program scanned for a duplicate uid (reported first, as the
-    oracle does) and then for the blocked stream heads.  Stream busy is
-    accumulated left to right in queue order, the order FIFO execution
-    adds it in, so the floats do not depend on which instructions a
-    replay copied rather than executed.
+    oracle does) and then for the blocked stream heads.
     """
     if len(finish) < sum(map(len, streams.values())):
         seen: set = set()
@@ -220,6 +236,18 @@ def _finish(
             + "\n  ".join(blocked_heads)
         )
 
+
+def _result(
+    streams: dict[tuple[int, str], list[Instruction]],
+    finish: dict,
+    starts: list[list[float]] | None,
+) -> EngineResult:
+    """Assemble the result of a completed run.
+
+    Stream busy is accumulated left to right in queue order, the order
+    FIFO execution adds it in, so the floats do not depend on which
+    instructions a replay copied rather than executed.
+    """
     # An explicit loop, not sum(): since Python 3.12, sum() compensates
     # float rounding, which FIFO execution (and the oracle) does not.
     stream_busy: dict = {}
@@ -255,10 +283,132 @@ def _finish(
     )
 
 
+class ExecutionOrder(NamedTuple):
+    """The order the engine's core runs a program's instructions in.
+
+    Made once by :func:`record_order` and replayed by
+    ``run_streams(..., order=...)``.  Step ``k`` is the ``k``-th
+    instruction to run.  The columns are parallel, one entry per step in
+    step order.  ``sources`` and ``deps`` take their ints from one list,
+    so each value is one int object however many steps hold it.
+
+    Attributes:
+        lengths: Instructions per stream, in the program's stream order.
+        sources: Each step's index in the program's instructions taken
+            stream by stream: where its duration is read.
+        deps: Each step's stream predecessor, if it has one, and then its
+            dependencies, as the positions of earlier steps.
+        uids: Each step's uid, as the keys of a dict whose values are
+            unused.  A replay fills a copy of it, which keeps the keys'
+            hashes and never grows.
+    """
+
+    lengths: tuple[int, ...]
+    sources: tuple[int, ...]
+    deps: tuple[tuple[int, ...], ...]
+    uids: dict
+
+
+def record_order(
+    streams: dict[tuple[int, str], list[Instruction]],
+) -> ExecutionOrder:
+    """Record the order the core runs ``streams`` in, to replay it later.
+
+    The core (:func:`run_wavefront`) runs an instruction only after its
+    dependencies and its stream predecessor, and which instructions it
+    can run depends on no duration, so it runs a program in this order
+    whatever the durations are.  Durations are not read: a lowering's
+    instructions, whose durations are slot numbers, serve as well as a
+    priced program.  A program that cannot complete raises what
+    :func:`run_streams` raises, with its messages: ``ValueError`` on a
+    duplicate uid, :class:`EngineDeadlock` otherwise.
+    """
+    queues = list(streams.values())
+    heads, finish = run_wavefront(queues)
+    _check_complete(streams, heads, finish)
+    flat = list(chain.from_iterable(queues))
+    index = list(range(len(flat)))
+    # ``finish`` holds the uids in the order the core ran them.
+    position = dict(zip(finish, index))
+    source = dict(zip((instr.uid for instr in flat), index))
+    predecessor: list[tuple] = []
+    for queue in queues:
+        if queue:
+            predecessor.append(())
+            predecessor += [(position[instr.uid],) for instr in queue[:-1]]
+    sources = tuple(map(source.__getitem__, finish))
+    return ExecutionOrder(
+        lengths=tuple(map(len, queues)),
+        sources=sources,
+        deps=tuple(
+            predecessor[i] + tuple(map(position.__getitem__, flat[i].deps))
+            for i in sources
+        ),
+        uids=dict.fromkeys(finish),
+    )
+
+
+def _replay(
+    streams: dict[tuple[int, str], list[Instruction]],
+    order: ExecutionOrder,
+) -> EngineResult:
+    """Run ``streams`` along ``order`` in one pass.
+
+    A step starts at the latest finish among its stream predecessor and
+    its dependencies, or at 0.0 without either: the core's start, the
+    later of stream-free and the dependencies' finish, compared in the
+    same way.  So the finish times equal the core's bit for bit, with no
+    uid lookup, re-test or sweep.
+    """
+    queues = list(streams.values())
+    lengths = tuple(map(len, queues))
+    if lengths != order.lengths:
+        raise ValueError(
+            "the order was recorded for another program: stream lengths "
+            f"{order.lengths} != {lengths}"
+        )
+    durations = list(map(_DURATION, chain.from_iterable(queues)))
+    # In step order, gathered in one call; itemgetter returns a bare item
+    # rather than a tuple when it has one index.
+    sources = order.sources
+    if len(sources) > 1:
+        in_order = itemgetter(*sources)(durations)
+    else:
+        in_order = tuple(map(durations.__getitem__, sources))
+    finish: list[float] = []
+    append = finish.append
+    for deps, duration in zip(order.deps, in_order):
+        r = 0.0
+        for p in deps:
+            e = finish[p]
+            if e > r:
+                r = e
+        append(r + duration)
+    # Each stream's busy adds its durations in queue order, the same
+    # additions as _result's (see there), but over the durations column
+    # rather than the instructions.
+    stream_busy: dict = {}
+    end = 0
+    for key, length in zip(streams, lengths):
+        busy = 0.0
+        for duration in durations[end:end + length]:
+            busy += duration
+        stream_busy[key] = busy
+        end += length
+    finish_times = order.uids.copy()
+    finish_times.update(zip(order.uids, finish))
+    return EngineResult(
+        finish_times=finish_times,
+        stream_busy=stream_busy,
+        makespan=max(finish, default=0.0),
+    )
+
+
 def run_streams(
     streams: dict[tuple[int, str], list[Instruction]],
     *,
     record_events: bool = True,
+    order: ExecutionOrder | None = None,
 ) -> EngineResult:
     """Execute all streams; raise :class:`EngineDeadlock` if they cannot finish.
 
@@ -266,7 +416,25 @@ def run_streams(
         streams: Instruction queues keyed by (rank, stream_name).
         record_events: Set False to skip timeline construction (the grid
             search runs thousands of simulations and only needs times).
+        order: The :func:`record_order` result of this program, or of a
+            program with the same streams, uids and dependencies (a kept
+            lowering's, whatever the durations).  When given, the program
+            runs along it in one pass instead of on the wavefront, with
+            the same result.  Only the stream lengths are checked
+            (``ValueError`` when they differ); it requires
+            ``record_events=False``.
     """
+    if order is not None:
+        if record_events:
+            raise ValueError(
+                "an ordered run records no timeline: pass record_events=False"
+            )
+        result = _replay(streams, order)
+        rec = get_recorder()
+        if rec.enabled:
+            rec.count("engine.ordered_runs")
+            rec.count("engine.events_popped", len(order.sources))
+        return result
     queues = list(streams.values())
     heads = [0] * len(queues)
     finish: dict = {}
@@ -277,7 +445,8 @@ def run_streams(
         rec.count("engine.runs")
         rec.count("engine.events_popped", sum(heads))
         rec.count("engine.sweeps", sweeps)
-    return _finish(streams, heads, finish, starts)
+    _check_complete(streams, heads, finish)
+    return _result(streams, finish, starts)
 
 
 def run_streams_delta(
@@ -376,4 +545,5 @@ def run_streams_delta(
         rec.count("engine.delta.replayed", sum(heads) - reused)
         rec.count("engine.delta.reused", reused)
         rec.count("engine.sweeps", sweeps)
-    return _finish(streams, heads, finish, None)
+    _check_complete(streams, heads, finish)
+    return _result(streams, finish, None)

@@ -24,9 +24,11 @@ A build is one walk over the schedule that reads every duration by
 :func:`build_program` walks over the cost model's durations.
 :func:`lower_program` runs the same walk over a table whose entries are
 the slot numbers themselves, which gives a calibration-free
-:class:`ProgramLowering`; ``build_program(..., lowering=...)`` then only
-fills the table and materializes the instructions, so a program that is
-re-priced under many calibrations (the calibration fit) is walked once.
+:class:`ProgramLowering` with the program's execution order recorded;
+``build_program(..., lowering=...)`` then only fills the table and
+materializes the instructions, and the engine replays them along the
+order, so a program that is re-priced under many calibrations (the
+calibration fit) is walked and ordered once.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ from repro.core.ops import ComputeOp, OpKind
 from repro.core.schedules.base import Schedule, dpfs_repetition_key as _rep_key
 from repro.parallel.config import Sharding
 from repro.sim.cost import CostModel
-from repro.sim.engine import Instruction
+from repro.sim.engine import ExecutionOrder, Instruction, record_order
 
 #: Stream names.
 COMPUTE, PP, DP = "compute", "pp", "dp"
 
 #: Builds an instruction from a ``(uid, duration, deps, label, category)``
 #: tuple without re-running ``Instruction.__new__``'s duration check: the
-#: builder checks each distinct duration once per build instead.  With
-#: ``tuple`` as the class it returns the tuple itself (the lowering's rows).
+#: builder checks each distinct duration once per build instead.
 _new = tuple.__new__
 
 #: The lowering's duration table: entry ``i`` is ``i``, the slot number.
@@ -207,8 +208,7 @@ class _ProgramBuilder:
     per-stage views of the table and creates instructions without
     re-checking them.  With ``labelled=False`` no label strings are built
     either, so search-mode programs allocate nothing that only a
-    timeline would read.  ``instruction`` is the class of what is
-    emitted: :class:`Instruction` for a program, ``tuple`` for a lowering.
+    timeline would read.
     """
 
     def __init__(
@@ -218,12 +218,10 @@ class _ProgramBuilder:
         table,
         *,
         labelled: bool,
-        instruction: type,
     ) -> None:
         self.schedule = schedule
         self.layout = layout
         self.labelled = labelled
-        self.instruction = instruction
         self.n_stages = n_stages = schedule.n_stages
         self.forward_durations = table[:n_stages]
         self.backward_durations = table[n_stages:2 * n_stages]
@@ -268,10 +266,9 @@ class _ProgramBuilder:
         whole of ``parts``.
         """
         labelled = self.labelled
-        instruction = self.instruction
         head_uid = (prefix + "H", stage, key)
         if len(parts) == 1:
-            queue.append(_new(instruction, (
+            queue.append(_new(Instruction, (
                 head_uid,
                 parts[0],
                 head_deps,
@@ -280,14 +277,14 @@ class _ProgramBuilder:
             )))
             return head_uid, head_uid
         bulk_uid = (prefix + "R", stage, key)
-        head = _new(instruction, (
+        head = _new(Instruction, (
             head_uid,
             parts[0],
             head_deps,
             f"{prefix}-head(s={stage}, g={key})" if labelled else "",
             category,
         ))
-        bulk = _new(instruction, (
+        bulk = _new(Instruction, (
             bulk_uid,
             parts[1],
             bulk_deps,
@@ -325,7 +322,7 @@ class _ProgramBuilder:
         # are hoisted, durations come precomputed and checked from the
         # per-stage views of the table, and instructions skip
         # Instruction.__new__.
-        new, instruction = _new, self.instruction
+        new, instruction = _new, Instruction
         forward_kind = OpKind.FORWARD
         forward_durations = self.forward_durations
         backward_durations = self.backward_durations
@@ -510,7 +507,8 @@ class ProgramLowering(NamedTuple):
     model), dependency tuples, labels and categories.  Nothing here
     depends on a calibration, so pricing it under any cost model with the
     same stream layout gives exactly the program a fresh label-free
-    :func:`build_program` would.
+    :func:`build_program` would, and the recorded execution order holds
+    for every such pricing.
 
     Attributes:
         schedule: The schedule that was lowered.
@@ -519,11 +517,16 @@ class ProgramLowering(NamedTuple):
             layers per stage.
         streams: ``(key, uids, slots, deps, labels, categories)`` per
             stream, in the build's stream order.
+        order: The program's execution order
+            (:func:`repro.sim.engine.record_order`): pass it to
+            ``run_streams(..., order=...)`` with a priced program, which
+            then runs in one pass instead of on the wavefront.
     """
 
     schedule: Schedule
     layout: _Layout
     streams: tuple[tuple, ...]
+    order: ExecutionOrder
 
     def _price(
         self, table: list[float]
@@ -550,12 +553,16 @@ def lower_program(cost: CostModel, schedule: Schedule) -> ProgramLowering:
     overlap flags, ``n_dp``, sharding and placement), never a duration,
     so the calibration ``cost`` was built with does not matter.  Price
     the result with ``build_program(cost, schedule, record_events=False,
-    lowering=...)``.
+    lowering=...)`` and run it with ``run_streams(..., order=
+    lowering.order)``, as ``simulate(..., lowering=...)`` does.
+
+    The execution order is recorded here, once per lowering
+    (:func:`repro.sim.engine.record_order`), so a lowering whose program
+    cannot complete is rejected here, with the engine's messages:
+    ``ValueError`` on a duplicate uid, ``EngineDeadlock`` otherwise.
     """
     layout = _layout(cost, schedule)
-    streams = _ProgramBuilder(
-        schedule, layout, _SLOTS, labelled=False, instruction=tuple
-    ).build()
+    streams = _ProgramBuilder(schedule, layout, _SLOTS, labelled=False).build()
     # A dependency names its uid with a tuple of its own; point it at the
     # instruction's uid object instead, which keeps the lowering smaller
     # (and lets the engine's uid lookups match by identity).
@@ -567,7 +574,9 @@ def lower_program(cost: CostModel, schedule: Schedule) -> ProgramLowering:
         )
         deps = tuple(tuple(map(uid_of.get, row, row)) for row in deps)
         columns.append((key, uids, slots, deps, labels, categories))
-    return ProgramLowering(schedule, layout, tuple(columns))
+    return ProgramLowering(
+        schedule, layout, tuple(columns), record_order(streams)
+    )
 
 
 def build_program(
@@ -590,11 +599,11 @@ def build_program(
             cost with this stream layout.  When given, the schedule is not
             walked again: the durations are computed and checked as in a
             fresh build and placed by slot, which gives the same program
-            as a fresh label-free build.  It requires
-            ``record_events=False``; another schedule or stream layout
-            raises ``ValueError``.  The search passes none: each of its
-            program shapes serves a handful of builds, too few to repay a
-            kept lowering.
+            as a fresh label-free build, one that ``lowering.order`` runs
+            in.  It requires ``record_events=False``; another schedule or
+            stream layout raises ``ValueError``.  The search passes none:
+            each of its program shapes serves a handful of builds, too few
+            to repay a kept lowering and its order.
     """
     layout = _layout(cost, schedule)
     if lowering is None:
@@ -603,7 +612,6 @@ def build_program(
             layout,
             _duration_table(cost, schedule, layout),
             labelled=record_events,
-            instruction=Instruction,
         ).build()
     if record_events:
         raise ValueError(

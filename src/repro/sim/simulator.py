@@ -121,9 +121,11 @@ def simulate(
             naming the field.
         lowering: The schedule's :func:`repro.sim.program.lower_program`
             result, priced instead of walking the schedule again (see
-            :func:`repro.sim.program.build_program`).  Requires
-            ``record_events=False``.  The calibration fit passes one per
-            anchor; the result is the same either way.
+            :func:`repro.sim.program.build_program`) and run along its
+            recorded execution order instead of on the engine's
+            wavefront.  Requires ``record_events=False``.  The
+            calibration fit passes one per anchor; the result is the same
+            either way.
 
     The step runs with the cyclic garbage collector paused
     (:func:`repro.utils.gc_paused`): building and running a program
@@ -191,7 +193,11 @@ def _simulate(
     streams = build_program(
         cost, schedule, record_events=record_events, lowering=lowering
     )
-    result = run_streams(streams, record_events=record_events)
+    result = run_streams(
+        streams,
+        record_events=record_events,
+        order=None if lowering is None else lowering.order,
+    )
     if memory is None:
         memory = memory_model(spec, config, implementation, schedule)
     return _assemble_result(cost, memory, result)

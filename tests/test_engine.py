@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import EngineDeadlock, Instruction, run_streams
+from repro.sim.engine import (
+    EngineDeadlock,
+    Instruction,
+    record_order,
+    run_streams,
+)
 
 
 def instr(uid, dur=1.0, deps=(), label=""):
@@ -58,12 +63,16 @@ class TestAccounting:
         # execution add it: 1e16 + 1.0 rounds back to 1e16 each time.  A
         # compensated sum (math.fsum, or sum() on Python >= 3.12) gives
         # 1e16 + 2.0.
-        result = run_streams({
+        streams = {
             (0, "c"): [
                 instr(("a",), 1e16), instr(("b",), 1.0), instr(("c",), 1.0),
             ],
-        })
-        assert result.stream_busy[(0, "c")] == 1e16
+        }
+        assert run_streams(streams).stream_busy[(0, "c")] == 1e16
+        ordered = run_streams(
+            streams, record_events=False, order=record_order(streams)
+        )
+        assert ordered.stream_busy[(0, "c")] == 1e16
 
     def test_events_recorded_in_order(self):
         result = run_streams(
@@ -166,6 +175,18 @@ class TestErrors:
                 (0, "c"): [instr(("a",)), instr(("b",), deps=[("missing",)])],
                 (1, "c"): [instr(("a",))],
             })
+
+    def test_ordered_run_rejects_another_programs_order(self):
+        order = record_order({(0, "c"): [instr(("a",)), instr(("b",))]})
+        with pytest.raises(ValueError, match="another program"):
+            run_streams(
+                {(0, "c"): [instr(("a",))]}, record_events=False, order=order
+            )
+
+    def test_ordered_run_records_no_timeline(self):
+        streams = {(0, "c"): [instr(("a",))]}
+        with pytest.raises(ValueError, match="record_events=False"):
+            run_streams(streams, order=record_order(streams))
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):

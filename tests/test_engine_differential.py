@@ -1,7 +1,7 @@
 """Differential suite: every walk over the engine's core against references.
 
 Random programs (1-3 ranks, 1-3 named streams each, up to 24
-instructions, durations including 0.0 and 1e-9) check three properties.
+instructions, durations including 0.0 and 1e-9) check four properties.
 Dependencies mostly point at earlier instructions; some point at later
 ones, which closes cycles through dependency and FIFO edges, some at
 uids the program does not contain, and some instructions reuse an
@@ -17,6 +17,11 @@ earlier instruction's uid.
   dependencies on absent uids or on later instructions added, uids
   duplicated) equals a fresh ``run_streams`` of the sibling, or raises
   the same exception;
+- ``run_streams(..., order=...)`` replaying the program along the order
+  :func:`repro.sim.engine.record_order` recorded for it under other
+  durations equals both ``run_streams`` and the oracle: finish times,
+  stream busy and makespan; and where the program cannot complete,
+  recording the order raises what ``run_streams`` raises;
 - on programs stripped of absent deps, self-deps and reused uids, the
   static verifier's dependency-cycle findings
   (:func:`repro.verify.deadlock.check_dependency_graph`, which runs the
@@ -42,6 +47,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import (
     EngineDeadlock,
     Instruction,
+    record_order,
     run_streams,
     run_streams_delta,
 )
@@ -193,6 +199,70 @@ def test_delta_on_empty_program_matches_full_run():
     replay = run_streams_delta(streams, streams, base)
     assert replay == run_streams(streams, record_events=False)
     assert replay.stream_busy == {(0, "compute"): 0.0}
+
+
+def _raised(run) -> tuple:
+    """The type and message of the exception ``run`` raises."""
+    with pytest.raises((EngineDeadlock, ValueError)) as info:
+        run()
+    return info.type, str(info.value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(programs(), st.data())
+def test_ordered_replay_matches_both_engines(streams, data):
+    # The order is recorded under other durations: it must hold under any.
+    repriced = {
+        key: [instr._replace(duration=data.draw(DURATIONS)) for instr in queue]
+        for key, queue in streams.items()
+    }
+    try:
+        order = record_order(repriced)
+    except (EngineDeadlock, ValueError) as exc:
+        replay = (type(exc), str(exc))
+    else:
+        replay = _outcome(
+            lambda: run_streams(streams, record_events=False, order=order),
+            events=False,
+        )
+    assert replay == _outcome(
+        lambda: run_streams(streams, record_events=False), events=False
+    )
+    assert replay == _outcome(
+        lambda: run_streams_sweep(streams, record_events=False), events=False
+    )
+
+
+#: One program per way a program cannot complete, and what the engine
+#: raises for it.
+UNFINISHABLE = {
+    "cycle": (
+        {
+            (0, "compute"): [Instruction(_uid(0), 1.0, (_uid(1),))],
+            (1, "compute"): [Instruction(_uid(1), 1.0, (_uid(0),))],
+        },
+        EngineDeadlock,
+    ),
+    "absent dep": (
+        {(0, "compute"): [Instruction(_uid(0), 1.0, (_absent(0),))]},
+        EngineDeadlock,
+    ),
+    "duplicate uid": (
+        {
+            (0, "compute"): [Instruction(_uid(0), 1.0)],
+            (0, "pp"): [Instruction(_uid(0), 2.0)],
+        },
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(UNFINISHABLE))
+def test_order_recording_rejects_with_the_engines_message(name):
+    streams, error = UNFINISHABLE[name]
+    raised = _raised(lambda: run_streams(streams))
+    assert raised[0] is error
+    assert _raised(lambda: record_order(streams)) == raised
 
 
 _LOCATION = re.compile(r"rank (\d+)/(\w+)\[(\d+)\]")

@@ -344,7 +344,12 @@ class TestSearchInstrumentation:
         assert c["engine.runs"] == outcome.n_tried
         assert c["engine.events_popped"] > 0
         assert c["engine.sweeps"] >= c["engine.runs"]
-        assert c["search.warm_start.hits"] + c["search.warm_start.misses"] > 0
+        assert "engine.ordered_runs" not in c
+        assert (
+            c["search.batch.families_priced"]
+            + c["search.batch.families_cached"]
+            > 0
+        )
 
     def test_stage_timers_and_tightness(self, searched):
         registry, outcome = searched
@@ -421,16 +426,38 @@ class TestReport:
         assert "Per-worker sweep activity" in report.format()
 
     def test_engine_section_prints_sweeps_per_core_run(self):
-        # Sweeps are counted on full runs and delta replays alike.
+        # Sweeps are counted on full runs and delta replays alike; ordered
+        # runs sweep nothing and are not averaged in.
         registry = MetricsRegistry(actor="cell")
         registry.count("engine.runs", 3)
         registry.count("engine.delta.runs", 1)
+        registry.count("engine.ordered_runs", 6)
         registry.count("engine.events_popped", 120)
         registry.count("engine.sweeps", 10)
         report = build_report([registry.snapshot()])
         assert report.engine["sweeps_per_run"] == 2.5
         assert (
-            "engine: 3 runs, 120 events popped, 2.5 sweeps per run"
+            "engine: 3 runs, 6 ordered runs, 120 events popped, "
+            "2.5 sweeps per run" in report.format()
+        )
+        # A run with ordered runs only, such as a calibration fit.
+        fit = MetricsRegistry(actor="fit")
+        fit.count("engine.ordered_runs", 12)
+        fit.count("engine.events_popped", 18_288)
+        report = build_report([fit.snapshot()])
+        assert (
+            "engine: 0 runs, 12 ordered runs, 18288 events popped, "
+            "0.0 sweeps per run" in report.format()
+        )
+
+    def test_warm_starts_count_families_already_priced(self):
+        registry = MetricsRegistry(actor="cell")
+        registry.count("search.batch.families_priced", 1)
+        registry.count("search.batch.families_cached", 3)
+        report = build_report([registry.snapshot()])
+        assert report.warm_start["hit_rate"] == 0.75
+        assert (
+            "warm starts: 3/4 stage-time families already priced (75.0%)"
             in report.format()
         )
 

@@ -15,7 +15,7 @@ from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel
-from repro.sim.engine import Instruction
+from repro.sim.engine import Instruction, run_streams
 from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.sim.program import (
     COMPUTE,
@@ -275,7 +275,8 @@ def _as_tuples(streams):
 
 
 class TestPricedLowering:
-    """A lowering priced under a cost equals a fresh label-free build."""
+    """A lowering priced under a cost equals a fresh label-free build, and
+    runs along its recorded order as the fresh build runs on the wavefront."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -323,6 +324,10 @@ class TestPricedLowering:
         assert all(
             type(i) is Instruction for queue in priced.values() for i in queue
         )
+        # The order recorded at lowering holds under this pricing.
+        assert run_streams(
+            priced, record_events=False, order=lowering.order
+        ) == run_streams(fresh, record_events=False)
         # The slots index the whole duration table, each entry at least once.
         table = _duration_table(cost, schedule, _layout(cost, schedule))
         slots = {
