@@ -27,8 +27,7 @@ def _print(panel_name, results):
 
 def test_fig8a_52b(benchmark, fig7_52b):
     results = benchmark.pedantic(
-        run_fig8, args=("52B",), kwargs={"fig7_panel": fig7_52b},
-        rounds=1, iterations=1,
+        run_fig8, args=(fig7_52b,), rounds=1, iterations=1
     )
     bf = results[Method.BREADTH_FIRST.value]
     # Paper: breadth-first shows cost/time improvements at nearly all
@@ -51,8 +50,7 @@ def test_fig8a_52b(benchmark, fig7_52b):
 
 def test_fig8b_6_6b(benchmark, fig7_66b):
     results = benchmark.pedantic(
-        run_fig8, args=("6.6B",), kwargs={"fig7_panel": fig7_66b},
-        rounds=1, iterations=1,
+        run_fig8, args=(fig7_66b,), rounds=1, iterations=1
     )
     assert Method.BREADTH_FIRST.value in results
     _print("6.6B", results)
@@ -60,8 +58,7 @@ def test_fig8b_6_6b(benchmark, fig7_66b):
 
 def test_fig8c_6_6b_ethernet(benchmark, fig7_ethernet):
     results = benchmark.pedantic(
-        run_fig8, args=("6.6B-ethernet",), kwargs={"fig7_panel": fig7_ethernet},
-        rounds=1, iterations=1,
+        run_fig8, args=(fig7_ethernet,), rounds=1, iterations=1
     )
     bf = results[Method.BREADTH_FIRST.value]
     df = results[Method.DEPTH_FIRST.value]

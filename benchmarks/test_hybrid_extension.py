@@ -12,7 +12,6 @@ trade-off between the two published schedules.
 from __future__ import annotations
 
 from repro.core.schedules.base import build_schedule
-from repro.core.schedules.hybrid import build_hybrid_schedule
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.implementations import OUR_IMPLEMENTATION
 from repro.models.presets import MODEL_52B
@@ -31,7 +30,7 @@ def _run_sweep():
     config = ParallelConfig(**base, schedule=ScheduleKind.DEPTH_FIRST)
     rows = []
     for seq in (N_PP, 2 * N_PP, 4 * N_PP, N_MB):
-        schedule = build_hybrid_schedule(N_PP, N_MB, N_LOOP, seq)
+        schedule = build_schedule(ScheduleKind.HYBRID, N_PP, N_MB, N_LOOP, seq)
         result = simulate(
             MODEL_52B, config, DGX1_CLUSTER_64,
             implementation=OUR_IMPLEMENTATION, schedule=schedule,

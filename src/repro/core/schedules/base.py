@@ -79,6 +79,25 @@ class Schedule:
         return max(self.max_in_flight(rank) for rank in range(self.n_pp))
 
 
+#: The kinds that advance micro-batches in sequences.
+_SEQUENCED = (ScheduleKind.DEPTH_FIRST, ScheduleKind.HYBRID)
+
+
+def _sequence_length(
+    kind: ScheduleKind, n_pp: int, sequence_size: int | None
+) -> int:
+    """Micro-batches per sequence of a depth-first or hybrid schedule.
+
+    ``N_PP`` for depth-first and ``sequence_size`` for the Section 4.2
+    hybrid, which is depth-first at ``S = N_PP``.
+    """
+    if kind is ScheduleKind.DEPTH_FIRST:
+        return n_pp
+    if sequence_size is None:
+        raise ValueError("the hybrid schedule's sequences need sequence_size")
+    return sequence_size
+
+
 def build_schedule(
     kind: ScheduleKind,
     n_pp: int,
@@ -92,12 +111,12 @@ def build_schedule(
     additionally requires ``N_mb`` to be a multiple of ``N_PP``
     (Section 4.1).  The hybrid schedule requires ``sequence_size``
     (``N_PP <= S <= N_mb``, dividing ``N_mb``); every other kind rejects
-    it.
+    it.  Three generators cover the five kinds: GPipe is breadth-first at
+    ``N_loop = 1``, and depth-first is the hybrid at ``S = N_PP``.
     """
     # Import here to avoid a cycle (generators import this module's Schedule).
     from repro.core.schedules.breadth_first import breadth_first_order
-    from repro.core.schedules.depth_first import depth_first_order
-    from repro.core.schedules.gpipe import gpipe_order
+    from repro.core.schedules.hybrid import hybrid_order
     from repro.core.schedules.one_f_one_b import one_f_one_b_order
 
     if n_pp < 1:
@@ -109,28 +128,31 @@ def build_schedule(
     if not kind.is_looped and n_loop != 1:
         raise ValueError(f"{kind.value} requires n_loop == 1, got {n_loop}")
     if kind is ScheduleKind.HYBRID:
-        from repro.core.schedules.hybrid import build_hybrid_schedule
-
         if sequence_size is None:
             raise ValueError("the hybrid schedule requires sequence_size")
-        return build_hybrid_schedule(
-            n_pp, n_microbatches, n_loop, sequence_size
-        )
-    if sequence_size is not None:
+    elif sequence_size is not None:
         raise ValueError(
             f"sequence_size only applies to the hybrid schedule, not "
             f"{kind.value}"
         )
+    if kind is ScheduleKind.DEPTH_FIRST and n_microbatches % n_pp != 0:
+        raise ValueError(
+            f"depth-first requires N_mb % N_PP == 0, got {n_microbatches} % {n_pp}"
+        )
+
+    def phased(rank: int) -> list[ComputeOp]:
+        return breadth_first_order(rank, n_pp, n_microbatches, n_loop)
+
+    def sequenced(rank: int) -> list[ComputeOp]:
+        seq = _sequence_length(kind, n_pp, sequence_size)
+        return hybrid_order(rank, n_pp, n_microbatches, n_loop, seq)
 
     generators = {
-        ScheduleKind.GPIPE: lambda r: gpipe_order(r, n_pp, n_microbatches),
+        ScheduleKind.GPIPE: phased,
         ScheduleKind.ONE_F_ONE_B: lambda r: one_f_one_b_order(r, n_pp, n_microbatches),
-        ScheduleKind.DEPTH_FIRST: lambda r: depth_first_order(
-            r, n_pp, n_microbatches, n_loop
-        ),
-        ScheduleKind.BREADTH_FIRST: lambda r: breadth_first_order(
-            r, n_pp, n_microbatches, n_loop
-        ),
+        ScheduleKind.DEPTH_FIRST: sequenced,
+        ScheduleKind.BREADTH_FIRST: phased,
+        ScheduleKind.HYBRID: sequenced,
     }
     orders = tuple(tuple(generators[kind](rank)) for rank in range(n_pp))
     return Schedule(
@@ -139,6 +161,7 @@ def build_schedule(
         n_microbatches=n_microbatches,
         n_loop=n_loop,
         device_orders=orders,
+        sequence_size=sequence_size,
     )
 
 
@@ -180,9 +203,7 @@ def max_in_flight_closed(
         return min(n_microbatches, n_pp - rank)
     if kind is ScheduleKind.BREADTH_FIRST:
         return n_loop * n_microbatches
-    seq = n_pp if kind is ScheduleKind.DEPTH_FIRST else sequence_size
-    if seq is None:
-        raise ValueError("the hybrid schedule's in-flight peak needs sequence_size")
+    seq = _sequence_length(kind, n_pp, sequence_size)
     total = n_microbatches * n_loop
     if n_microbatches == seq:
         return total
@@ -208,14 +229,8 @@ def dpfs_repetition_key(
     """
     if kind is ScheduleKind.BREADTH_FIRST:
         return 0
-    if kind is ScheduleKind.DEPTH_FIRST:
-        return microbatch // n_pp
-    if kind is ScheduleKind.HYBRID:
-        if sequence_size is None:
-            raise ValueError(
-                "the hybrid schedule's repetition groups need sequence_size"
-            )
-        return microbatch // sequence_size
+    if kind in _SEQUENCED:
+        return microbatch // _sequence_length(kind, n_pp, sequence_size)
     return microbatch
 
 
@@ -235,14 +250,8 @@ def dpfs_group_count(
     """
     if kind is ScheduleKind.BREADTH_FIRST:
         return 1
-    if kind is ScheduleKind.DEPTH_FIRST:
-        # Ceil: N_mb is a multiple of N_PP whenever N_PP > 1 (validated),
-        # but N_PP == 1 degenerates to per-micro-batch groups.
-        return -(-n_microbatches // n_pp)
-    if kind is ScheduleKind.HYBRID:
-        if sequence_size is None:
-            raise ValueError(
-                "the hybrid schedule's repetition groups need sequence_size"
-            )
-        return -(-n_microbatches // sequence_size)
+    if kind in _SEQUENCED:
+        # Ceil: build_schedule makes a sequence divide N_mb, and a
+        # partial last sequence would still be a group of its own.
+        return -(-n_microbatches // _sequence_length(kind, n_pp, sequence_size))
     return n_microbatches

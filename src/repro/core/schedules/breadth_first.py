@@ -23,8 +23,12 @@ Why this order wins (Section 4.2):
   once per micro-batch (Eq. 26), making fully sharded data parallelism
   affordable with pipeline parallelism.
 
-With ``N_PP == 1`` this degenerates to the breadth-first gradient
-accumulation of Appendix C.
+With ``N_loop == 1`` this is GPipe (Huang et al. 2018, Figure 4a): every
+rank runs all ``N_mb`` forwards of its single stage, then all backwards.
+All activations stay live through the forward phase, so the in-flight
+count reaches ``N_mb`` — the memory cost that motivates 1F1B.  With
+``N_PP == 1`` it degenerates to the breadth-first gradient accumulation
+of Appendix C.
 """
 
 from __future__ import annotations

@@ -1,4 +1,20 @@
-"""Hybrid depth/breadth schedule — the paper's Section 4.2 conjecture.
+"""Sequenced looped schedules: depth-first and the Section 4.2 hybrid.
+
+The depth-first schedule is Megatron-LM's interleaved 1F1B (Narayanan
+et al. 2021), the paper's principal baseline.  Micro-batches advance in
+*sequences* of ``N_PP``: a rank pushes one sequence through all of its
+``N_loop`` stage chunks (depth) before starting the next sequence,
+alternating forward and backward 1F1B-style in steady state.  This
+requires ``N_mb`` to be a multiple of ``N_PP`` (Section 4.1) and caps
+in-flight activations near ``N_layers + N_PP - 1`` checkpoints
+(Table 4.1), at the cost of the poor communication overlap the paper
+measures in Figure 6.
+
+The ordering follows Megatron-LM's
+``forward_backward_pipelining_with_interleaving`` (commit e156d2f, the
+reference the paper evaluates against): virtual slot ``k`` maps to model
+chunk ``(k mod S*N_loop) // S`` (mirrored for backward) and data
+micro-batch ``(k // (S*N_loop)) * S + k mod S``, with ``S = N_PP``.
 
 The paper notes that the depth-first schedule cannot hide pipeline
 transfers because its sequences of exactly ``N_PP`` micro-batches leave
@@ -7,21 +23,21 @@ fails to loop around in time.  It conjectures (without verifying) that
 *"running with sequences of more than N_PP micro-batches, essentially
 forming a hybrid between the two schedules"* would fix this.
 
-This module implements that hybrid: the depth-first structure with a
-configurable ``sequence_size`` ``S``, ``N_PP <= S <= N_mb``.  ``S = N_PP``
-recovers the depth-first schedule exactly; ``S = N_mb`` approaches the
-breadth-first schedule (single sequence, whole-batch breadth).  In
-between, activation memory grows with ``S`` (more in-flight micro-batches)
-while the extra ``S - N_PP`` micro-batches of slack absorb transfer
-delays — the trade-off the benchmark ``test_hybrid_extension.py``
-measures.
+:func:`hybrid_order` implements that hybrid: the depth-first structure
+with a configurable ``sequence_size`` ``S``, ``N_PP <= S <= N_mb``.
+``S = N_PP`` is the depth-first schedule, which
+:func:`repro.core.schedules.base.build_schedule` builds this way;
+``S = N_mb`` approaches the breadth-first schedule (single sequence,
+whole-batch breadth).  In between, activation memory grows with ``S``
+(more in-flight micro-batches) while the extra ``S - N_PP`` micro-batches
+of slack absorb transfer delays — the trade-off the benchmark
+``test_hybrid_extension.py`` measures.  DP_FS repetition accounting runs
+once per sequence (Eqs. 24-26 with the sequence as the repetition unit).
 """
 
 from __future__ import annotations
 
 from repro.core.ops import ComputeOp, backward, forward
-from repro.core.schedules.base import Schedule
-from repro.parallel.config import ScheduleKind
 
 
 def _chunk_of(slot: int, seq: int, n_loop: int, *, is_forward: bool) -> int:
@@ -101,29 +117,3 @@ def hybrid_order(
         order.append(bwd_op(i))
     order += [bwd_op(slot) for slot in range(n_steady, total)]
     return order
-
-
-def build_hybrid_schedule(
-    n_pp: int, n_microbatches: int, n_loop: int, sequence_size: int
-) -> Schedule:
-    """Build a hybrid schedule as a :class:`Schedule`.
-
-    The container is tagged ``HYBRID`` and carries its ``sequence_size``:
-    DP_FS repetition accounting runs once per sequence of
-    ``sequence_size`` micro-batches (Eqs. 24-26 with the sequence as the
-    repetition unit), interpolating between depth-first
-    (``S = N_PP``, one per ``N_PP``) and breadth-first (``S = N_mb``,
-    one per pass).
-    """
-    orders = tuple(
-        tuple(hybrid_order(rank, n_pp, n_microbatches, n_loop, sequence_size))
-        for rank in range(n_pp)
-    )
-    return Schedule(
-        kind=ScheduleKind.HYBRID,
-        n_pp=n_pp,
-        n_microbatches=n_microbatches,
-        n_loop=n_loop,
-        device_orders=orders,
-        sequence_size=sequence_size,
-    )

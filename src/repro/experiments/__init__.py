@@ -17,7 +17,7 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.table41 import run_table41
 from repro.experiments.table51 import run_table51
-from repro.experiments.tableE import format_table_e, run_table_e
+from repro.experiments.tableE import format_table_e
 
 __all__ = [
     "format_table_e",
@@ -32,5 +32,4 @@ __all__ = [
     "run_fig9",
     "run_table41",
     "run_table51",
-    "run_table_e",
 ]

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.fig7 import Fig7Panel, run_fig7
+from repro.experiments.fig7 import Fig7Panel
 from repro.experiments.fig8 import run_fig8
 from repro.parallel.config import Method
-from repro.search.service import SweepOptions
 from repro.utils.units import GB
 
 HEADLINE_GPUS = 4096
@@ -39,19 +38,10 @@ class Fig1Bar:
     utilization: float
 
 
-def run_fig1(
-    *,
-    quick: bool = True,
-    fig7_panel: Fig7Panel | None = None,
-    processes: int | None = None,
-    options: SweepOptions | None = None,
-) -> list[Fig1Bar]:
-    """The four Figure 1 bars, ordered as in the paper."""
-    if fig7_panel is None:
-        fig7_panel = run_fig7(
-            "52B", quick=quick, processes=processes, options=options
-        )
-    fig8 = run_fig8("52B", fig7_panel=fig7_panel)
+def run_fig1(fig7_panel: Fig7Panel) -> list[Fig1Bar]:
+    """The four Figure 1 bars of the 52B Figure 7 panel, ordered as in the
+    paper."""
+    fig8 = run_fig8(fig7_panel)
 
     bars = []
     for method in Method:

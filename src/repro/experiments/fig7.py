@@ -75,33 +75,22 @@ def run_fig7(
     panel: str,
     *,
     quick: bool = True,
-    methods: list[Method] | None = None,
-    batch_sizes: list[int] | None = None,
-    processes: int | None = None,
     options: SweepOptions | None = None,
 ) -> Fig7Panel:
-    """Run the search for one Figure 7 panel.
+    """Run the search for one Figure 7 panel, all four methods.
 
     Args:
         panel: "52B", "6.6B" or "6.6B-ethernet".
         quick: Use the reduced batch list (default for benches); the full
             paper sweep is selected with ``quick=False``.
-        methods: Restrict to a subset of methods (all four by default).
-        batch_sizes: Override the batch list entirely.
-        processes: Search-pool size (``None`` = CPU count, ``1`` = serial).
-        options: Sweep-service settings (backend, checkpointing, resume);
-            the checkpoint keys are content hashes, so all three panels
-            can share one checkpoint directory.
+        options: Sweep-service settings (pool size, backend,
+            checkpointing, resume); the checkpoint keys are content
+            hashes, so all three panels can share one checkpoint
+            directory.
     """
     spec, cluster = panel_setup(panel)
-    if batch_sizes is None:
-        batch_sizes = (QUICK_BATCHES if quick else PANEL_BATCHES)[panel]
+    batch_sizes = (QUICK_BATCHES if quick else PANEL_BATCHES)[panel]
     outcomes = sweep_grid(
-        spec,
-        cluster,
-        methods or list(Method),
-        batch_sizes,
-        processes=processes,
-        options=options,
+        spec, cluster, list(Method), batch_sizes, options=options
     )
     return Fig7Panel(name=panel, spec=spec, cluster=cluster, outcomes=outcomes)

@@ -7,8 +7,7 @@ Each method's best (beta, utilization) points become a
 
 from __future__ import annotations
 
-from repro.experiments.fig7 import Fig7Panel, run_fig7
-from repro.search.service import SweepOptions
+from repro.experiments.fig7 import Fig7Panel
 from repro.sgd.tradeoff import (
     BCRIT_6_6B,
     BCRIT_52B,
@@ -31,27 +30,13 @@ CRITICAL_BATCH: dict[str, float] = {
 }
 
 
-def run_fig8(
-    panel: str,
-    *,
-    quick: bool = True,
-    fig7_panel: Fig7Panel | None = None,
-    processes: int | None = None,
-    options: SweepOptions | None = None,
-) -> dict[str, list[TradeoffPoint]]:
+def run_fig8(fig7_panel: Fig7Panel) -> dict[str, list[TradeoffPoint]]:
     """Trade-off curves per method: ``{method: [TradeoffPoint per size]}``.
 
-    Args:
-        panel: "52B", "6.6B" or "6.6B-ethernet".
-        quick: Passed through to the Figure 7 search when needed.
-        fig7_panel: Reuse an existing search result instead of re-running.
-        processes: Search-pool size forwarded to the Figure 7 search.
-        options: Sweep-service settings forwarded to the Figure 7 search.
+    Extrapolates the Figure 7 panel ``fig7_panel`` ("52B", "6.6B" or
+    "6.6B-ethernet") to that panel's :data:`CLUSTER_SIZES`.
     """
-    if fig7_panel is None:
-        fig7_panel = run_fig7(
-            panel, quick=quick, processes=processes, options=options
-        )
+    panel = fig7_panel.name
     spec = fig7_panel.spec
     peak = fig7_panel.cluster.gpu.peak_flops
     n_gpus = fig7_panel.cluster.n_gpus

@@ -3,7 +3,8 @@
 Runs the requested experiments (all by default) and prints the paper's
 rows/series as text.  ``--full`` uses the complete batch sweeps for the
 search-backed experiments (Figures 1, 7, 8 and the Appendix E tables),
-which takes substantially longer.
+which takes substantially longer.  Those four render the three Figure 7
+panel searches, and one invocation searches each panel at most once.
 
 The search-backed experiments fan their (method, batch) cells out over
 the sweep service (:mod:`repro.search.service`): ``--backend`` selects
@@ -38,6 +39,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.fig1 import run_fig1
@@ -46,7 +48,7 @@ from repro.experiments.fig3 import format_fig3
 from repro.experiments.fig4 import format_fig4, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig7 import Fig7Panel, run_fig7
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.fig9 import format_fig9
 from repro.experiments.frontier import format_frontier, run_frontier
@@ -56,7 +58,7 @@ from repro.experiments.hybrid_search import (
 )
 from repro.experiments.table41 import run_table41
 from repro.experiments.table51 import format_table51
-from repro.experiments.tableE import format_table_e, run_table_e
+from repro.experiments.tableE import format_table_e
 from repro.fit import fit_calibration, format_fit_result, load_calibration, save_calibration
 from repro.obs import (
     MetricsRegistry,
@@ -75,8 +77,32 @@ from repro.viz.chrome_trace import write_chrome_trace
 from repro.viz.sweep_trace import write_sweep_trace
 
 
-def _print_fig1(full: bool, options: SweepOptions | None = None) -> None:
-    bars = run_fig1(quick=not full, options=options)
+@dataclass
+class Invocation:
+    """One CLI run's experiment settings and the panels it has searched.
+
+    Figures 1, 7 and 8 and the Appendix E tables all render the Figure 7
+    panel searches, so a run searches each panel at most once.
+    """
+
+    full: bool
+    options: SweepOptions
+    panels: dict[str, Fig7Panel] = field(default_factory=dict, init=False)
+
+    def fig7_panel(self, name: str) -> Fig7Panel:
+        """Panel ``name``'s Figure 7 search, run on its first request."""
+        if name not in self.panels:
+            # Looked up in this module on each call: perfbench's
+            # fig7-grid workload replaces ``runner.run_fig7`` to capture
+            # the panels it searches.
+            self.panels[name] = run_fig7(
+                name, quick=not self.full, options=self.options
+            )
+        return self.panels[name]
+
+
+def _print_fig1(run: Invocation) -> None:
+    bars = run_fig1(run.fig7_panel("52B"))
     rows = [
         (b.label, f"{b.training_days:.1f}", f"{b.memory_gb:.2f}",
          f"{b.beta:.3f}", f"{b.utilization * 100:.1f}%")
@@ -89,8 +115,8 @@ def _print_fig1(full: bool, options: SweepOptions | None = None) -> None:
     ))
 
 
-def _print_fig2(full: bool, options: SweepOptions | None = None) -> None:
-    del full, options
+def _print_fig2(run: Invocation) -> None:
+    del run
     for overlap, panel in ((True, "(a) with overlap"), (False, "(b) without overlap")):
         curves = run_fig2(overlap=overlap)
         print(ascii_line_chart(
@@ -100,8 +126,8 @@ def _print_fig2(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-def _print_fig5(full: bool, options: SweepOptions | None = None) -> None:
-    del full, options
+def _print_fig5(run: Invocation) -> None:
+    del run
     for panel in ("52B", "6.6B"):
         curves = run_fig5(panel)
         print(ascii_line_chart(
@@ -111,8 +137,8 @@ def _print_fig5(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-def _print_fig6(full: bool, options: SweepOptions | None = None) -> None:
-    del full, options
+def _print_fig6(run: Invocation) -> None:
+    del run
     for batch in (16, 64):
         curves = run_fig6(batch)
         print(ascii_line_chart(
@@ -123,9 +149,9 @@ def _print_fig6(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-def _print_fig7(full: bool, options: SweepOptions | None = None) -> None:
+def _print_fig7(run: Invocation) -> None:
     for panel in ("52B", "6.6B", "6.6B-ethernet"):
-        result = run_fig7(panel, quick=not full, options=options)
+        result = run.fig7_panel(panel)
         print(ascii_line_chart(
             result.curves(),
             title=f"Figure 7 ({panel}): best utilization vs beta",
@@ -134,9 +160,9 @@ def _print_fig7(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-def _print_fig8(full: bool, options: SweepOptions | None = None) -> None:
+def _print_fig8(run: Invocation) -> None:
     for panel in ("52B", "6.6B"):
-        results = run_fig8(panel, quick=not full, options=options)
+        results = run_fig8(run.fig7_panel(panel))
         rows = []
         for method, points in results.items():
             for p in points:
@@ -152,8 +178,8 @@ def _print_fig8(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-def _print_table41(full: bool, options: SweepOptions | None = None) -> None:
-    del full, options
+def _print_table41(run: Invocation) -> None:
+    del run
     rows = [
         (r.method, f"{r.bubble:.3f}", f"{r.state_memory:.1f}",
          f"{r.activation_memory:.1f}", f"{r.dp_network:.1f}",
@@ -170,16 +196,16 @@ def _print_table41(full: bool, options: SweepOptions | None = None) -> None:
     ))
 
 
-def _print_table_e(full: bool, options: SweepOptions | None = None) -> None:
+def _print_table_e(run: Invocation) -> None:
     for panel in ("52B", "6.6B", "6.6B-ethernet"):
-        print(format_table_e(run_table_e(panel, quick=not full, options=options)))
+        print(format_table_e(run.fig7_panel(panel)))
         print()
 
 
-def _print_hybrid(full: bool, options: SweepOptions | None = None) -> None:
+def _print_hybrid(run: Invocation) -> None:
     for panel in ("52B", "6.6B", "6.6B-ethernet"):
         comparisons = run_hybrid_search(
-            panel, quick=not full, options=options
+            panel, quick=not run.full, options=run.options
         )
         print(format_hybrid_search(comparisons))
         switched = sum(c.winner_is_hybrid for c in comparisons)
@@ -187,18 +213,18 @@ def _print_hybrid(full: bool, options: SweepOptions | None = None) -> None:
         print()
 
 
-EXPERIMENTS: dict[str, Callable[[bool, SweepOptions | None], None]] = {
+EXPERIMENTS: dict[str, Callable[[Invocation], None]] = {
     "fig1": _print_fig1,
     "fig2": _print_fig2,
-    "fig3": lambda full, options=None: print(format_fig3()),
-    "fig4": lambda full, options=None: print(format_fig4()),
+    "fig3": lambda run: print(format_fig3()),
+    "fig4": lambda run: print(format_fig4()),
     "fig5": _print_fig5,
     "fig6": _print_fig6,
     "fig7": _print_fig7,
     "fig8": _print_fig8,
-    "fig9": lambda full, options=None: print(format_fig9()),
+    "fig9": lambda run: print(format_fig9()),
     "table4.1": _print_table41,
-    "table5.1": lambda full, options=None: print(format_table51()),
+    "table5.1": lambda run: print(format_table51()),
     "tableE": _print_table_e,
     # Extension (not a paper figure): the Section 4.2 hybrid axis
     # searched Figure-7-style.  Not part of 'all' — it widens the search
@@ -717,12 +743,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.metrics_out is not None
         else None
     )
+    run = Invocation(full=args.full, options=options)
     try:
         with recording(registry) if registry is not None else nullcontext():
             for name in names:
                 start = time.time()
                 print(f"=== {name} ===")
-                EXPERIMENTS[name](args.full, options)
+                EXPERIMENTS[name](run)
                 print(f"--- {name} done in {time.time() - start:.1f}s ---\n")
     finally:
         if registry is not None:

@@ -1,6 +1,6 @@
 """Tables E.1-E.3: selected optimal configurations per method and batch.
 
-Reuses the Figure 7 search outcomes and prints the same columns the paper
+Renders a Figure 7 panel's search outcomes with the same columns the paper
 reports: method, batch, implementation, N_PP, N_TP, S_mb, N_mb, N_loop,
 sharding, throughput, memory and predicted-minimum memory, plus the
 number of configurations tried.
@@ -8,25 +8,13 @@ number of configurations tried.
 
 from __future__ import annotations
 
-from repro.experiments.fig7 import Fig7Panel, run_fig7
+from repro.experiments.fig7 import Fig7Panel
 from repro.parallel.config import Sharding
-from repro.search.service import SweepOptions
 from repro.utils.tables import ascii_table
 from repro.utils.units import GB
 
 #: Panel name -> paper table number.
 TABLE_OF_PANEL = {"52B": "E.1", "6.6B": "E.2", "6.6B-ethernet": "E.3"}
-
-
-def run_table_e(
-    panel: str,
-    *,
-    quick: bool = True,
-    processes: int | None = None,
-    options: SweepOptions | None = None,
-) -> Fig7Panel:
-    """The search outcomes backing one Appendix E table."""
-    return run_fig7(panel, quick=quick, processes=processes, options=options)
 
 
 def format_table_e(fig7_panel: Fig7Panel) -> str:

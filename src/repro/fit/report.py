@@ -187,7 +187,10 @@ def load_calibration(path: str | os.PathLike) -> Calibration:
     their hand-tuned defaults, and unknown keys are rejected by name
     rather than swallowed as typos.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"calibration file {path} is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"calibration file {path} must hold a JSON object")
     if "calibration" in data:
@@ -197,12 +200,20 @@ def load_calibration(path: str | os.PathLike) -> Calibration:
                 f"calibration file {path} has format {fmt!r}, "
                 f"expected {FORMAT_VERSION}"
             )
-        return calibration_from_json(data["calibration"])
-    unknown = set(data) - set(_CALIBRATION_FIELDS)
-    if unknown:
+    else:
+        unknown = set(data) - set(_CALIBRATION_FIELDS)
+        if unknown:
+            raise ValueError(
+                f"calibration file {path} has unknown field(s) "
+                f"{', '.join(sorted(unknown))}; expected a subset of "
+                f"{', '.join(_CALIBRATION_FIELDS)}"
+            )
+    try:
+        if "calibration" in data:
+            return calibration_from_json(data["calibration"])
+        return Calibration(**{f: float(v) for f, v in data.items()})
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(
-            f"calibration file {path} has unknown field(s) "
-            f"{', '.join(sorted(unknown))}; expected a subset of "
-            f"{', '.join(_CALIBRATION_FIELDS)}"
-        )
-    return Calibration(**{f: float(v) for f, v in data.items()})
+            f"calibration file {path} has a missing or non-numeric field "
+            f"({exc})"
+        ) from None

@@ -109,6 +109,8 @@ async def _handle(
                     data = json.loads(body)
                 except json.JSONDecodeError as exc:
                     raise _BadRequest(f"body is not JSON: {exc}") from exc
+                except RecursionError:
+                    raise _BadRequest("body is nested too deeply") from None
                 request = request_from_json(data)
                 answer = await planner.plan(request)
                 response = _response(200, answer_to_json(answer))

@@ -222,8 +222,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_float(value) -> bool:
+    """A JSON number that converts to a float (a long integer may not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _list_of(check):
@@ -241,7 +248,9 @@ _REQUEST_FIELDS = {
     "batch_sizes": (_list_of(_is_int), "a list of integers", _REQUIRED),
     "objective": (_is_str, "a string", "throughput"),
     "memory_headroom": (
-        lambda value: value is None or _is_number(value), "a number", None,
+        lambda value: value is None or _is_float(value),
+        "a number in float range",
+        None,
     ),
     "include_hybrid": (
         lambda value: isinstance(value, bool), "a boolean", False,

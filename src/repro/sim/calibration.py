@@ -25,7 +25,8 @@ fitted_calibration.json`` — see ``docs/calibration.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,13 @@ class Calibration:
         # otherwise yield negative "efficiencies" (and nonsense search
         # results) long after the mistake.  The calibration fitter's
         # bound handling relies on every in-bounds vector constructing.
+        # The range checks below reject by comparison, which NaN never
+        # satisfies and infinity satisfies only against an upper bound,
+        # so finiteness is checked first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.kernel_efficiency_max <= 0 or self.kernel_efficiency_max > 1:
             raise ValueError(
                 "kernel_efficiency_max must be in (0, 1], got "

@@ -108,7 +108,7 @@ class Instruction(_InstructionFields):
         label: str = "",
         category: str = "compute",
     ) -> "Instruction":
-        if duration < 0:
+        if not duration >= 0:  # also refuses NaN
             raise ValueError(f"duration must be >= 0, got {duration}")
         return tuple.__new__(cls, (uid, duration, deps, label, category))
 

@@ -60,9 +60,10 @@ def _uid_of(op: ComputeOp) -> tuple:
 
 
 def _checked(durations: list[float]) -> list[float]:
-    """Reject a negative duration with :class:`Instruction`'s own message."""
+    """Reject a negative or NaN duration with :class:`Instruction`'s own
+    message."""
     for duration in durations:
-        if duration < 0:
+        if not duration >= 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
     return durations
 

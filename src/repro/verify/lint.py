@@ -51,7 +51,7 @@ time*, from source structure alone:
   search primitives (``open``/``Path`` I/O, store ``load``/``store``,
   ``best_configuration``, ``time.sleep``, ...) — those must cross the
   executor-offload seam (``run_in_executor``), or one innocent call
-  stalls every concurrent request and the p50 latency budget quietly
+  stalls every concurrent request and the exact-hit latency quietly
   rots.  Passing such a function *reference* to an executor is fine
   (it is not a call); a deliberate on-loop call carries a
   ``# lint: blocking-ok`` marker on the call line.

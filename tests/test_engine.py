@@ -191,3 +191,9 @@ class TestErrors:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             Instruction(uid=("x",), duration=-1.0)
+
+    def test_nan_duration_rejected(self):
+        # Every comparison with NaN is false: a NaN duration would finish
+        # its successors as if it took no time while the makespan read nan.
+        with pytest.raises(ValueError, match="duration must be >= 0, got nan"):
+            Instruction(uid=("x",), duration=float("nan"))

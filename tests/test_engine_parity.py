@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schedules.base import build_schedule
-from repro.core.schedules.hybrid import build_hybrid_schedule
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
@@ -145,7 +144,7 @@ def test_hybrid_schedule_parity(sequence_size):
         n_dp=2, n_pp=4, n_tp=2, microbatch_size=1, n_microbatches=16,
         n_loop=2, sharding=Sharding.FULL, schedule=ScheduleKind.DEPTH_FIRST,
     )
-    schedule = build_hybrid_schedule(4, 16, 2, sequence_size=sequence_size)
+    schedule = build_schedule(ScheduleKind.HYBRID, 4, 16, 2, sequence_size)
     streams = build_streams(
         MODEL_6_6B, DGX1_CLUSTER_64, OUR_IMPLEMENTATION,
         prebuilt_schedule=schedule, **config_kw,

@@ -152,6 +152,42 @@ class TestMethodEnum:
         assert len(list(Method)) == 4
 
 
+class TestPanelSearchedOnce:
+    """Figures 1, 7 and 8 and the Appendix E tables render one search per
+    Figure 7 panel and invocation."""
+
+    def test_one_search_per_panel_and_invocation(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.obs import read_snapshots
+
+        searched = []
+        search = runner_module.run_fig7
+
+        def counted(panel, **kwargs):
+            searched.append(panel)
+            return search(panel, **kwargs)
+
+        # Replaced the way perfbench's fig7-grid workload captures panels.
+        monkeypatch.setattr(runner_module, "run_fig7", counted)
+        argv = ["fig1", "fig7", "fig8", "tableE", "--jobs", "1"]
+        assert runner_module.main(
+            argv + ["--metrics-out", str(tmp_path)]
+        ) == 0
+        assert searched == ["52B", "6.6B", "6.6B-ethernet"]
+        (snapshot,) = read_snapshots(tmp_path)
+        # Quick batch lists: (3 + 3 + 2) batch sizes x 4 methods.
+        assert snapshot["counters"]["search.cells"] == 32
+        out = capsys.readouterr().out
+        assert "Figure 1: 52B model on 4096 V100s" in out
+        assert "Table E.3: selected optimal configurations" in out
+
+        # The memo lives for one invocation: the next one searches again.
+        assert runner_module.main(["fig1", "--jobs", "1"]) == 0
+        assert searched[3:] == ["52B"]
+        capsys.readouterr()
+
+
 class TestCalibrationCLI:
     """The `calibrate` subcommand and the --calibration flag (the fit
     itself is covered in tests/test_fit.py; here a stub keeps the CLI

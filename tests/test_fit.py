@@ -11,6 +11,7 @@ in ``paper_data``.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,16 @@ class TestCalibrationValidation:
         with pytest.raises(ValueError, match=field):
             Calibration(**{field: bad})
 
+    @pytest.mark.parametrize("field", [
+        "kernel_efficiency_max", "tokens_half_point", "width_half_point",
+        "optimizer_bytes_per_param", "fixed_step_overhead",
+        "network_overhead_scale",
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected_at_construction(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Calibration(**{field: bad})
+
     def test_efficiency_above_peak_rejected(self):
         with pytest.raises(ValueError, match="kernel_efficiency_max"):
             Calibration(kernel_efficiency_max=1.5)
@@ -372,6 +383,35 @@ class TestSerialization:
         path = tmp_path / "typo.json"
         path.write_text('{"kernel_eficiency_max": 0.5}')
         with pytest.raises(ValueError, match="kernel_eficiency_max"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("saved, value", [
+        (False, None), (False, 10**400), (False, math.nan),
+        (True, None), (True, 10**400), (True, math.nan), (True, ...),
+    ])
+    def test_load_refuses_an_unusable_field(self, tmp_path, saved, value):
+        """A null, huge, NaN or (in a saved file) missing constant is a
+        ValueError, which every ``--calibration`` CLI reports as a usage
+        error."""
+        import json
+
+        path = save_calibration(tmp_path / "cal.json", NON_DEFAULT)
+        data = json.loads(path.read_text())
+        fields = data["calibration"]
+        if not saved:
+            data = fields
+        if value is ...:
+            del fields["tokens_half_point"]
+        else:
+            fields["tokens_half_point"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="tokens_half_point|non-numeric"):
+            load_calibration(path)
+
+    def test_load_refuses_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
             load_calibration(path)
 
     def test_load_rejects_wrong_format_version(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.ops import OpKind
 from repro.core.schedules.base import build_schedule
-from repro.core.schedules.hybrid import build_hybrid_schedule, hybrid_order
+from repro.core.schedules.hybrid import hybrid_order
 from repro.core.validation import validate_schedule
 from repro.parallel.config import ScheduleKind
 from repro.runtime.executor import PipelineTrainer
@@ -18,19 +18,19 @@ from repro.runtime.reference import ReferenceTrainer
 
 class TestStructure:
     def test_sequence_npp_equals_depth_first(self):
-        hybrid = build_hybrid_schedule(4, 8, 2, sequence_size=4)
+        hybrid = build_schedule(ScheduleKind.HYBRID, 4, 8, 2, 4)
         depth = build_schedule(ScheduleKind.DEPTH_FIRST, 4, 8, 2)
         assert hybrid.device_orders == depth.device_orders
 
     def test_single_sequence_is_forward_phase_first(self):
-        s = build_hybrid_schedule(2, 4, 2, sequence_size=4)
+        s = build_schedule(ScheduleKind.HYBRID, 2, 4, 2, 4)
         kinds = [op.kind for op in s.ops_of(0)]
         n_fwd = 4 * 2
         assert all(k is OpKind.FORWARD for k in kinds[:n_fwd])
 
     def test_validates_for_intermediate_sequences(self):
         for seq in (4, 8, 16):
-            s = build_hybrid_schedule(4, 16, 2, sequence_size=seq)
+            s = build_schedule(ScheduleKind.HYBRID, 4, 16, 2, seq)
             analysis = validate_schedule(s)
             assert analysis.makespan > 0
 
@@ -47,7 +47,7 @@ class TestStructure:
         # contract is enforced on the public builder too, not just the
         # per-rank order.
         with pytest.raises(ValueError, match="multiple"):
-            build_hybrid_schedule(2, 6, 2, sequence_size=4)
+            build_schedule(ScheduleKind.HYBRID, 2, 6, 2, 4)
 
     def test_sequence_exceeding_nmb_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -77,7 +77,9 @@ class TestMemoryInterpolation:
         depth = build_schedule(ScheduleKind.DEPTH_FIRST, n_pp, n_mb, n_loop)
         breadth = build_schedule(ScheduleKind.BREADTH_FIRST, n_pp, n_mb, n_loop)
         peaks = [
-            build_hybrid_schedule(n_pp, n_mb, n_loop, seq).peak_in_flight()
+            build_schedule(
+                ScheduleKind.HYBRID, n_pp, n_mb, n_loop, seq
+            ).peak_in_flight()
             for seq in (4, 8, 16)
         ]
         assert peaks[0] == depth.peak_in_flight()
@@ -85,7 +87,7 @@ class TestMemoryInterpolation:
         assert peaks[-1] <= breadth.peak_in_flight() + n_pp
 
     def test_same_bubble_as_depth_first(self):
-        a = validate_schedule(build_hybrid_schedule(4, 16, 2, 8))
+        a = validate_schedule(build_schedule(ScheduleKind.HYBRID, 4, 16, 2, 8))
         b = validate_schedule(build_schedule(ScheduleKind.DEPTH_FIRST, 4, 16, 2))
         assert a.makespan == pytest.approx(b.makespan)
 
@@ -97,7 +99,7 @@ class TestRuntimeEquivalence:
         reference = ReferenceTrainer(config)
         ref_loss = reference.step(tokens, targets)
 
-        schedule = build_hybrid_schedule(2, 8, 2, sequence_size=4)
+        schedule = build_schedule(ScheduleKind.HYBRID, 2, 8, 2, 4)
         trainer = PipelineTrainer(config, schedule)
         result = trainer.step(tokens, targets)
         assert result.loss == pytest.approx(ref_loss, abs=1e-9)
@@ -113,7 +115,7 @@ class TestRuntimeEquivalence:
 def test_hybrid_always_valid_property(n_pp, n_loop, seq_mult, groups):
     seq = n_pp * seq_mult
     n_mb = seq * groups
-    schedule = build_hybrid_schedule(n_pp, n_mb, n_loop, seq)
+    schedule = build_schedule(ScheduleKind.HYBRID, n_pp, n_mb, n_loop, seq)
     analysis = validate_schedule(schedule)
     assert schedule.total_ops == 2 * n_mb * n_pp * n_loop
     assert analysis.makespan > 0

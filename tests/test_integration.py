@@ -165,6 +165,11 @@ class TestRunnerCli:
              "{file}/r.json"],
             ["fig7", "--jobs", "0"],
             ["frontier", "--quick", "--jobs", "-1"],
+            # Non-finite calibration constants are refused at load.
+            ["fig7", "--calibration", "{nan}"],
+            ["fig1", "--calibration", "{inf}"],
+            ["plan", "--calibration", "{nan}"],
+            ["fig7", "--calibration", "{huge}"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -173,6 +178,13 @@ class TestRunnerCli:
         # exit status 2 and one argparse error line, never a traceback.
         blocker = tmp_path / "file"
         blocker.write_text("")
+        calibrations = {
+            "{nan}": "NaN", "{inf}": "Infinity", "{huge}": "1" + "0" * 400,
+        }
+        for placeholder, value in calibrations.items():
+            path = tmp_path / f"{placeholder[1:-1]}.json"
+            path.write_text(f'{{"tokens_half_point": {value}}}')
+            argv = [arg.replace(placeholder, str(path)) for arg in argv]
         argv = [
             arg.replace("{tmp}", str(tmp_path / "ckpt"))
             .replace("{file}", str(blocker))
@@ -219,7 +231,7 @@ class TestRunnerCli:
         try:
             for name in runner.EXPERIMENTS:
                 runner.EXPERIMENTS[name] = (
-                    lambda full, jobs=None, _n=name: recorded.append(_n)
+                    lambda run, _n=name: recorded.append(_n)
                 )
             assert runner.main([]) == 0
         finally:

@@ -377,6 +377,26 @@ class TestHttp:
             assert status == 400
             assert field in payload["error"]
 
+    def test_unparseable_bodies_map_to_400(self, tmp_path):
+        # Neither body used to get a response: the parser raised
+        # RecursionError and OverflowError, which no handler caught.
+        data = request_to_json(_request())
+        data["memory_headroom"] = 10**400
+        bodies = [b"[" * 200_000, json.dumps(data).encode()]
+        raws = [
+            b"POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\n\r\n"
+            + body
+            for body in bodies
+        ]
+        with Planner(tmp_path) as planner:
+            (deep_s, deep_b), (huge_s, huge_b) = self._roundtrip(planner, raws)
+            assert len(planner.store) == 0
+        assert deep_s == 400 and "nested too deeply" in deep_b["error"]
+        assert huge_s == 400
+        assert "'memory_headroom' must be a number in float range" in huge_b["error"]
+
     def test_unknown_model_maps_to_400(self, tmp_path):
         with Planner(tmp_path) as planner:
             body = json.dumps(

@@ -206,6 +206,18 @@ class TestDurationChecks:
         with pytest.raises(ValueError, match="duration must be >= 0"):
             build_program(cost, schedule, **kwargs)
 
+    @pytest.mark.parametrize("priced", [False, True], ids=["fused", "priced"])
+    def test_nan_duration_is_rejected(self, monkeypatch, priced):
+        cost, schedule = make_cost()
+        kwargs = {}
+        if priced:
+            kwargs = dict(
+                record_events=False, lowering=lower_program(cost, schedule)
+            )
+        _make_negative(monkeypatch, "stage_times", "forward", float("nan"))
+        with pytest.raises(ValueError, match="duration must be >= 0, got nan"):
+            build_program(cost, schedule, **kwargs)
+
     def test_both_paths_report_the_first_negative_duration(self, monkeypatch):
         # Forwards are checked before reductions, on either path (stage 0
         # sends, so its forward carries the launch overhead).

@@ -1,4 +1,4 @@
-"""Tests for the four schedule generators — the paper's core objects."""
+"""Tests for the schedule generators — the paper's core objects."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from repro.core.schedules.base import (
 )
 from repro.core.validation import validate_schedule
 from repro.parallel.config import ParallelConfig, ScheduleKind
+from repro.verify.program import _canonical_order
 
 
 def _kinds_of(order):
@@ -201,6 +202,43 @@ def test_max_in_flight_closed_matches_materialized(
     # micro-batches.  memory_model's closed-form path relies on this to
     # evaluate only the first rank of each parameter-profile group.
     assert all(peaks[r] >= peaks[r + 1] for r in range(n_pp - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScheduleKind)),
+    n_pp=st.integers(1, 8),
+    n_mb=st.integers(1, 12),
+    n_loop=st.integers(1, 4),
+    seq_extra=st.integers(0, 5),
+    groups=st.integers(1, 3),
+)
+def test_build_schedule_matches_verifier_order(
+    kind, n_pp, n_mb, n_loop, seq_extra, groups
+):
+    """Property: every kind's streams are the verifier's canonical order.
+
+    Three generators serve five kinds (GPipe is breadth-first at
+    ``N_loop = 1``, depth-first the hybrid at ``S = N_PP``); the
+    verifier re-derives each kind from the paper's rules on its own.
+    """
+    if not kind.is_looped:
+        n_loop = 1
+    sequence_size = None
+    if kind is ScheduleKind.HYBRID:
+        sequence_size = n_pp + seq_extra
+        n_mb = sequence_size * groups
+    elif kind is ScheduleKind.DEPTH_FIRST:
+        n_mb = n_pp * groups
+    schedule = build_schedule(kind, n_pp, n_mb, n_loop, sequence_size)
+    assert schedule.kind is kind
+    assert schedule.sequence_size == sequence_size
+    for rank in range(n_pp):
+        ops = [
+            ("F" if op.is_forward else "B", op.microbatch, op.stage)
+            for op in schedule.ops_of(rank)
+        ]
+        assert ops == _canonical_order(schedule, rank)
 
 
 class TestScheduleContainer:
