@@ -32,8 +32,7 @@ from repro.parallel.config import Method, ScheduleKind
 from repro.search.cell import SweepCell
 from repro.search.grid import SearchOutcome
 from repro.search.objective import ParetoFrontObjective, pareto_frontier
-from repro.search.service import SweepOptions
-from repro.search.sweep import sweep_cells
+from repro.search.service import SweepOptions, run_sweep
 from repro.sim.simulator import SimulationResult
 from repro.utils.units import GB
 
@@ -139,16 +138,14 @@ def run_frontier(
         options = SweepOptions()
     # The frontier question needs the hybrid axis in the space — the
     # whole point is seeing where sequence-shortened schedules land.
-    options = replace(options, include_hybrid=True)
+    settings = replace(
+        options.settings, include_hybrid=True, objective=ParetoFrontObjective()
+    )
     cells = [
         SweepCell(method, batch) for method in methods for batch in batch_sizes
     ]
-    outcomes = sweep_cells(
-        spec,
-        cluster,
-        cells,
-        options=options,
-        objective=ParetoFrontObjective(),
+    outcomes = run_sweep(
+        spec, cluster, cells, options=replace(options, settings=settings)
     )
     by_cell = dict(zip(cells, outcomes))
 

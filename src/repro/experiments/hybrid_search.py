@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 
 from repro.experiments.fig7 import PANEL_BATCHES, QUICK_BATCHES, panel_setup
 from repro.parallel.config import Method, ScheduleKind
-from repro.search.grid import SearchOutcome
-from repro.search.service import SweepOptions
-from repro.search.sweep import sweep_cells
 from repro.search.cell import SweepCell
+from repro.search.grid import SearchOutcome
+from repro.search.service import SweepOptions, run_sweep
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ def run_hybrid_search(
     *,
     quick: bool = True,
     batch_sizes: list[int] | None = None,
-    processes: int | None = None,
     options: SweepOptions | None = None,
 ) -> list[HybridComparison]:
     """Search one panel's breadth-first cells with and without the axis.
@@ -78,15 +76,10 @@ def run_hybrid_search(
     cells = [SweepCell(Method.BREADTH_FIRST, b) for b in batch_sizes]
     if options is None:
         options = SweepOptions()
-    baseline = sweep_cells(
-        spec, cluster, cells, processes=processes, options=options
-    )
-    hybrid = sweep_cells(
-        spec,
-        cluster,
-        cells,
-        processes=processes,
-        options=replace(options, include_hybrid=True),
+    baseline = run_sweep(spec, cluster, cells, options=options)
+    hybrid_settings = replace(options.settings, include_hybrid=True)
+    hybrid = run_sweep(
+        spec, cluster, cells, options=replace(options, settings=hybrid_settings)
     )
     return [
         HybridComparison(batch_size=b, baseline=base, hybrid=hyb)

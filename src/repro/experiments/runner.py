@@ -67,6 +67,7 @@ from repro.obs import (
     write_snapshot_line,
 )
 from repro.obs.report import build_report, report_to_json_text
+from repro.search.cell import SearchSettings
 from repro.search.objective import OBJECTIVE_KINDS, parse_objective
 from repro.search.service import BACKENDS, SweepOptions
 from repro.sim.calibration import DEFAULT_CALIBRATION
@@ -249,13 +250,16 @@ def _export_trace(path: str) -> None:
 
 
 def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
-    """Sweep-service settings from parsed CLI flags."""
+    """Sweep-service settings from the experiments parser's flags."""
     calibration = DEFAULT_CALIBRATION
     if args.calibration is not None:
         calibration = load_calibration(args.calibration)
-    objective = parse_objective(
-        getattr(args, "objective", "throughput"),
-        memory_headroom=getattr(args, "memory_headroom", None),
+    settings = SearchSettings(
+        bound_pruning=not args.no_bound_pruning,
+        objective=parse_objective(
+            args.objective, memory_headroom=args.memory_headroom
+        ),
+        verify_winners=args.verify_winners,
     )
     return SweepOptions(
         backend=args.backend,
@@ -264,11 +268,9 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         workers=args.workers,
         resume=args.resume,
         progress=args.progress,
-        bound_pruning=not args.no_bound_pruning,
-        objective=objective,
+        settings=settings,
         calibration=calibration,
-        verify_winners=getattr(args, "verify_winners", False),
-        metrics_out=getattr(args, "metrics_out", None),
+        metrics_out=args.metrics_out,
     )
 
 
@@ -371,19 +373,19 @@ def frontier_main(argv: Sequence[str] | None = None) -> int:
         help="tables only, skip the ASCII frontier scatter",
     )
     args = parser.parse_args(argv)
-    if args.resume and args.checkpoint_dir is None:
-        parser.error("--resume requires --checkpoint-dir")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    # Built before --checkpoint-dir is created: a usage error creates nothing.
+    try:
+        options = SweepOptions(
+            processes=args.jobs,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.checkpoint_dir is not None:
         create_output_dir(parser, "--checkpoint-dir", Path(args.checkpoint_dir))
 
     start = time.time()
-    options = SweepOptions(
-        processes=args.jobs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-    )
     cells = run_frontier(args.panel, quick=args.quick, options=options)
     print(format_frontier(cells, chart=not args.no_chart))
     footholds = sum(len(c.hybrid_or_depth_first) for c in cells)
@@ -478,6 +480,8 @@ def _search_cell_snapshot(cell_arg: str, parser: argparse.ArgumentParser) -> dic
         spec, cluster = panel_setup(panel)
     except (KeyError, ValueError) as exc:
         parser.error(f"bad --cell {cell_arg!r}: {exc}")
+    if batch < 1:
+        parser.error(f"bad --cell {cell_arg!r}: the batch size must be >= 1")
     registry = MetricsRegistry(actor="report-cell")
     with recording(registry):
         best_configuration(spec, cluster, method, batch)
@@ -708,14 +712,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     unknown = [n for n in args.names if n not in EXPERIMENTS and n != "all"]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")
-    if args.resume and args.checkpoint_dir is None:
-        parser.error("--resume requires --checkpoint-dir")
-    if args.backend == "file-queue" and args.checkpoint_dir is None:
-        parser.error("--backend=file-queue requires --checkpoint-dir")
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         options = build_sweep_options(args)
     except OSError as exc:

@@ -97,6 +97,8 @@ class PlanRequest:
             raise ValueError(f"batch sizes must be positive: {self.batch_sizes}")
         if len(set(self.batch_sizes)) != len(self.batch_sizes):
             raise ValueError(f"duplicate batch sizes: {self.batch_sizes}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate methods: {self.methods}")
 
     def resolve(self) -> ResolvedPlan:
         """Bind names to objects; raises ``ValueError`` on unknown ones."""

@@ -12,7 +12,7 @@ from repro.search.objective import (
     ThroughputObjective,
     parse_objective,
 )
-from repro.search.sweep import sweep_cells, sweep_grid
+from repro.search.sweep import sweep_grid
 from repro.search.service import SweepOptions, run_sweep
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "configuration_space",
     "parse_objective",
     "run_sweep",
-    "sweep_cells",
     "sweep_grid",
 ]

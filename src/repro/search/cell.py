@@ -1,9 +1,8 @@
-"""The unit of sweep work: one independently searchable grid cell.
+"""The unit of sweep work, and the settings every cell of a sweep shares.
 
-Lives in its own module (rather than :mod:`repro.search.sweep`, where it
-originated) so both the legacy pool wrappers and the
-:mod:`repro.search.service` subsystem can import it without a cycle.
-``repro.search.sweep`` re-exports it for compatibility.
+Lives in its own module so :mod:`repro.search.grid`,
+:mod:`repro.search.sweep` and the :mod:`repro.search.service` subsystem
+can all import it without a cycle.
 """
 
 from __future__ import annotations

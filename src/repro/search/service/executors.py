@@ -89,7 +89,7 @@ class Executor:
     recorder.
     """
 
-    #: Backend name as selected by ``run_sweep(backend=...)``.
+    #: Backend name as selected by ``SweepOptions.backend``.
     name: str = "abstract"
     #: True when the backend's workers persist checkpoints themselves
     #: (the service then skips its own store-on-completion write).
@@ -172,20 +172,9 @@ def _resolve_processes(processes: int | None, n_tasks: int) -> int:
     return max(1, min(processes, n_tasks))
 
 
-def _resolve_start_method(start_method: str | None) -> str:
-    available = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        return "fork" if "fork" in available else "spawn"
-    if start_method not in available:
-        raise ValueError(
-            f"start method {start_method!r} unavailable on this platform "
-            f"(have: {', '.join(available)})"
-        )
-    return start_method
-
-
 class MultiprocessingExecutor(Executor):
-    """Coarse-grained ``multiprocessing.Pool`` fan-out, fork or spawn.
+    """Coarse-grained ``multiprocessing.Pool`` fan-out: fork where the
+    platform has it, spawn otherwise.
 
     When the coordinator's recorder is enabled as the pool starts, every
     cell's metrics come back as a snapshot on its :class:`CellReport`.
@@ -193,21 +182,18 @@ class MultiprocessingExecutor(Executor):
 
     name = "multiprocessing"
 
-    def __init__(
-        self,
-        *,
-        processes: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, *, processes: int | None = None) -> None:
         self.processes = processes
-        self.start_method = _resolve_start_method(start_method)
 
     def run(self, context, tasks):
         n_proc = _resolve_processes(self.processes, len(tasks))
         if n_proc <= 1:
             yield from SerialExecutor().run(context, tasks)
             return
-        ctx = multiprocessing.get_context(self.start_method)
+        available = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in available else "spawn"
+        )
         payload = [(index, cell) for index, _key, cell in tasks]
         with ctx.Pool(
             processes=n_proc,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.hardware.cluster import ClusterSpec
@@ -32,9 +32,9 @@ from repro.obs import (
     recording,
     write_snapshot_line,
 )
-from repro.search.cell import SearchSettings, SweepCell
+from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome
-from repro.search.objective import DEFAULT_OBJECTIVE, Objective
+from repro.search.objective import Objective
 from repro.search.service.checkpoint import CheckpointStore
 from repro.search.service.executors import (
     Executor,
@@ -56,17 +56,21 @@ BACKENDS = ("serial", "multiprocessing", "file-queue")
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """How a sweep should execute (everything except *what* to search).
+    """How a sweep runs, and the settings all of its cells search under.
+
+    The one place a sweep is configured: :func:`run_sweep` takes nothing
+    else, and the experiments CLI builds one from its flags.  Invalid
+    combinations are refused here, when the options are built, whether
+    or not the sweep has anything left to compute.
 
     Attributes:
         backend: One of :data:`BACKENDS`.
         processes: Pool size for the ``multiprocessing`` backend (None =
-            CPU count).
-        start_method: ``fork``/``spawn``/``forkserver`` override for the
-            ``multiprocessing`` backend; None picks fork where available.
+            CPU count, capped at the number of cells; 1 runs serially in
+            this process).
         checkpoint_dir: Directory of per-cell checkpoints.  Optional for
-            in-process backends, required for ``file-queue`` (workers
-            deliver results through it).
+            in-process backends, required for ``resume`` and for
+            ``file-queue`` (workers deliver results through it).
         queue_dir: File-queue root; defaults to ``checkpoint_dir/queue``.
         workers: File-queue local worker count.
         max_retries: Requeues allowed per cell after worker crashes.
@@ -75,45 +79,33 @@ class SweepOptions:
         resume: Satisfy cells from existing checkpoints instead of
             recomputing them.
         progress: Print progress/ETA lines to stderr.
-        bound_pruning: Branch-and-bound on the analytical step-time lower
-            bound inside every cell (see
-            :class:`repro.search.cell.SearchSettings`).  Winners are
-            byte-identical either way; ``--no-bound-pruning`` on the
-            experiments CLI maps here.
-        include_hybrid: Add the Section 4.2 hybrid ``sequence_size`` axis
-            to every breadth-first cell's space.
-        objective: What every cell of the sweep optimizes (see
-            :mod:`repro.search.objective`; the CLI's ``--objective`` /
-            ``--memory-headroom`` map here).  Part of the checkpoint
-            content hash — but only when non-default, so existing
-            throughput-sweep checkpoint directories keep resuming
-            byte-identically while differently-constrained sweeps can
-            share a directory safely.
-        calibration: Cost-model constants used when the caller does not
-            pass an explicit calibration to :func:`run_sweep`.  This is
+        settings: The search settings shared by every cell: bound
+            pruning, the hybrid axis, the objective and winner
+            verification (see :class:`repro.search.cell.SearchSettings`).
+            They are part of the search input, so
+            :func:`~repro.search.service.serialize.cell_key` hashes them
+            into every checkpoint key (except ``verify_winners``, a pure
+            post-check).
+        calibration: Cost-model constants shared by every cell.  This is
             how the experiments CLI's ``--calibration`` (e.g. the
             committed least-squares fit, ``fitted_calibration.json``)
-            reaches every search-backed experiment: the calibration
-            rides with the options into each panel's sweep, and — being
-            part of the checkpoint content hash — keeps fitted and
-            hand-tuned checkpoints strictly separate in a shared
-            directory.
-        verify_winners: Statically verify every cell's reported
-            configurations with :mod:`repro.verify` before accepting
-            the outcome (``--verify-winners`` on the experiments CLI;
-            see :class:`repro.search.cell.SearchSettings`).  A pure
-            post-check — not part of checkpoint content hashes.
+            reaches every search-backed experiment; being part of the
+            checkpoint content hash, it keeps fitted and hand-tuned
+            checkpoints strictly separate in a shared directory.
         metrics_out: Directory for observability snapshots
             (``--metrics-out`` on the experiments CLI): the coordinator
             appends to ``coordinator.jsonl`` and file-queue workers each
             append to ``<worker-id>.jsonl``.  Pure observation — never
-            part of checkpoint content hashes (not a
-            :class:`~repro.search.cell.SearchSettings` field).
+            part of checkpoint content hashes.
+
+    Raises:
+        ValueError: An unknown backend, ``processes`` or ``workers``
+            below 1, or ``resume`` or ``file-queue`` without a
+            ``checkpoint_dir``.
     """
 
     backend: str = "multiprocessing"
     processes: int | None = None
-    start_method: str | None = None
     checkpoint_dir: str | os.PathLike | None = None
     queue_dir: str | os.PathLike | None = None
     workers: int = 2
@@ -121,52 +113,55 @@ class SweepOptions:
     stale_lease: float | None = None
     resume: bool = False
     progress: bool = False
-    bound_pruning: bool = True
-    include_hybrid: bool = False
-    objective: Objective = DEFAULT_OBJECTIVE
+    settings: SearchSettings = DEFAULT_SETTINGS
     calibration: Calibration = DEFAULT_CALIBRATION
-    verify_winners: bool = False
     metrics_out: str | os.PathLike | None = None
 
-    @property
-    def search_settings(self) -> SearchSettings:
-        """The per-cell pipeline knobs as a :class:`SearchSettings`."""
-        return SearchSettings(
-            bound_pruning=self.bound_pruning,
-            include_hybrid=self.include_hybrid,
-            objective=self.objective,
-            verify_winners=self.verify_winners,
-        )
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; choose from "
+                f"{', '.join(BACKENDS)}"
+            )
+        if self.processes is not None and self.processes < 1:
+            raise ValueError(
+                f"processes (--jobs) must be >= 1, got {self.processes}"
+            )
+        if self.workers < 1:
+            raise ValueError(
+                f"workers (--workers) must be >= 1, got {self.workers}"
+            )
+        if self.checkpoint_dir is None:
+            if self.resume:
+                raise ValueError(
+                    "resume (--resume) requires checkpoint_dir "
+                    "(--checkpoint-dir)"
+                )
+            if self.backend == "file-queue":
+                raise ValueError(
+                    "the file-queue backend requires checkpoint_dir "
+                    "(--checkpoint-dir): workers deliver their results "
+                    "through the checkpoint store"
+                )
 
 
 def _make_executor(options: SweepOptions) -> Executor:
+    """The backend ``options`` names (their combination is already valid)."""
     if options.backend == "serial":
         return SerialExecutor()
     if options.backend == "multiprocessing":
-        return MultiprocessingExecutor(
-            processes=options.processes,
-            start_method=options.start_method,
-        )
-    if options.backend == "file-queue":
-        if options.checkpoint_dir is None:
-            raise ValueError(
-                "the file-queue backend requires checkpoint_dir: workers "
-                "deliver their results through the checkpoint store"
-            )
-        queue_dir = options.queue_dir
-        if queue_dir is None:
-            queue_dir = Path(options.checkpoint_dir) / "queue"
-        return FileQueueExecutor(
-            queue_dir,
-            options.checkpoint_dir,
-            workers=options.workers,
-            max_retries=options.max_retries,
-            stale_lease=options.stale_lease,
-            metrics_out=options.metrics_out,
-        )
-    raise ValueError(
-        f"unknown backend {options.backend!r}; choose from "
-        f"{', '.join(BACKENDS)}"
+        return MultiprocessingExecutor(processes=options.processes)
+    assert options.checkpoint_dir is not None  # SweepOptions requires it
+    queue_dir = options.queue_dir
+    if queue_dir is None:
+        queue_dir = Path(options.checkpoint_dir) / "queue"
+    return FileQueueExecutor(
+        queue_dir,
+        options.checkpoint_dir,
+        workers=options.workers,
+        max_retries=options.max_retries,
+        stale_lease=options.stale_lease,
+        metrics_out=options.metrics_out,
     )
 
 
@@ -251,10 +246,7 @@ def run_sweep(
     cluster: ClusterSpec,
     cells: Iterable[SweepCell],
     *,
-    calibration: Calibration | None = None,
     options: SweepOptions | None = None,
-    executor: Executor | None = None,
-    **overrides,
 ) -> list[SearchOutcome]:
     """Search every cell; return outcomes in the input order.
 
@@ -262,28 +254,17 @@ def run_sweep(
         spec: Model to search for.
         cluster: Hardware description.
         cells: The (method, batch size) cells to search.
-        calibration: Cost-model constants, shared by all cells.  ``None``
-            (the default) uses ``options.calibration``, which is itself
-            the hand-tuned default unless the caller (e.g. the CLI's
-            ``--calibration``) overrode it.
-        options: Execution settings (see :class:`SweepOptions`).
-        executor: Pre-built backend instance, overriding
-            ``options.backend`` — the hook for custom executors.
-        **overrides: Field overrides applied on top of ``options``
-            (``run_sweep(..., backend="serial", resume=True)``).
+        options: Everything else: the backend, checkpointing, and the
+            calibration and search settings shared by every cell (see
+            :class:`SweepOptions`).  None means ``SweepOptions()``.
 
     Raises:
         SweepError: A cell could not be completed (e.g. file-queue
             workers exhausted the retry cap).
-        ValueError: Unknown backend or invalid option combination.
     """
     if options is None:
         options = SweepOptions()
-    if overrides:
-        options = replace(options, **overrides)
-    if calibration is None:
-        calibration = options.calibration
-    settings = options.search_settings
+    calibration, settings = options.calibration, options.settings
 
     cells = list(cells)
     keys = [
@@ -318,7 +299,7 @@ def run_sweep(
         for key, (index, cell) in first_of.items()
         if key not in outcomes
     ]
-    tasks, estimates = _order_longest_first(store, tasks, options.objective)
+    tasks, estimates = _order_longest_first(store, tasks, settings.objective)
     key_of_index = {index: key for index, key, _cell in tasks}
 
     reporter = (
@@ -339,7 +320,7 @@ def run_sweep(
         own_registry = MetricsRegistry(actor="coordinator")
 
     if tasks:
-        backend = executor if executor is not None else _make_executor(options)
+        backend = _make_executor(options)
         context = (spec, cluster, calibration, settings)
         with ExitStack() as stack:
             if own_registry is not None:

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from repro.hardware.cluster import ClusterSpec
 from repro.models.spec import TransformerSpec
 from repro.parallel.config import Method, ParallelConfig, ScheduleKind, Sharding
-from repro.search.cell import SearchSettings
+from repro.search.cell import DEFAULT_SETTINGS, SearchSettings
 from repro.sim.implementation import (
     MEGATRON_LM,
     OUR_IMPLEMENTATION,
@@ -85,16 +85,15 @@ def configuration_space(
     cluster: ClusterSpec,
     batch_size: int,
     *,
-    include_hybrid: bool = False,
-    settings: SearchSettings | None = None,
+    settings: SearchSettings = DEFAULT_SETTINGS,
 ) -> Iterator[tuple[ParallelConfig, ImplementationProfile]]:
     """All candidate (config, implementation) pairs for one search cell.
 
-    ``settings`` (the same :class:`~repro.search.cell.SearchSettings`
-    that configures the whole evaluation pipeline) supersedes the bare
-    ``include_hybrid`` flag when given, so the enumeration and the
-    pipeline can never disagree about which axes a cell searches.  The
-    space is objective-independent by design: objectives change which
+    ``settings`` is the same :class:`~repro.search.cell.SearchSettings`
+    that configures the whole evaluation pipeline, so the enumeration
+    and the pipeline can never disagree about which axes a cell
+    searches; only its ``include_hybrid`` shapes the space.  The space
+    is objective-independent by design: objectives change which
     candidates are *feasible* or *preferred*, never which exist, so
     every objective's counters partition the same enumeration.
 
@@ -107,8 +106,9 @@ def configuration_space(
 
     - **Breadth-first**: our implementation, ``N_loop >= 2``, DP0 or DP_FS
       (the paper only tried DP_FS for breadth-first configs).  With
-      ``include_hybrid``, Section 4.2 hybrid-schedule candidates (the
-      ``sequence_size`` axis, same sharding rules) join the space.
+      ``settings.include_hybrid``, Section 4.2 hybrid-schedule
+      candidates (the ``sequence_size`` axis, same sharding rules) join
+      the space.
     - **Depth-first**: Megatron-LM, ``N_loop >= 2``, DP0 only, ``N_mb``
       a multiple of ``N_PP``.
     - **Non-looped**: both implementations — ours runs GPipe with DP0 or
@@ -118,8 +118,7 @@ def configuration_space(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if settings is not None:
-        include_hybrid = settings.include_hybrid
+    include_hybrid = settings.include_hybrid
     pipeline = method is not Method.NO_PIPELINE
 
     for n_dp, n_pp, n_tp, smb, n_mb in _candidate_grids(

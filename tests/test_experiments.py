@@ -3,6 +3,8 @@ full versions)."""
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.experiments import runner as runner_module
@@ -15,6 +17,18 @@ from repro.experiments.table41 import run_table41
 from repro.experiments.table51 import format_table51, run_table51
 from repro.parallel.config import Method
 from repro.sgd.tradeoff import TradeoffPoint, UtilizationCurve, tradeoff_curve
+
+
+def _cli_args(**overrides):
+    """The experiments parser's namespace at its defaults, plus overrides."""
+    base = dict(
+        backend="serial", jobs=None, checkpoint_dir=None, workers=2,
+        resume=False, progress=False, no_bound_pruning=False,
+        verify_winners=False, objective="throughput", memory_headroom=None,
+        calibration=None, metrics_out=None,
+    )
+    base.update(overrides)
+    return argparse.Namespace(**base)
 
 
 class TestFig2:
@@ -258,50 +272,27 @@ class TestCalibrationCLI:
         assert runner_module.main(["calibrate"]) == 1
 
     def test_calibration_flag_reaches_sweep_options(self, tmp_path):
-        import argparse
-
         from repro.fit import save_calibration
         from repro.sim.calibration import Calibration
 
         custom = Calibration(tokens_half_point=99.0)
         path = save_calibration(tmp_path / "c.json", custom)
-        args = argparse.Namespace(
-            backend="serial", jobs=None, checkpoint_dir=None, workers=2,
-            resume=False, progress=False, no_bound_pruning=False,
-            calibration=str(path),
+        options = runner_module.build_sweep_options(
+            _cli_args(calibration=str(path))
         )
-        options = runner_module.build_sweep_options(args)
         assert options.calibration == custom
 
     def test_default_options_use_hand_tuned_calibration(self):
-        import argparse
-
         from repro.sim.calibration import DEFAULT_CALIBRATION
 
-        args = argparse.Namespace(
-            backend="serial", jobs=None, checkpoint_dir=None, workers=2,
-            resume=False, progress=False, no_bound_pruning=False,
-            calibration=None,
-        )
         assert (
-            runner_module.build_sweep_options(args).calibration
+            runner_module.build_sweep_options(_cli_args()).calibration
             is DEFAULT_CALIBRATION
         )
 
 
 class TestObjectiveCLI:
     """--objective/--memory-headroom flags and the frontier subcommand."""
-
-    def _args(self, **overrides):
-        import argparse
-
-        base = dict(
-            backend="serial", jobs=None, checkpoint_dir=None, workers=2,
-            resume=False, progress=False, no_bound_pruning=False,
-            calibration=None, objective="throughput", memory_headroom=None,
-        )
-        base.update(overrides)
-        return argparse.Namespace(**base)
 
     def test_objective_flags_reach_sweep_options(self):
         from repro.search.objective import (
@@ -310,25 +301,20 @@ class TestObjectiveCLI:
             ThroughputObjective,
         )
 
-        assert (
-            runner_module.build_sweep_options(self._args()).objective
-            == ThroughputObjective()
-        )
-        assert (
-            runner_module.build_sweep_options(
-                self._args(objective="pareto")
-            ).objective
-            == ParetoFrontObjective()
-        )
-        options = runner_module.build_sweep_options(
-            self._args(objective="memory-constrained", memory_headroom=0.4)
-        )
-        assert options.objective == MemoryConstrainedThroughput(headroom=0.4)
+        def objective(**flags):
+            options = runner_module.build_sweep_options(_cli_args(**flags))
+            return options.settings.objective
+
+        assert objective() == ThroughputObjective()
+        assert objective(objective="pareto") == ParetoFrontObjective()
+        assert objective(
+            objective="memory-constrained", memory_headroom=0.4
+        ) == MemoryConstrainedThroughput(headroom=0.4)
 
     def test_headroom_without_constrained_objective_rejected(self):
         with pytest.raises(ValueError, match="memory-headroom"):
             runner_module.build_sweep_options(
-                self._args(memory_headroom=0.4)
+                _cli_args(memory_headroom=0.4)
             )
 
 

@@ -123,12 +123,19 @@ class TestRunnerCli:
             ["plan", "--model", "nope"],
             ["plan", "--objective", "nope"],
             ["plan", "--method", "Nope"],
+            ["plan", "--method", "Breadth-first", "--method",
+             "Breadth-first"],
             ["plan", "--objective", "memory-constrained",
              "--memory-headroom", "3"],
             ["fig7", "--objective", "memory-constrained",
              "--memory-headroom", "5"],
             ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
              "--workers", "0"],
+            ["fig1", "--backend", "file-queue"],
+            ["fig1", "--resume"],
+            ["frontier", "--quick", "--resume"],
+            ["frontier", "--quick", "--jobs", "0", "--checkpoint-dir",
+             "{tmp}"],
             ["fig1", "--calibration", "/nonexistent.json"],
             ["plan", "--calibration", "/nonexistent.json"],
             ["serve", "--store", "{tmp}", "--calibration", "/nonexistent.json"],
@@ -163,6 +170,8 @@ class TestRunnerCli:
             ["report", "--cell", "52B:DEPTH_FIRST:8", "--out", "{dir}"],
             ["report", "--cell", "52B:DEPTH_FIRST:8", "--out",
              "{file}/r.json"],
+            ["report", "--cell", "52B:BREADTH_FIRST:0"],
+            ["report", "--cell", "52B:BREADTH_FIRST:-8"],
             ["fig7", "--jobs", "0"],
             ["frontier", "--quick", "--jobs", "-1"],
             # Non-finite calibration constants are refused at load.

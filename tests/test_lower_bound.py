@@ -4,13 +4,17 @@ The bound's one non-negotiable property: it never exceeds the simulated
 step time.  If it did, the search could prune a candidate that would
 have won, silently corrupting every Figure 7 / Appendix E result.  The
 property test hammers exactly that over a randomized sample of the real
-configuration spaces (hybrid axis included); the exactness test pins the
+configuration spaces (hybrid axis included), under every calibration a
+search can run with: the hand-tuned default, the committed fit and
+points inside the fitter's parameter box.  The exactness test pins the
 bound's arithmetic on a case small enough to compute by hand.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +24,11 @@ from repro.analytical.lower_bound import (
     FLOAT_MARGIN,
     step_time_lower_bound,
 )
+from repro.fit import FIT_PARAMETERS, load_calibration
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.parallel.config import Method, ParallelConfig, ScheduleKind
+from repro.search.cell import SearchSettings
 from repro.search.space import configuration_space
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import CostModel
@@ -34,6 +40,25 @@ _CLUSTERS = {
 }
 _SPECS = {"52B": MODEL_52B, "6.6B": MODEL_6_6B}
 
+#: What ``--calibration`` searches run with: the default, the committed
+#: fit, or any point of the box the fitter searches.
+_CALIBRATIONS = st.one_of(
+    st.just(DEFAULT_CALIBRATION),
+    st.just(
+        load_calibration(
+            Path(__file__).resolve().parent.parent / "fitted_calibration.json"
+        )
+    ),
+    st.tuples(
+        *(st.floats(p.lower, p.upper) for p in FIT_PARAMETERS)
+    ).map(
+        lambda values: replace(
+            DEFAULT_CALIBRATION,
+            **{p.name: v for p, v in zip(FIT_PARAMETERS, values)},
+        )
+    ),
+)
+
 
 @lru_cache(maxsize=None)
 def _space(spec_name: str, cluster_name: str, method: Method, batch: int):
@@ -44,18 +69,20 @@ def _space(spec_name: str, cluster_name: str, method: Method, batch: int):
             _SPECS[spec_name],
             _CLUSTERS[cluster_name],
             batch,
-            include_hybrid=True,
+            settings=SearchSettings(include_hybrid=True),
         )
     )
 
 
-def _cost_for(spec, cluster, config, impl) -> CostModel:
+def _cost_for(
+    spec, cluster, config, impl, calibration=DEFAULT_CALIBRATION
+) -> CostModel:
     return CostModel(
         spec=spec,
         config=config,
         cluster=cluster,
         implementation=impl,
-        calibration=DEFAULT_CALIBRATION,
+        calibration=calibration,
     )
 
 
@@ -67,25 +94,28 @@ class TestBoundNeverExceedsSimulation:
         method=st.sampled_from(list(Method)),
         batch=st.sampled_from([8, 32, 64, 96]),
         pick=st.integers(min_value=0, max_value=10**9),
+        calibration=_CALIBRATIONS,
     )
     def test_lower_bound_below_step_time(
-        self, spec_name, cluster_name, method, batch, pick
+        self, spec_name, cluster_name, method, batch, pick, calibration
     ):
         """Property: bound <= simulate(...).step_time across the space.
 
         Samples uniformly from the actual enumerated candidates —
         including hybrid-schedule ones — so the property covers exactly
-        what the branch-and-bound stage can ever see.
+        what the branch-and-bound stage can ever see, under any
+        calibration a search may prune with.
         """
         space = _space(spec_name, cluster_name, method, batch)
         if not space:
             return
         config, impl = space[pick % len(space)]
         spec, cluster = _SPECS[spec_name], _CLUSTERS[cluster_name]
-        cost = _cost_for(spec, cluster, config, impl)
+        cost = _cost_for(spec, cluster, config, impl, calibration)
         bound = step_time_lower_bound(cost)
         result = simulate(
-            spec, config, cluster, implementation=impl, cost=cost
+            spec, config, cluster, implementation=impl,
+            calibration=calibration, cost=cost,
         )
         assert bound.step_time <= result.step_time, (
             f"bound {bound.step_time} exceeds simulated "

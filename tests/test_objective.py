@@ -342,12 +342,11 @@ class TestServiceThreading:
         from repro.search.service import SweepOptions, run_sweep
 
         cells = [SweepCell(Method.NO_PIPELINE, 8)]
+        settings = SearchSettings(objective=ParetoFrontObjective())
         outcomes = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, cells,
             options=SweepOptions(
-                backend="serial",
-                objective=ParetoFrontObjective(),
-                checkpoint_dir=tmp_path,
+                backend="serial", settings=settings, checkpoint_dir=tmp_path,
             ),
         )
         assert outcomes[0].frontier is not None
@@ -356,7 +355,7 @@ class TestServiceThreading:
             MODEL_6_6B, DGX1_CLUSTER_64, cells,
             options=SweepOptions(
                 backend="serial",
-                objective=ParetoFrontObjective(),
+                settings=settings,
                 checkpoint_dir=tmp_path,
                 resume=True,
             ),

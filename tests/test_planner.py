@@ -223,6 +223,12 @@ class TestProtocol:
         with pytest.raises(ValueError):
             _request(**bad)
 
+    def test_request_validation_rejects_duplicate_methods(self):
+        # Refused like a repeated batch size: the repeat would answer the
+        # same cell twice under a query key of its own.
+        with pytest.raises(ValueError, match="duplicate methods"):
+            _request(methods=(BF, BF))
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -411,3 +417,19 @@ class TestHttp:
             ((status, payload),) = self._roundtrip(planner, [raw])
         assert status == 400
         assert "unknown model" in payload["error"]
+
+    def test_duplicate_methods_map_to_400(self, tmp_path):
+        data = request_to_json(_request())
+        data["methods"] = [BF, BF]
+        body = json.dumps(data).encode()
+        raw = (
+            b"POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\n\r\n"
+            + body
+        )
+        with Planner(tmp_path) as planner:
+            ((status, payload),) = self._roundtrip(planner, [raw])
+            assert len(planner.store) == 0
+        assert status == 400
+        assert "duplicate methods" in payload["error"]

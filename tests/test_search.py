@@ -270,7 +270,7 @@ class TestHybridAxis:
     def test_hybrid_candidates_present_when_enabled(self):
         space = list(configuration_space(
             Method.BREADTH_FIRST, MODEL_6_6B, DGX1_CLUSTER_64, 32,
-            include_hybrid=True,
+            settings=SearchSettings(include_hybrid=True),
         ))
         hybrids = [
             c for c, _ in space if c.schedule is ScheduleKind.HYBRID
@@ -299,7 +299,7 @@ class TestHybridAxis:
         assert outcome.best is not None
         space = list(configuration_space(
             Method.BREADTH_FIRST, MODEL_6_6B, DGX1_CLUSTER_64, 32,
-            include_hybrid=True,
+            settings=SearchSettings(include_hybrid=True),
         ))
         assert (
             outcome.n_tried + outcome.n_excluded + outcome.n_pruned

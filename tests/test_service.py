@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -217,7 +218,7 @@ class TestRunSweep:
         )
         resumed = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=opts, resume=True,
+            options=replace(opts, resume=True),
         )
         assert resumed == first
 
@@ -230,63 +231,58 @@ class TestRunSweep:
         CheckpointStore(tmp_path).path_for(key).write_bytes(b"{broken")
         with pytest.warns(RuntimeWarning):
             resumed = run_sweep(
-                MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts, resume=True
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=replace(opts, resume=True),
             )
         assert resumed == outcomes
 
+    # SweepOptions refuses what no sweep can run when it is built, even
+    # if nothing would be left to compute.
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            run_sweep(
-                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-                options=SweepOptions(backend="dask"),
-            )
+            SweepOptions(backend="dask")
 
     def test_file_queue_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
-            run_sweep(
-                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-                options=SweepOptions(backend="file-queue"),
+            SweepOptions(backend="file-queue")
+
+    def test_resume_requires_checkpoint_dir(self):
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            SweepOptions(resume=True)
+
+    @pytest.mark.parametrize("processes", [0, -3])
+    def test_pool_of_fewer_than_one_process_rejected(self, processes):
+        with pytest.raises(ValueError, match="processes"):
+            SweepOptions(processes=processes)
+
+    def test_fewer_than_one_worker_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            SweepOptions(
+                backend="file-queue", checkpoint_dir=tmp_path, workers=0
             )
 
     def test_empty_cells(self):
         assert run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, []) == []
 
-    def test_options_calibration_is_used_when_not_passed_explicitly(self):
+    def test_options_calibration_reaches_the_search(self):
         """``SweepOptions.calibration`` (the --calibration plumbing) must
         reach the actual search: a huge fixed step overhead visibly
         drags every cell's throughput."""
-        slow = Calibration(fixed_step_overhead=1.0)
-        via_options = run_sweep(
+        slow = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
-            options=SweepOptions(backend="serial", calibration=slow),
+            options=SweepOptions(
+                backend="serial",
+                calibration=Calibration(fixed_step_overhead=1.0),
+            ),
         )
-        explicit = run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
-            calibration=slow,
-            options=SweepOptions(backend="serial"),
-        )
-        assert via_options == explicit
         default = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
             options=SweepOptions(backend="serial"),
         )
         assert (
-            via_options[0].best.throughput_per_gpu
+            slow[0].best.throughput_per_gpu
             < default[0].best.throughput_per_gpu
         )
-
-    def test_explicit_calibration_overrides_options(self):
-        slow = Calibration(fixed_step_overhead=1.0)
-        got = run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
-            calibration=DEFAULT_CALIBRATION,
-            options=SweepOptions(backend="serial", calibration=slow),
-        )
-        reference = run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
-            options=SweepOptions(backend="serial"),
-        )
-        assert got == reference
 
 
 class TestCellTiming:
@@ -405,30 +401,56 @@ class TestCellTiming:
         assert got == outcomes
 
 
+def _only_start_method(monkeypatch, method):
+    """Make the platform probe report ``method`` alone.
+
+    Returns the list of start methods the pools then ask for.
+    """
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} unavailable on this platform")
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: [method]
+    )
+    used = []
+    real = multiprocessing.get_context
+
+    def spy(name=None):
+        used.append(name)
+        return real(name)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return used
+
+
 class TestBackendParity:
     """Every backend must reproduce the serial outcomes exactly."""
 
-    def test_spawn_pool_matches_serial(self, outcomes):
-        # The satellite fix: spawn platforms get a real pool through the
-        # initializer instead of a silent serial fallback.
-        executor = MultiprocessingExecutor(processes=2, start_method="spawn")
-        got = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, executor=executor)
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_matches_serial(self, monkeypatch, outcomes, start_method):
+        # Spawn-only platforms get a real pool: the initializer rebuilds
+        # the search context in each child instead of a silent serial
+        # fallback.
+        used = _only_start_method(monkeypatch, start_method)
+        got = run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=2),
+        )
         assert got == outcomes
+        assert used == [start_method]
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pool_metrics_match_serial(self, start_method):
+    def test_pool_metrics_match_serial(self, monkeypatch, start_method):
         # A recording coordinator gets every pool worker's per-cell
         # metrics back: the merged search counters and histograms equal
         # a serial run's, so --metrics-out reports the same candidate
         # totals on every backend.
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{start_method} unavailable on this platform")
+        used = _only_start_method(monkeypatch, start_method)
 
-        def recorded(executor):
+        def recorded(backend):
             with recording(MetricsRegistry()) as registry:
                 run_sweep(
                     MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-                    backend="serial", executor=executor,
+                    options=SweepOptions(backend=backend, processes=2),
                 )
             snapshot = registry.snapshot()
             counters = {
@@ -445,10 +467,9 @@ class TestBackendParity:
             }
             return counters, counts
 
-        serial = recorded(None)
-        pool = recorded(
-            MultiprocessingExecutor(processes=2, start_method=start_method)
-        )
+        serial = recorded("serial")
+        pool = recorded("multiprocessing")
+        assert used == [start_method]
         assert serial[0]["search.cells"] == len(CELLS)
         assert pool == serial
 
@@ -460,7 +481,7 @@ class TestBackendParity:
     POOL_TASKS = [(index, f"k{index}", cell) for index, cell in enumerate(CELLS)]
 
     def test_pool_reports_carry_no_metrics_when_not_recording(self):
-        executor = MultiprocessingExecutor(processes=2, start_method="fork")
+        executor = MultiprocessingExecutor(processes=2)
         reports = [
             report
             for _index, _outcome, report in executor.run(
@@ -474,7 +495,7 @@ class TestBackendParity:
         # Each report holds one cell's snapshot, recorded in the worker;
         # folding it into the coordinator is run_sweep's job, so running
         # the backend alone leaves the coordinator's registry empty.
-        executor = MultiprocessingExecutor(processes=2, start_method="fork")
+        executor = MultiprocessingExecutor(processes=2)
         with recording(MetricsRegistry()) as registry:
             results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
         assert registry.counters == {}

@@ -1,68 +1,15 @@
-"""Tests for the multiprocessing sweep orchestrator."""
+"""Tests for ``sweep_grid``, one Figure 7 panel's grid over the service."""
 
 from __future__ import annotations
-
-import multiprocessing
-
-import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import Method
-from repro.search.grid import best_configuration
-from repro.search.sweep import SweepCell, sweep_cells, sweep_grid
+from repro.search import sweep as sweep_module
+from repro.search.service import SweepOptions
+from repro.search.sweep import sweep_grid
 
-#: Small, fast cells (6.6B no-pipeline spaces have ~2-20 candidates).
-CELLS = [
-    SweepCell(Method.NO_PIPELINE, 8),
-    SweepCell(Method.NO_PIPELINE, 64),
-    SweepCell(Method.DEPTH_FIRST, 8),
-]
-
-
-def outcome_key(outcome):
-    return (
-        outcome.method,
-        outcome.batch_size,
-        outcome.n_tried,
-        outcome.n_excluded,
-        None
-        if outcome.best is None
-        else (outcome.best.config, outcome.best.throughput_per_gpu),
-    )
-
-
-class TestSweepCells:
-    def test_serial_matches_direct_search(self):
-        outcomes = sweep_cells(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, processes=1)
-        direct = [
-            best_configuration(MODEL_6_6B, DGX1_CLUSTER_64, c.method, c.batch_size)
-            for c in CELLS
-        ]
-        assert [outcome_key(o) for o in outcomes] == [
-            outcome_key(o) for o in direct
-        ]
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_pool_matches_serial(self):
-        pooled = sweep_cells(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, processes=2)
-        serial = sweep_cells(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, processes=1)
-        assert [outcome_key(o) for o in pooled] == [
-            outcome_key(o) for o in serial
-        ]
-
-    def test_preserves_input_order(self):
-        cells = list(reversed(CELLS))
-        outcomes = sweep_cells(MODEL_6_6B, DGX1_CLUSTER_64, cells, processes=1)
-        assert [(o.method, o.batch_size) for o in outcomes] == [
-            (c.method, c.batch_size) for c in cells
-        ]
-
-    def test_empty_cells(self):
-        assert sweep_cells(MODEL_6_6B, DGX1_CLUSTER_64, [], processes=4) == []
+SERIAL = SweepOptions(backend="serial")
 
 
 class TestSweepGrid:
@@ -70,9 +17,31 @@ class TestSweepGrid:
         methods = [Method.NO_PIPELINE, Method.DEPTH_FIRST]
         batches = [8, 64]
         grouped = sweep_grid(
-            MODEL_6_6B, DGX1_CLUSTER_64, methods, batches, processes=1
+            MODEL_6_6B, DGX1_CLUSTER_64, methods, batches, options=SERIAL
         )
         assert list(grouped) == methods
         for method, outcomes in grouped.items():
             assert [o.batch_size for o in outcomes] == batches
             assert all(o.method is method for o in outcomes)
+
+    def test_runs_the_sweep_through_the_module_global(self, monkeypatch):
+        # Wrapping ``repro.search.sweep.run_sweep`` must see every panel
+        # sweep: perfbench's tracer times the sweep under that name.
+        real = sweep_module.run_sweep
+        calls = []
+
+        def spy(spec, cluster, cells, *, options):
+            calls.append((list(cells), options))
+            return real(spec, cluster, cells, options=options)
+
+        monkeypatch.setattr(sweep_module, "run_sweep", spy)
+        sweep_grid(
+            MODEL_6_6B, DGX1_CLUSTER_64, [Method.NO_PIPELINE], [8],
+            options=SERIAL,
+        )
+        assert len(calls) == 1
+        cells, options = calls[0]
+        assert [(c.method, c.batch_size) for c in cells] == [
+            (Method.NO_PIPELINE, 8)
+        ]
+        assert options is SERIAL
