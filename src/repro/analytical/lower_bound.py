@@ -39,7 +39,7 @@ any execution the event engine can produce:
 No certificate inspects the instruction order, so the bound is valid
 for every schedule kind, including the Section 4.2 hybrid.  It is proved
 ``<= simulate(...).step_time`` over the configuration space by the
-property test in ``tests/test_lower_bound.py``; a relative float margin
+property test in ``tests/test_differential.py``; a relative float margin
 (:data:`FLOAT_MARGIN`) absorbs the summation-order differences between
 the closed forms here and the engine's sequential additions, so exact
 throughput ties can never be pruned incorrectly.
@@ -145,7 +145,8 @@ def step_time_lower_bound(cost: CostModel) -> StepTimeBound:
     Three certificates per rank, assembled term-for-term in the float
     order of the scalar ``CostModel`` methods the partials mirror
     (``rank_compute_seconds``, ``rank_fill_seconds``,
-    ``rank_drain_seconds``; parity pinned in ``tests/test_lower_bound.py``):
+    ``rank_drain_seconds``; parity pinned in
+    ``tests/test_differential.py``):
 
     - **Compute occupancy**: fill plus the rank's whole compute-stream
       busy (all forwards/backwards, send overheads, the serial DP block

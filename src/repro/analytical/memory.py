@@ -101,8 +101,8 @@ def _rank_param_groups(
     ``base + 1`` layers, ranks with ``base``).  Because the closed-form
     in-flight peak is non-increasing in rank for every schedule kind
     (earlier ranks hold more outstanding micro-batches; asserted by the
-    property test in ``tests/test_schedules.py``), the memory peak over
-    a group is attained at its first rank — so the closed-form
+    property test in ``tests/test_differential.py``), the memory peak
+    over a group is attained at its first rank — so the closed-form
     :func:`memory_model` path only evaluates one rank per group.
     """
     groups: dict[tuple[float, int], int] = {}

@@ -194,8 +194,9 @@ def max_in_flight_closed(
     steady state's forward lands before the backward that frees its
     slot).  Proved equal to the materialized
     ``Schedule.max_in_flight(rank)`` over the full generator parameter
-    space by ``tests/test_schedules.py`` — which is what lets the search's
-    memory filter price a candidate without building its schedule.
+    space by ``tests/test_differential.py`` — which is what lets the
+    search's memory filter price a candidate without building its
+    schedule.
     """
     if kind is ScheduleKind.GPIPE:
         return n_microbatches

@@ -460,10 +460,9 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def _search_cell_snapshot(cell_arg: str, parser: argparse.ArgumentParser) -> dict:
-    """Search one Figure-7 cell under a fresh registry; return its snapshot."""
+def _parse_cell(cell_arg: str, parser: argparse.ArgumentParser) -> tuple:
+    """``--cell PANEL:METHOD:BATCH`` as ``(spec, cluster, method, batch)``."""
     from repro.parallel.config import Method
-    from repro.search.grid import best_configuration
 
     from repro.experiments.fig7 import panel_setup
 
@@ -482,6 +481,13 @@ def _search_cell_snapshot(cell_arg: str, parser: argparse.ArgumentParser) -> dic
         parser.error(f"bad --cell {cell_arg!r}: {exc}")
     if batch < 1:
         parser.error(f"bad --cell {cell_arg!r}: the batch size must be >= 1")
+    return spec, cluster, method, batch
+
+
+def _search_cell_snapshot(spec, cluster, method, batch: int) -> dict:
+    """Search one Figure-7 cell under a fresh registry; return its snapshot."""
+    from repro.search.grid import best_configuration
+
     registry = MetricsRegistry(actor="report-cell")
     with recording(registry):
         best_configuration(spec, cluster, method, batch)
@@ -531,11 +537,13 @@ def report_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (args.metrics is None) == (args.cell is None):
         parser.error("exactly one of --metrics or --cell is required")
+    # A bad --cell is refused before --out is created.
+    cell = None if args.cell is None else _parse_cell(args.cell, parser)
     if args.out:
         create_output_file(parser, "--out", Path(args.out))
 
-    if args.cell is not None:
-        snapshots = [_search_cell_snapshot(args.cell, parser)]
+    if cell is not None:
+        snapshots = [_search_cell_snapshot(*cell)]
     else:
         snapshots = read_snapshots(args.metrics)
         if not snapshots:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.planner.core import Planner
-from repro.planner.http import DEFAULT_HOST, DEFAULT_PORT, serve
+from repro.planner.http import DEFAULT_HOST, DEFAULT_PORT, CannotListen, serve
 from repro.planner.protocol import (
     CLUSTER_ALIASES,
     PlanRequest,
@@ -79,6 +79,8 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     with Planner(args.store, calibration=calibration) as planner:
         try:
             asyncio.run(serve(planner, args.host, args.port))
+        except CannotListen as exc:
+            parser.error(str(exc))
         except KeyboardInterrupt:
             print("planner stopped", file=sys.stderr)
     return 0

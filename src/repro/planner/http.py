@@ -30,7 +30,13 @@ from repro.planner.protocol import (
 )
 from repro.search.service.serialize import canonical_dumps
 
-__all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "serve", "start_planner_server"]
+__all__ = [
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
+    "CannotListen",
+    "serve",
+    "start_planner_server",
+]
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
@@ -44,6 +50,10 @@ _MAX_HEADER_LINES = 100
 
 class _BadRequest(ValueError):
     """Maps to a 400 response with the message as the error body."""
+
+
+class CannotListen(Exception):
+    """The server could not bind its address; nothing was served."""
 
 
 async def _read_request(
@@ -67,7 +77,9 @@ async def _read_request(
             try:
                 content_length = int(value.strip())
             except ValueError as exc:
-                raise _BadRequest(f"bad Content-Length: {value!r}") from exc
+                raise _BadRequest(
+                    f"bad Content-Length: {value.strip()!r}"
+                ) from exc
     else:
         raise _BadRequest("too many header lines")
     if content_length < 0 or content_length > _MAX_BODY_BYTES:
@@ -154,8 +166,19 @@ async def serve(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
 ) -> None:
-    """Run the server until cancelled (the CLI's foreground mode)."""
-    server = await start_planner_server(planner, host, port)
+    """Run the server until cancelled (the CLI's foreground mode).
+
+    Raises:
+        CannotListen: The address could not be bound (the port is in
+            use, or the host does not resolve).  Only binding is
+            covered: errors once the server listens propagate as raised.
+    """
+    try:
+        server = await start_planner_server(planner, host, port)
+    except OSError as exc:
+        raise CannotListen(
+            f"cannot listen on {host}:{port}: {exc.strerror or exc}"
+        ) from exc
     addr = server.sockets[0].getsockname()
     print(f"planner listening on http://{addr[0]}:{addr[1]}", flush=True)
     async with server:

@@ -305,7 +305,7 @@ class FileQueueExecutor(Executor):
         #: long a *dead* external worker's cell stays stuck.  Expiry of
         #: a genuinely stalled worker still just duplicates work
         #: (completion is idempotent) at the cost of one retry.
-        if stale_lease is not None and stale_lease <= 0:
+        if stale_lease is not None and not stale_lease > 0:
             raise ValueError(
                 f"stale_lease must be positive or None, got {stale_lease}"
             )

@@ -100,7 +100,8 @@ class SweepOptions:
 
     Raises:
         ValueError: An unknown backend, ``processes`` or ``workers``
-            below 1, or ``resume`` or ``file-queue`` without a
+            below 1, ``max_retries`` below 0, a ``stale_lease`` that is
+            not positive, or ``resume`` or ``file-queue`` without a
             ``checkpoint_dir``.
     """
 
@@ -130,6 +131,14 @@ class SweepOptions:
         if self.workers < 1:
             raise ValueError(
                 f"workers (--workers) must be >= 1, got {self.workers}"
+            )
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.stale_lease is not None and not self.stale_lease > 0:
+            raise ValueError(
+                f"stale_lease must be positive or None, got {self.stale_lease}"
             )
         if self.checkpoint_dir is None:
             if self.resume:

@@ -8,7 +8,7 @@ scalar lookup in the search cell (bounds, program builds, adjacent sweep
 cells) is a pure hit.
 
 **Bit-exactness is the contract**, property-tested under hypothesis in
-``tests/test_cost_batch.py``: the returned
+``tests/test_differential.py``: the returned
 :class:`~repro.sim.cost.StageTimes` must equal the scalar table's to the
 last bit, because both the program builder and the analytical bound feed
 off these floats and the search's byte-identical-winners guarantee rides
@@ -177,8 +177,8 @@ class BoundPartials(NamedTuple):
     Every entry is the *same float* the scalar ``CostModel`` methods
     produce (same summation order, computed by the same code), so a bound
     assembled from these partials is bit-identical to one assembled from
-    per-candidate ``cost.rank_*`` calls — pinned by the parity test in
-    ``tests/test_lower_bound.py``.
+    per-candidate ``cost.rank_*`` calls — pinned by the bound property in
+    ``tests/test_differential.py``.
 
     Attributes:
         fill: ``fill[r]`` = :meth:`CostModel.rank_fill_seconds`.

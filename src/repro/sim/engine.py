@@ -53,7 +53,7 @@ oracle) bit for bit, including its diagnostics: a duplicate uid raises
 ``ValueError``, and otherwise a program that stops short of completion
 reports every blocked stream head with the dependencies it is waiting
 on (:func:`record_order` rejects such a program with the same
-messages).  ``tests/test_engine_parity.py`` holds the parity on real
+messages).  ``tests/test_differential.py`` holds the parity on real
 programs and ``tests/test_engine_differential.py`` on random ones.
 """
 

@@ -12,9 +12,10 @@ without the up-front uid scan, drops finished streams from later sweeps
 and accumulates stream busy after the run; every stream walk in the
 package — simulation, delta replay, schedule validation, the NumPy
 runtime's op order and the static verifier's cycle search — goes
-through its core.  ``tests/test_engine_parity.py`` asserts both engines
-produce identical ``finish_times``, ``stream_busy`` and ``makespan`` on
-every schedule kind, and ``tests/test_engine_differential.py`` holds
+through its core.  ``tests/test_differential.py`` asserts both engines
+produce identical ``finish_times``, ``stream_busy``, ``makespan`` and
+timelines on real programs of every schedule kind, and
+``tests/test_engine_differential.py`` holds
 ``run_streams``, ``run_streams_delta`` and the verifier's cycle search
 to this oracle on random programs, faulty ones included.
 """

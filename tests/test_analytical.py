@@ -204,40 +204,6 @@ class TestMemoryModel:
             mem.state + mem.checkpoints + mem.activations + mem.pp_buffers
         )
 
-    def test_closed_form_equals_schedule_path_bit_exact(self):
-        """``memory_model(schedule=None)`` must return the *same floats*
-        as pricing against the materialized schedule — every breakdown
-        field, not approximately.  The search's feasibility filter runs
-        the schedule-less path on every enumerated candidate."""
-        from repro.core.schedules.base import schedule_for
-
-        cases = []
-        for schedule, n_loop in [
-            (ScheduleKind.GPIPE, 1),
-            (ScheduleKind.ONE_F_ONE_B, 1),
-            (ScheduleKind.BREADTH_FIRST, 4),
-            (ScheduleKind.DEPTH_FIRST, 2),
-        ]:
-            for n_mb in (8, 16, 32):
-                for sharding in Sharding:
-                    cases.append(_config(
-                        n_dp=2, n_pp=4, schedule=schedule, n_loop=n_loop,
-                        n_microbatches=n_mb, sharding=sharding,
-                    ))
-        cases.append(ParallelConfig(
-            n_dp=2, n_pp=4, n_tp=1, microbatch_size=1, n_microbatches=16,
-            n_loop=2, schedule=ScheduleKind.HYBRID, sequence_size=8,
-        ))
-        for config in cases:
-            for impl in (OUR_IMPLEMENTATION, MEGATRON_LM):
-                if config.sharding is not Sharding.NONE and not impl.dp_overlap:
-                    continue
-                with_schedule = memory_model(
-                    MODEL_52B, config, impl, schedule_for(config)
-                )
-                closed = memory_model(MODEL_52B, config, impl)
-                assert closed == with_schedule  # dataclass ==: bit-exact
-
     def test_fs_memory_fits_1t_model_on_large_cluster(self):
         # Conclusion/A.2.1: DP_FS makes trillion-parameter models fit —
         # Eq. (15) gives ~7 GB of state for 1T at N_TP=8; with enough

@@ -1,36 +1,22 @@
-"""Vectorized family pricing: bit-exactness and cache seeding.
+"""Vectorized family pricing: exactness cases and cache seeding.
 
-The batched search's byte-identical-winners guarantee rests on two
-parity claims, both held here to the *last bit* (``==`` on floats, no
-tolerance):
-
-- :func:`repro.sim.cost_batch.price_families` — the cross-family pass
-  :func:`~repro.sim.cost_batch.warm_family_tables` runs — equals the
-  scalar ``_stage_time_table`` for every family of every drawn family
-  list (hypothesis hammers the real parameter ranges);
-- :func:`repro.sim.cost.comm_time_table` equals the per-candidate
-  ``gather_time``/``reduce_time``/``post_step_gather_time``/
-  ``dp_serial_time`` calls it replaced in the program builder,
-  regardless of the axes the table deliberately ignores (micro-batch
-  shape, schedule, calibration).
-
-Plus the seeding semantics of the shared cache: ``warm_family_tables``
-pre-fills exactly the missing entries, first writer wins, and later
-scalar lookups are pure hits.
+That :func:`repro.sim.cost_batch.price_families` equals the scalar
+``_stage_time_table`` for every family of a list priced in one pass,
+and that :func:`repro.sim.cost.comm_time_table` equals the
+per-candidate ``CostModel`` calls, are properties of
+``tests/test_differential.py``.  This file pins an uneven layer split
+by hand and the seeding semantics of the shared cache:
+``warm_family_tables`` pre-fills exactly the missing entries, first
+writer wins, and later scalar lookups are pure hits.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.fit import FIT_PARAMETERS
-from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
-from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
-from repro.models.presets import MODEL_6_6B, MODEL_52B
+from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.implementations import OUR_IMPLEMENTATION
+from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
-from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
+from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import (
     CostModel,
     _stage_time_table,
@@ -39,71 +25,8 @@ from repro.sim.cost import (
 )
 from repro.sim.cost_batch import price_families, warm_family_tables
 
-_SPECS = {"6.6B": MODEL_6_6B, "52B": MODEL_52B}
-_CLUSTERS = {
-    "infiniband": DGX1_CLUSTER_64,
-    "ethernet": DGX1_CLUSTER_64_ETHERNET,
-}
-_IMPLS = {"ours": OUR_IMPLEMENTATION, "megatron": MEGATRON_LM}
-
-#: One ``(n_pp, n_loop, microbatch_size, n_tp)`` family over the real
-#: parameter ranges.
-_FAMILIES = st.tuples(
-    st.sampled_from([1, 2, 4, 8, 16]),
-    st.sampled_from([1, 2, 3, 4]),
-    st.sampled_from([1, 2, 4, 8]),
-    st.sampled_from([1, 2, 4, 8]),
-)
-
-#: The default calibration or one inside the fitter's box: the fit prices
-#: every trial calibration with the vectorized pass.
-_CALIBRATIONS = st.one_of(
-    st.just(DEFAULT_CALIBRATION),
-    st.builds(
-        Calibration,
-        **{
-            p.name: st.floats(p.lower, p.upper, allow_nan=False)
-            for p in FIT_PARAMETERS
-        },
-    ),
-)
-
 
 class TestPriceFamilyParity:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        spec_name=st.sampled_from(sorted(_SPECS)),
-        cluster_name=st.sampled_from(sorted(_CLUSTERS)),
-        impl_name=st.sampled_from(sorted(_IMPLS)),
-        families=st.lists(_FAMILIES, min_size=1, max_size=12),
-        calibration=_CALIBRATIONS,
-    )
-    def test_bit_identical_to_scalar_table(
-        self, spec_name, cluster_name, impl_name, families, calibration
-    ):
-        """Property: cross-family vector pricing == scalar pricing, to
-        the last bit, for every family of the list."""
-        spec = _SPECS[spec_name]
-        cluster = _CLUSTERS[cluster_name]
-        impl = _IMPLS[impl_name]
-        scalar = {}
-        for family in families:
-            n_pp, n_loop, _microbatch_size, n_tp = family
-            if n_pp * n_loop > spec.n_layers or n_tp > cluster.node_size:
-                continue
-            try:
-                scalar[family] = _stage_time_table(
-                    spec, cluster, calibration, impl, *family
-                )
-            except ValueError:
-                continue  # family invalid for this model/cluster
-        batched = price_families(
-            spec, cluster, calibration, impl,
-            [family for family in families if family in scalar],
-        )
-        # Dataclass equality: every family, every stage, every float.
-        assert batched == scalar
-
     def test_uneven_layer_split_matches_placement(self):
         """MODEL_6_6B has 32 layers; 3 stages split 11/11/10 — the
         vectorized `base + (stage < extra)` must agree with the scalar
@@ -179,38 +102,6 @@ class TestWarmFamilyTables:
 
 
 class TestCommTableParity:
-    @pytest.mark.parametrize("sharding", list(Sharding))
-    @pytest.mark.parametrize(
-        "schedule",
-        [ScheduleKind.GPIPE, ScheduleKind.ONE_F_ONE_B,
-         ScheduleKind.BREADTH_FIRST],
-    )
-    def test_table_matches_scalar_calls(self, sharding, schedule):
-        """The comm table ignores micro-batch shape, schedule and
-        calibration by construction — so it must match the scalar calls
-        bit-for-bit even when those axes take non-probe values."""
-        if not OUR_IMPLEMENTATION.supports(sharding):
-            pytest.skip("implementation rejects this sharding")
-        config = ParallelConfig(
-            n_dp=8, n_pp=2, n_tp=2, microbatch_size=4, n_microbatches=8,
-            n_loop=2 if schedule is ScheduleKind.BREADTH_FIRST else 1,
-            sharding=sharding, schedule=schedule,
-        )
-        cost = CostModel(
-            spec=MODEL_6_6B, config=config, cluster=DGX1_CLUSTER_64,
-            implementation=OUR_IMPLEMENTATION,
-            calibration=Calibration(fixed_step_overhead=0.123),
-        )
-        comm = cost.comm_times()
-        stages = range(config.n_stages)
-        ranks = range(config.n_pp)
-        assert comm.gather == tuple(cost.gather_time(s) for s in stages)
-        assert comm.reduce == tuple(cost.reduce_time(s) for s in stages)
-        assert comm.post_gather == tuple(
-            cost.post_step_gather_time(r) for r in ranks
-        )
-        assert comm.dp_serial == tuple(cost.dp_serial_time(r) for r in ranks)
-
     def test_shared_across_schedules_and_batch_shapes(self):
         comm_time_table.cache_clear()
         for schedule, n_mb, mbs in [

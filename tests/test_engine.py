@@ -10,6 +10,7 @@ from repro.sim.engine import (
     record_order,
     run_streams,
 )
+from repro.sim.engine_sweep import run_streams_sweep
 
 
 def instr(uid, dur=1.0, deps=(), label=""):
@@ -197,3 +198,48 @@ class TestErrors:
         # its successors as if it took no time while the makespan read nan.
         with pytest.raises(ValueError, match="duration must be >= 0, got nan"):
             Instruction(uid=("x",), duration=float("nan"))
+
+
+class TestDeadlockParity:
+    """Labelled diagnostics: random programs carry no labels, so these
+    hand-written cases pin that a deadlock names the blocked ops by
+    label, as the seed engine does."""
+
+    def streams(self):
+        return {
+            (0, "c"): [instr(("a",), deps=[("b",)], label="a-op")],
+            (1, "c"): [
+                instr(("b",), deps=[("a",)], label="b-op"),
+                instr(("c",)),
+            ],
+        }
+
+    def test_same_diagnostics_on_cycle(self):
+        with pytest.raises(EngineDeadlock) as new_err:
+            run_streams(self.streams())
+        with pytest.raises(EngineDeadlock) as seed_err:
+            run_streams_sweep(self.streams())
+        assert str(new_err.value) == str(seed_err.value)
+        assert "a-op" in str(new_err.value)
+        assert "b-op" in str(new_err.value)
+
+    def test_missing_dependency_reported(self):
+        streams = {(0, "c"): [instr(("x",), deps=[("ghost",)])]}
+        with pytest.raises(EngineDeadlock, match="ghost"):
+            run_streams(streams)
+
+    def test_partial_progress_before_deadlock(self):
+        """Executable prefixes run before the deadlock is detected, and
+        already-finished work is not listed as missing."""
+        streams = {
+            (0, "c"): [
+                instr(("ok",), label="fine"),
+                instr(("stuck",), deps=[("ok",), ("ghost",)], label="stuck-op"),
+            ],
+        }
+        with pytest.raises(EngineDeadlock) as err:
+            run_streams(streams)
+        message = str(err.value)
+        assert "stuck-op" in message
+        assert "ghost" in message
+        assert "('ok',)" not in message

@@ -168,7 +168,7 @@ def _outcome(run, *, events: bool) -> tuple:
     )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(programs())
 def test_run_streams_matches_sweep_oracle(streams):
     assert _outcome(lambda: run_streams(streams), events=True) == _outcome(
@@ -176,7 +176,7 @@ def test_run_streams_matches_sweep_oracle(streams):
     )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(siblings())
 def test_delta_replay_matches_fresh_run(pair):
     base_streams, streams = pair
@@ -208,7 +208,7 @@ def _raised(run) -> tuple:
     return info.type, str(info.value)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(programs(), st.data())
 def test_ordered_replay_matches_both_engines(streams, data):
     # The order is recorded under other durations: it must hold under any.
@@ -298,7 +298,7 @@ def _well_formed(streams: dict) -> dict:
     return kept
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(programs().map(_well_formed))
 def test_dependency_cycles_sit_at_the_oracles_blocked_heads(streams):
     try:

@@ -105,7 +105,7 @@ class TestRuntimeEquivalence:
         assert result.loss == pytest.approx(ref_loss, abs=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     n_pp=st.integers(2, 4),
     n_loop=st.integers(1, 3),

@@ -172,6 +172,10 @@ class TestRunnerCli:
              "{file}/r.json"],
             ["report", "--cell", "52B:BREADTH_FIRST:0"],
             ["report", "--cell", "52B:BREADTH_FIRST:-8"],
+            # A bad --cell is refused before --out's directory is made.
+            ["report", "--cell", "nope:X:1", "--out", "{tmp}/r.json"],
+            ["report", "--cell", "52B:BREADTH_FIRST:0", "--out",
+             "{tmp}/r.json"],
             ["fig7", "--jobs", "0"],
             ["frontier", "--quick", "--jobs", "-1"],
             # Non-finite calibration constants are refused at load.

@@ -2,146 +2,28 @@
 
 The bound's one non-negotiable property: it never exceeds the simulated
 step time.  If it did, the search could prune a candidate that would
-have won, silently corrupting every Figure 7 / Appendix E result.  The
-property test hammers exactly that over a randomized sample of the real
-configuration spaces (hybrid axis included), under every calibration a
-search can run with: the hand-tuned default, the committed fit and
-points inside the fitter's parameter box.  The exactness test pins the
-bound's arithmetic on a case small enough to compute by hand.
+have won, silently corrupting every Figure 7 / Appendix E result.  That
+property, and the bound's equality with its scalar reference assembly,
+are held across the real configuration spaces (hybrid axis included)
+and every calibration a search can run with by
+``tests/test_differential.py``.  The exactness tests here pin the
+bound's arithmetic on cases small enough to compute by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import lru_cache
-from pathlib import Path
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analytical.lower_bound import (
     FLOAT_MARGIN,
     step_time_lower_bound,
 )
-from repro.fit import FIT_PARAMETERS, load_calibration
-from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
-from repro.models.presets import MODEL_6_6B, MODEL_52B
-from repro.parallel.config import Method, ParallelConfig, ScheduleKind
-from repro.search.cell import SearchSettings
-from repro.search.space import configuration_space
+from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.models.presets import MODEL_6_6B
+from repro.parallel.config import ParallelConfig, ScheduleKind
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import CostModel
 from repro.sim.simulator import simulate
-
-_CLUSTERS = {
-    "infiniband": DGX1_CLUSTER_64,
-    "ethernet": DGX1_CLUSTER_64_ETHERNET,
-}
-_SPECS = {"52B": MODEL_52B, "6.6B": MODEL_6_6B}
-
-#: What ``--calibration`` searches run with: the default, the committed
-#: fit, or any point of the box the fitter searches.
-_CALIBRATIONS = st.one_of(
-    st.just(DEFAULT_CALIBRATION),
-    st.just(
-        load_calibration(
-            Path(__file__).resolve().parent.parent / "fitted_calibration.json"
-        )
-    ),
-    st.tuples(
-        *(st.floats(p.lower, p.upper) for p in FIT_PARAMETERS)
-    ).map(
-        lambda values: replace(
-            DEFAULT_CALIBRATION,
-            **{p.name: v for p, v in zip(FIT_PARAMETERS, values)},
-        )
-    ),
-)
-
-
-@lru_cache(maxsize=None)
-def _space(spec_name: str, cluster_name: str, method: Method, batch: int):
-    """Materialized candidate list for one cell (hybrid axis on)."""
-    return tuple(
-        configuration_space(
-            method,
-            _SPECS[spec_name],
-            _CLUSTERS[cluster_name],
-            batch,
-            settings=SearchSettings(include_hybrid=True),
-        )
-    )
-
-
-def _cost_for(
-    spec, cluster, config, impl, calibration=DEFAULT_CALIBRATION
-) -> CostModel:
-    return CostModel(
-        spec=spec,
-        config=config,
-        cluster=cluster,
-        implementation=impl,
-        calibration=calibration,
-    )
-
-
-class TestBoundNeverExceedsSimulation:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        spec_name=st.sampled_from(sorted(_SPECS)),
-        cluster_name=st.sampled_from(sorted(_CLUSTERS)),
-        method=st.sampled_from(list(Method)),
-        batch=st.sampled_from([8, 32, 64, 96]),
-        pick=st.integers(min_value=0, max_value=10**9),
-        calibration=_CALIBRATIONS,
-    )
-    def test_lower_bound_below_step_time(
-        self, spec_name, cluster_name, method, batch, pick, calibration
-    ):
-        """Property: bound <= simulate(...).step_time across the space.
-
-        Samples uniformly from the actual enumerated candidates —
-        including hybrid-schedule ones — so the property covers exactly
-        what the branch-and-bound stage can ever see, under any
-        calibration a search may prune with.
-        """
-        space = _space(spec_name, cluster_name, method, batch)
-        if not space:
-            return
-        config, impl = space[pick % len(space)]
-        spec, cluster = _SPECS[spec_name], _CLUSTERS[cluster_name]
-        cost = _cost_for(spec, cluster, config, impl, calibration)
-        bound = step_time_lower_bound(cost)
-        result = simulate(
-            spec, config, cluster, implementation=impl,
-            calibration=calibration, cost=cost,
-        )
-        assert bound.step_time <= result.step_time, (
-            f"bound {bound.step_time} exceeds simulated "
-            f"{result.step_time} for {config.describe()}"
-        )
-        assert bound.step_time > 0
-
-    def test_bound_covers_hybrid_schedules(self):
-        space = _space("6.6B", "ethernet", Method.BREADTH_FIRST, 32)
-        hybrids = [
-            (c, i) for c, i in space if c.schedule is ScheduleKind.HYBRID
-        ]
-        assert hybrids, "hybrid axis missing from the sampled space"
-        for config, impl in hybrids[:10]:
-            cost = _cost_for(
-                MODEL_6_6B, DGX1_CLUSTER_64_ETHERNET, config, impl
-            )
-            bound = step_time_lower_bound(cost)
-            result = simulate(
-                MODEL_6_6B,
-                config,
-                DGX1_CLUSTER_64_ETHERNET,
-                implementation=impl,
-                cost=cost,
-            )
-            assert bound.step_time <= result.step_time
 
 
 class TestExactness:
@@ -220,110 +102,11 @@ class TestExactness:
         assert bound.makespan < bound.compute_seconds
 
 
-class TestPartialsParity:
-    """The family-cached fast path must be *bit-equal* to scalar assembly.
-
-    ``step_time_lower_bound`` consumes
-    :func:`repro.sim.cost_batch.bound_partials` /
-    :func:`repro.sim.cost_batch.comm_rank_sums`; this reference
-    re-assembles every certificate from per-candidate ``cost.rank_*``
-    method calls in the documented float order.  Any drift here would
-    silently change which candidates the search prunes.
-    """
-
-    @staticmethod
-    def _reference_bound(cost):
-        from repro.core.schedules.base import dpfs_group_count
-        from repro.parallel.config import Sharding
-
-        config = cost.config
-        impl = cost.implementation
-        times = cost.stage_times()
-        comm = cost.comm_times() if config.n_dp > 1 else None
-        n_mb = config.n_microbatches
-        last_stage = config.n_stages - 1
-        compute_bound = dp_bound = pp_bound = drain_bound = 0.0
-        dp_overlap_active = config.n_dp > 1 and impl.dp_overlap
-        if dp_overlap_active:
-            n_groups = dpfs_group_count(
-                config.schedule, n_mb, config.n_pp, config.sequence_size
-            )
-        for rank in range(config.n_pp):
-            compute_bound = max(
-                compute_bound,
-                cost.rank_fill_seconds(rank) + cost.rank_compute_seconds(rank),
-            )
-            middle = n_mb * (times.forward[rank] + times.backward[rank])
-            if impl.pp_overlap:
-                if rank < last_stage:
-                    middle += n_mb * times.pp_launch
-                if rank > 0:
-                    middle += n_mb * times.pp_launch
-            else:
-                if rank < last_stage:
-                    middle += n_mb * times.pp_transfer
-                if rank > 0:
-                    middle += (n_mb - 1) * times.pp_transfer
-            drain_bound = max(
-                drain_bound,
-                cost.rank_fill_seconds(rank)
-                + middle
-                + cost.rank_drain_seconds(rank),
-            )
-            if dp_overlap_active:
-                stages = cost.placement.stages_of_device(rank)
-                busy = 0.0
-                if config.sharding is Sharding.FULL:
-                    busy += 2.0 * n_groups * sum(
-                        comm.gather[s] for s in stages
-                    )
-                    busy += n_groups * sum(comm.reduce[s] for s in stages)
-                else:
-                    busy += sum(comm.reduce[s] for s in stages)
-                dp_bound = max(dp_bound, busy + comm.post_gather[rank])
-            if impl.pp_overlap:
-                pp_bound = max(
-                    pp_bound, cost.rank_send_count(rank) * times.pp_transfer
-                )
-        tail = cost.optimizer_time(0)
-        if config.n_dp > 1 and not impl.dp_overlap:
-            tail += comm.dp_serial[0]
-        if dp_overlap_active and config.sharding is Sharding.PARTIAL:
-            tail += comm.post_gather[0]
-        drain_bound += tail
-        makespan = max(compute_bound, dp_bound, pp_bound, drain_bound) * (
-            1.0 - FLOAT_MARGIN
-        )
-        return (
-            compute_bound,
-            dp_bound,
-            pp_bound,
-            drain_bound,
-            makespan,
-            makespan + cost.calibration.fixed_step_overhead,
-        )
-
-    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.name)
-    def test_bit_equal_to_scalar_assembly(self, method):
-        space = _space("6.6B", "infiniband", method, 64)
-        for config, impl in space:
-            cost = _cost_for(MODEL_6_6B, DGX1_CLUSTER_64, config, impl)
-            bound = step_time_lower_bound(cost)
-            assert (
-                bound.compute_seconds,
-                bound.dp_seconds,
-                bound.pp_seconds,
-                bound.drain_seconds,
-                bound.makespan,
-                bound.step_time,
-            ) == self._reference_bound(cost), config.describe()
-
-
 class TestDrainCertificate:
     """The drain-side (backward) fill certificate.
 
     Admissibility rides on the same property as every other certificate
-    (``TestBoundNeverExceedsSimulation`` samples it through the same
+    (``tests/test_differential.py`` samples it through the same
     ``step_time_lower_bound``); these tests pin the arithmetic and the
     *point* — that drain is what closes the gap in the previously
     loosest regimes (non-overlapping 1F1B/GPipe pipelines, whose

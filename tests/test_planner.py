@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +317,7 @@ class TestHttp:
                     )
                     writer.write(raw)
                     await writer.drain()
+                    writer.write_eof()
                     payload = await reader.read()
                     writer.close()
                     await writer.wait_closed()
@@ -329,6 +335,40 @@ class TestHttp:
             b"POST /plan HTTP/1.1\r\nHost: t\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
+
+    @pytest.mark.parametrize(
+        "raw, status, error",
+        [
+            (b"POST /plan HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+             400, "unacceptable Content-Length: -1"),
+            (b"POST /plan HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+             400, "unacceptable Content-Length: 1048577"),
+            (b"POST /plan HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+             400, "bad Content-Length: 'abc'"),
+            (b"GET /healthz\r\n\r\n", 400, "malformed request line"),
+            (b"GET /h\xc3\xa9 HTTP/1.1\r\n\r\n", 400, "malformed request line"),
+            (b"GET /healthz HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n",
+             400, "too many header lines"),
+            (b"GET /healthz HTTP/1.1\r\nX: " + b"y" * (1 << 16) + b"\r\n\r\n",
+             400, "limit"),
+            (b"", 400, "empty request"),
+            (b"PUT /plan HTTP/1.1\r\n\r\n", 404, "no such endpoint: PUT /plan"),
+        ],
+        ids=[
+            "negative-length", "oversized-length", "non-integer-length",
+            "two-part-request-line", "non-ascii-request-line",
+            "101-header-lines", "header-over-stream-limit", "empty-request",
+            "put-plan",
+        ],
+    )
+    def test_malformed_requests_get_an_error_body(
+        self, tmp_path, raw, status, error
+    ):
+        with Planner(tmp_path) as planner:
+            ((got_status, payload),) = self._roundtrip(planner, [raw])
+        assert got_status == status
+        assert list(payload) == ["error"]
+        assert error in payload["error"]
 
     def test_plan_presets_healthz_and_errors(self, tmp_path):
         request = _request()
@@ -433,3 +473,30 @@ class TestHttp:
             assert len(planner.store) == 0
         assert status == 400
         assert "duplicate methods" in payload["error"]
+
+
+class TestServe:
+    def test_a_port_in_use_is_a_usage_error(self, tmp_path):
+        # A subprocess with a timeout: a regression fails, it cannot hang
+        # serving.  The test holds the port, so no name is resolved.
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            src = Path(__file__).resolve().parent.parent / "src"
+            run = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.experiments.runner", "serve",
+                    "--store", str(tmp_path / "store"), "--port", str(port),
+                ],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+        assert run.returncode == 2
+        assert "listening" not in run.stdout
+        assert "Traceback" not in run.stderr
+        errors = [line for line in run.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"cannot listen on 127.0.0.1:{port}" in errors[0]

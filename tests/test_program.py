@@ -5,28 +5,14 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.schedules.base import build_schedule, schedule_for
-from repro.fit import FIT_PARAMETERS
+from repro.core.schedules.base import build_schedule
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
-from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel
-from repro.sim.engine import Instruction, run_streams
 from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
-from repro.sim.program import (
-    COMPUTE,
-    DP,
-    PP,
-    _duration_table,
-    _layout,
-    build_program,
-    lower_program,
-)
-from repro.verify.cli import zoo_configs
+from repro.sim.program import COMPUTE, DP, PP, build_program, lower_program
 
 
 def make_cost(impl=OUR_IMPLEMENTATION, **kw):
@@ -258,96 +244,13 @@ class TestTransfers:
         assert not [i for i in streams[(0, PP)] if True]
 
 
-#: Every zoo schedule (hybrid included) as (kind, n_pp, n_mb, n_loop, seq).
-_ZOO = sorted(
-    {
-        (c.schedule, c.n_pp, c.n_microbatches, c.n_loop, c.sequence_size)
-        for c in zoo_configs()
-    },
-    key=repr,
-)
-
-#: A calibration inside the fitter's box.  ``network_overhead_scale``
-#: also takes 1.0, the other branch of ``pp_transfer_time``.
-_CALIBRATIONS = st.builds(
-    Calibration,
-    **{
-        p.name: st.floats(p.lower, p.upper, allow_nan=False)
-        for p in FIT_PARAMETERS
-        if p.name != "network_overhead_scale"
-    },
-    network_overhead_scale=st.one_of(
-        st.just(1.0), st.floats(0.25, 8.0, allow_nan=False)
-    ),
-)
-
-
 def _as_tuples(streams):
     return [(key, [tuple(i) for i in queue]) for key, queue in streams.items()]
 
 
 class TestPricedLowering:
-    """A lowering priced under a cost equals a fresh label-free build, and
-    runs along its recorded order as the fresh build runs on the wavefront."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        shape=st.sampled_from(_ZOO),
-        impl=st.sampled_from([OUR_IMPLEMENTATION, MEGATRON_LM]),
-        n_dp=st.sampled_from([1, 2, 4]),
-        sharding=st.sampled_from(list(Sharding)),
-        n_tp=st.sampled_from([1, 2]),
-        extra_layers=st.integers(0, 12),
-        calibration=_CALIBRATIONS,
-    )
-    def test_priced_lowering_equals_a_fresh_build(
-        self, shape, impl, n_dp, sharding, n_tp, extra_layers, calibration
-    ):
-        kind, n_pp, n_mb, n_loop, seq = shape
-        if not impl.supports(sharding):
-            sharding = Sharding.NONE
-        config = ParallelConfig(
-            n_dp=n_dp, n_pp=n_pp, n_tp=n_tp, microbatch_size=1,
-            n_microbatches=n_mb, n_loop=n_loop, schedule=kind,
-            sequence_size=seq, sharding=sharding,
-        )
-        # Fewer layers than twice the stages: some stages hold one layer,
-        # whose DP collectives are one instruction instead of head+bulk.
-        spec = dataclasses.replace(
-            MODEL_6_6B, n_layers=config.n_stages + extra_layers
-        )
-        schedule = schedule_for(config)
-
-        def cost_under(calibration):
-            return CostModel(
-                spec=spec, config=config, cluster=DGX1_CLUSTER_64,
-                implementation=impl, calibration=calibration,
-            )
-
-        # Lowered under one calibration, priced under another.
-        lowering = lower_program(cost_under(DEFAULT_CALIBRATION), schedule)
-        cost = cost_under(calibration)
-        priced = build_program(
-            cost, schedule, record_events=False, lowering=lowering
-        )
-        fresh = build_program(cost, schedule, record_events=False)
-        assert list(priced) == list(fresh)
-        assert _as_tuples(priced) == _as_tuples(fresh)
-        assert all(
-            type(i) is Instruction for queue in priced.values() for i in queue
-        )
-        # The order recorded at lowering holds under this pricing.
-        assert run_streams(
-            priced, record_events=False, order=lowering.order
-        ) == run_streams(fresh, record_events=False)
-        # The slots index the whole duration table, each entry at least once.
-        table = _duration_table(cost, schedule, _layout(cost, schedule))
-        slots = {
-            slot
-            for _key, _uids, queue_slots, *_ in lowering.streams
-            for slot in queue_slots
-        }
-        assert slots == set(range(len(table)))
+    """Pricing a lowering refuses what it cannot price; that it equals a
+    fresh build is a property of ``tests/test_differential.py``."""
 
     def test_rejects_a_labelled_build(self):
         cost, schedule = make_cost()

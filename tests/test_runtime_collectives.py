@@ -81,7 +81,7 @@ class TestStats:
         assert not STATS.counts
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     data=hnp.arrays(
         np.float64,
@@ -99,7 +99,7 @@ def test_scatter_gather_roundtrip_property(data, n_ranks):
         np.testing.assert_allclose(rank_result, data, atol=1e-9)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     n_ranks=st.integers(1, 5),
     size=st.integers(1, 32),

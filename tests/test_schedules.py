@@ -12,12 +12,10 @@ from repro.core.schedules.base import (
     Schedule,
     build_schedule,
     dpfs_repetition_key,
-    max_in_flight_closed,
     schedule_for,
 )
 from repro.core.validation import validate_schedule
 from repro.parallel.config import ParallelConfig, ScheduleKind
-from repro.verify.program import _canonical_order
 
 
 def _kinds_of(order):
@@ -140,7 +138,7 @@ class TestBubbleFormulas:
         assert looped.bubble_fraction < non.bubble_fraction / 4
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     kind=st.sampled_from(list(ScheduleKind)),
     n_pp=st.integers(1, 6),
@@ -161,84 +159,6 @@ def test_every_schedule_validates(kind, n_pp, n_mb_factor, n_loop):
     analysis = validate_schedule(schedule)
     assert analysis.makespan > 0
     assert schedule.total_ops == 2 * n_mb * n_pp * n_loop
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(list(ScheduleKind)),
-    n_pp=st.integers(1, 8),
-    n_mb_factor=st.integers(1, 6),
-    n_loop=st.integers(1, 4),
-    seq_factor=st.integers(1, 3),
-)
-def test_max_in_flight_closed_matches_materialized(
-    kind, n_pp, n_mb_factor, n_loop, seq_factor
-):
-    """Property: the closed form equals the materialized per-rank peak.
-
-    This is what licenses :func:`repro.analytical.memory.memory_model` to
-    price candidates without building a schedule (and transitively the
-    search's byte-identity with the scalar reference in
-    ``tests/test_batched_grid.py``).
-    """
-    if not kind.is_looped:
-        n_loop = 1
-    sequence_size = None
-    if kind is ScheduleKind.HYBRID:
-        sequence_size = n_pp * seq_factor
-        n_mb = sequence_size * n_mb_factor
-    elif kind is ScheduleKind.DEPTH_FIRST:
-        n_mb = n_pp * n_mb_factor
-    else:
-        n_mb = n_mb_factor + n_pp - 1
-    schedule = build_schedule(kind, n_pp, n_mb, n_loop, sequence_size)
-    peaks = [
-        max_in_flight_closed(kind, rank, n_pp, n_mb, n_loop, sequence_size)
-        for rank in range(n_pp)
-    ]
-    for rank in range(n_pp):
-        assert schedule.max_in_flight(rank) == peaks[rank]
-    # Non-increasing in rank: earlier ranks hold more outstanding
-    # micro-batches.  memory_model's closed-form path relies on this to
-    # evaluate only the first rank of each parameter-profile group.
-    assert all(peaks[r] >= peaks[r + 1] for r in range(n_pp - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    kind=st.sampled_from(list(ScheduleKind)),
-    n_pp=st.integers(1, 8),
-    n_mb=st.integers(1, 12),
-    n_loop=st.integers(1, 4),
-    seq_extra=st.integers(0, 5),
-    groups=st.integers(1, 3),
-)
-def test_build_schedule_matches_verifier_order(
-    kind, n_pp, n_mb, n_loop, seq_extra, groups
-):
-    """Property: every kind's streams are the verifier's canonical order.
-
-    Three generators serve five kinds (GPipe is breadth-first at
-    ``N_loop = 1``, depth-first the hybrid at ``S = N_PP``); the
-    verifier re-derives each kind from the paper's rules on its own.
-    """
-    if not kind.is_looped:
-        n_loop = 1
-    sequence_size = None
-    if kind is ScheduleKind.HYBRID:
-        sequence_size = n_pp + seq_extra
-        n_mb = sequence_size * groups
-    elif kind is ScheduleKind.DEPTH_FIRST:
-        n_mb = n_pp * groups
-    schedule = build_schedule(kind, n_pp, n_mb, n_loop, sequence_size)
-    assert schedule.kind is kind
-    assert schedule.sequence_size == sequence_size
-    for rank in range(n_pp):
-        ops = [
-            ("F" if op.is_forward else "B", op.microbatch, op.stage)
-            for op in schedule.ops_of(rank)
-        ]
-        assert ops == _canonical_order(schedule, rank)
 
 
 class TestScheduleContainer:

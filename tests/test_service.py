@@ -261,6 +261,20 @@ class TestRunSweep:
                 backend="file-queue", checkpoint_dir=tmp_path, workers=0
             )
 
+    @pytest.mark.parametrize("stale_lease", [0, -1.0, float("nan")])
+    def test_non_positive_stale_lease_rejected(self, tmp_path, stale_lease):
+        with pytest.raises(ValueError, match="stale_lease"):
+            SweepOptions(
+                backend="file-queue", checkpoint_dir=tmp_path,
+                stale_lease=stale_lease,
+            )
+
+    def test_negative_max_retries_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="max_retries"):
+            SweepOptions(
+                backend="file-queue", checkpoint_dir=tmp_path, max_retries=-1
+            )
+
     def test_empty_cells(self):
         assert run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, []) == []
 

@@ -289,8 +289,11 @@ class TestLeaseHeartbeat:
         index = cmd.index("--heartbeat-interval")
         assert float(cmd[index + 1]) == pytest.approx(3.0)  # lease / 3
 
-        with pytest.raises(ValueError, match="stale_lease"):
-            FileQueueExecutor(tmp_path / "q", tmp_path / "ck", stale_lease=-1.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="stale_lease"):
+                FileQueueExecutor(
+                    tmp_path / "q", tmp_path / "ck", stale_lease=bad
+                )
 
     def test_slow_worker_cell_not_requeued_end_to_end(
         self, tmp_path, monkeypatch

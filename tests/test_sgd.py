@@ -150,7 +150,7 @@ class TestTradeoff:
             UtilizationCurve("bad", ((1.0, 1.5),))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     batch=st.floats(1, 1e6),
     bcrit=st.floats(1, 1e6),

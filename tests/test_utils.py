@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.tables import ascii_table
@@ -59,6 +59,12 @@ class TestFmtTime:
     @given(st.floats(min_value=1e-9, max_value=1e9))
     def test_never_raises(self, seconds):
         assert isinstance(fmt_time(seconds), str)
+
+
+def test_properties_run_without_a_deadline():
+    # The root conftest's profile: a per-example deadline is a wall-clock
+    # assertion, which a loaded host can fail with no fault in the code.
+    assert settings.default.deadline is None
 
 
 class TestAsciiTable:

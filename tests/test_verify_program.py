@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.schedules.base import schedule_for
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.verify.cli import zoo_configs
-from repro.verify.memory_static import static_in_flight
 from repro.verify.mutation import (
     LINT_MUTATIONS,
     PROGRAM_MUTATIONS,
@@ -51,26 +49,6 @@ def test_zoo_covers_every_schedule_kind():
     from repro.parallel.config import ScheduleKind
 
     assert {c.schedule for c in ZOO} == set(ScheduleKind)
-
-
-def test_static_in_flight_matches_schedule_peaks():
-    from repro.sim.cost import CostModel
-    from repro.sim.implementation import default_implementation_for
-    from repro.sim.program import build_program
-
-    for config in ZOO[:6]:
-        schedule = schedule_for(config)
-        cost = CostModel(
-            spec=MODEL_6_6B,
-            config=config,
-            cluster=DGX1_CLUSTER_64,
-            implementation=default_implementation_for(config.schedule),
-        )
-        streams = build_program(cost, schedule, record_events=False)
-        peaks = static_in_flight(streams, schedule.n_pp)
-        assert peaks == [
-            schedule.max_in_flight(rank) for rank in range(schedule.n_pp)
-        ]
 
 
 @pytest.fixture(scope="module")
