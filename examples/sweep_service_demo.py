@@ -64,7 +64,7 @@ def main() -> int:
 
     print("1. serial reference run")
     reference = run_sweep(
-        MODEL_6_6B, DGX1_CLUSTER_64, GRID, options=SweepOptions(backend="serial")
+        MODEL_6_6B, DGX1_CLUSTER_64, GRID, options=SweepOptions(processes=1)
     )
 
     with tempfile.TemporaryDirectory(prefix="sweep-demo-") as tmp:

@@ -1,8 +1,31 @@
-"""Legacy setup shim: this environment has no `wheel` package, so PEP 660
-editable installs fail; `python setup.py develop` (or `pip install -e .
---no-build-isolation`) uses this file instead. All metadata lives in
-pyproject.toml."""
+"""Package metadata for ``repro``, the Breadth-First Pipeline Parallelism
+reproduction.
 
-from setuptools import setup
+The sources live under ``src/`` and the version in
+``src/repro/version.py``.  Installing (``pip install .``, or
+``python setup.py develop`` where editable wheels cannot be built)
+creates the ``repro-experiments`` console script, which runs
+:func:`repro.experiments.runner.main`.  Uninstalled, everything runs
+with ``PYTHONPATH=src`` from the repository root.
+"""
 
-setup()
+from pathlib import Path
+from runpy import run_path
+
+from setuptools import find_packages, setup
+
+VERSION = run_path(str(Path(__file__).parent / "src" / "repro" / "version.py"))[
+    "__version__"
+]
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    entry_points={
+        "console_scripts": [
+            "repro-experiments = repro.experiments.runner:main",
+        ],
+    },
+)

@@ -29,13 +29,13 @@ from repro.hardware.cluster import (
     DGX1_CLUSTER_64_ETHERNET,
     ClusterSpec,
 )
+from repro.implementations import default_implementation_for
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.models.spec import TransformerSpec
 from repro.paper_data import PAPER_ANCHORS, PaperAnchor
 from repro.sim.calibration import Calibration
 from repro.sim.cost import CostModel
 from repro.sim.cost_batch import warm_family_tables
-from repro.sim.implementation import default_implementation_for
 from repro.sim.program import ProgramLowering, lower_program
 from repro.sim.simulator import simulate
 from repro.utils.units import GB

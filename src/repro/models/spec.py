@@ -72,11 +72,6 @@ class TransformerSpec:
         """Total parameters, ``~12 N_layers S_hidden^2`` plus embeddings."""
         return self.n_layers * self.params_per_layer + self.embedding_params
 
-    @property
-    def tokens_per_sample(self) -> int:
-        """Tokens processed per sample (one full sequence)."""
-        return self.seq_length
-
     # ---------------------------------------------------------------- flops
 
     def flops_per_token(self, *, with_recompute: bool = True) -> float:

@@ -24,7 +24,6 @@ from repro.planner.protocol import (
     PlanAnswer,
     PlanRequest,
     ResolvedPlan,
-    answer_from_json,
     answer_to_json,
     query_key,
     request_from_json,
@@ -40,7 +39,6 @@ __all__ = [
     "PlanRequest",
     "Planner",
     "ResolvedPlan",
-    "answer_from_json",
     "answer_to_json",
     "query_key",
     "request_from_json",

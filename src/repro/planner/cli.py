@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import socket
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 from repro.planner.core import Planner
-from repro.planner.http import DEFAULT_HOST, DEFAULT_PORT, CannotListen, serve
+from repro.planner.http import DEFAULT_HOST, DEFAULT_PORT, serve
 from repro.planner.protocol import (
     CLUSTER_ALIASES,
     PlanRequest,
@@ -75,14 +76,21 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     calibration = _load_calibration(parser, args.calibration)
-    create_output_dir(parser, "--store", Path(args.store))
-    with Planner(args.store, calibration=calibration) as planner:
-        try:
-            asyncio.run(serve(planner, args.host, args.port))
-        except CannotListen as exc:
-            parser.error(str(exc))
-        except KeyboardInterrupt:
-            print("planner stopped", file=sys.stderr)
+    try:
+        # Bound before the Planner creates the store: a server that
+        # cannot listen leaves no store behind.
+        sock = socket.create_server((args.host, args.port))
+    except OSError as exc:
+        parser.error(
+            f"cannot listen on {args.host}:{args.port}: {exc.strerror or exc}"
+        )
+    with sock:
+        create_output_dir(parser, "--store", Path(args.store))
+        with Planner(args.store, calibration=calibration) as planner:
+            try:
+                asyncio.run(serve(planner, sock))
+            except KeyboardInterrupt:
+                print("planner stopped", file=sys.stderr)
     return 0
 
 

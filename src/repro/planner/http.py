@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 from repro.planner.core import Planner
 from repro.planner.protocol import (
@@ -33,7 +34,6 @@ from repro.search.service.serialize import canonical_dumps
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "CannotListen",
     "serve",
     "start_planner_server",
 ]
@@ -50,10 +50,6 @@ _MAX_HEADER_LINES = 100
 
 class _BadRequest(ValueError):
     """Maps to a 400 response with the message as the error body."""
-
-
-class CannotListen(Exception):
-    """The server could not bind its address; nothing was served."""
 
 
 async def _read_request(
@@ -161,24 +157,16 @@ async def start_planner_server(
     )
 
 
-async def serve(
-    planner: Planner,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-) -> None:
-    """Run the server until cancelled (the CLI's foreground mode).
+async def serve(planner: Planner, sock: socket.socket) -> None:
+    """Serve on the bound socket ``sock`` until cancelled (the CLI's
+    foreground mode).
 
-    Raises:
-        CannotListen: The address could not be bound (the port is in
-            use, or the host does not resolve).  Only binding is
-            covered: errors once the server listens propagate as raised.
+    The caller binds ``sock`` before it builds ``planner``, so an address
+    that cannot be bound fails before any memo store is created.
     """
-    try:
-        server = await start_planner_server(planner, host, port)
-    except OSError as exc:
-        raise CannotListen(
-            f"cannot listen on {host}:{port}: {exc.strerror or exc}"
-        ) from exc
+    server = await asyncio.start_server(
+        lambda r, w: _handle(planner, r, w), sock=sock
+    )
     addr = server.sockets[0].getsockname()
     print(f"planner listening on http://{addr[0]}:{addr[1]}", flush=True)
     async with server:

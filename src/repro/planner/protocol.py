@@ -36,9 +36,7 @@ from repro.search.service.serialize import (
     FORMAT_VERSION,
     canonical_dumps,
     context_to_json,
-    outcome_from_json,
     outcome_to_json,
-    result_from_json,
     result_to_json,
     settings_to_json,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "PlanAnswer",
     "PlanRequest",
     "ResolvedPlan",
-    "answer_from_json",
     "answer_to_json",
     "query_key",
     "request_from_json",
@@ -311,18 +308,3 @@ def answer_to_json(answer: PlanAnswer) -> dict:
         ],
         "best": None if answer.best is None else result_to_json(answer.best),
     }
-
-
-def answer_from_json(data: dict) -> PlanAnswer:
-    """Inverse of :func:`answer_to_json` (used by the CLI client side)."""
-    if data.get("format") != FORMAT_VERSION:
-        raise ValueError(f"format {data.get('format')!r} != {FORMAT_VERSION}")
-    cells = data["cells"]
-    best = data.get("best")
-    return PlanAnswer(
-        query_key=str(data["query_key"]),
-        cell_keys=tuple(str(c["key"]) for c in cells),
-        outcomes=tuple(outcome_from_json(c["outcome"]) for c in cells),
-        sources=tuple(str(c["source"]) for c in cells),
-        best=None if best is None else result_from_json(best),
-    )

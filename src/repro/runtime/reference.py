@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.placement import Placement
-from repro.parallel.config import Sharding
 from repro.runtime.model import ModelConfig, build_stages
 from repro.runtime.optimizer import Adam, AdamConfig
 
@@ -71,9 +70,3 @@ class ReferenceTrainer:
         tokens = rng.integers(0, config.vocab, size=(batch, config.seq))
         targets = np.roll(tokens, -1, axis=1)
         return tokens, targets
-
-
-def assert_sharding_valid(sharding: Sharding, n_dp: int) -> None:
-    """Shared validation helper for examples."""
-    if sharding is not Sharding.NONE and n_dp < 2:
-        raise ValueError("sharded data parallelism requires n_dp >= 2")

@@ -61,6 +61,7 @@ from repro.analytical.lower_bound import CandidateBound, candidate_bound
 from repro.analytical.memory import MemoryBreakdown, memory_model
 from repro.core.schedules.base import Schedule, build_schedule
 from repro.hardware.cluster import ClusterSpec
+from repro.implementations import ImplementationProfile
 from repro.models.spec import TransformerSpec
 from repro.obs import get_recorder
 from repro.parallel.config import Method, ParallelConfig, ScheduleKind, Sharding
@@ -70,7 +71,6 @@ from repro.search.space import configuration_space
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel, WarmStartSeed, comm_time_table
 from repro.sim.cost_batch import warm_family_tables, warm_seed_caches
-from repro.sim.implementation import ImplementationProfile
 from repro.sim.simulator import (
     SimulationBase,
     SimulationResult,

@@ -243,17 +243,6 @@ class Objective:
     #: Stable identifier used by the CLI and the JSON round-trip.
     kind: ClassVar[str] = "abstract"
 
-    #: Relative simulation cost of a cell under this objective, on the
-    #: shared seconds-per-batch-sample scale the sweep scheduler's
-    #: longest-cell-first estimator uses (see
-    #: ``repro.search.service.service._order_longest_first``).  A
-    #: non-monotone objective cannot stop at the first prune, so its
-    #: cells simulate a larger share of the bound-ordered tail; Pareto
-    #: cells measure roughly twice the candidates of a throughput argmax
-    #: on the Figure 7 grids, hence its 2.0.  Purely a scheduling hint:
-    #: never part of results, accounting or checkpoint hashes.
-    simulate_cost_factor: ClassVar[float] = 1.0
-
     def memory_budget(self, cluster: "ClusterSpec") -> float | None:
         """Extra peak-memory feasibility budget in bytes, or None.
 
@@ -338,11 +327,6 @@ class ParetoFrontObjective(Objective):
     """
 
     kind: ClassVar[str] = "pareto"
-
-    #: No tail-stop (``_ParetoState.monotone`` is False): every
-    #: candidate is bound-tested individually and far more survive to
-    #: simulation, so Pareto cells run ~2x a throughput cell's sims.
-    simulate_cost_factor: ClassVar[float] = 2.0
 
     def new_state(self) -> ObjectiveState:
         return _ParetoState()

@@ -30,6 +30,7 @@ from repro.search.service.serialize import (
     outcome_from_json,
     outcome_to_json,
 )
+from repro.utils import atomic_write
 
 __all__ = ["CheckpointStore"]
 
@@ -61,9 +62,7 @@ class CheckpointStore:
     def store(self, key: str, outcome: SearchOutcome) -> Path:
         """Atomically persist one outcome; returns the checkpoint path."""
         path = self.path_for(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(self.payload_bytes(key, outcome))
-        os.replace(tmp, path)
+        atomic_write(path, self.payload_bytes(key, outcome))
         return path
 
     def load(self, key: str) -> SearchOutcome | None:
@@ -123,9 +122,7 @@ class CheckpointStore:
         if started_at is not None:
             payload["started_at"] = started_at
         path = self.timing_path_for(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(canonical_dumps(payload).encode("utf-8"))
-        os.replace(tmp, path)
+        atomic_write(path, canonical_dumps(payload).encode("utf-8"))
         return path
 
     def load_timing_record(self, key: str) -> dict | None:

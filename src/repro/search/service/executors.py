@@ -5,7 +5,9 @@ list of ``(index, key, cell)`` tasks, yield ``(index, outcome)`` pairs as
 cells complete (in any order — the service reassembles input order).
 Three are provided:
 
-- ``serial``: in-process loop; the byte-stability reference.
+- :class:`SerialExecutor`: an in-process loop; the byte-stability
+  reference, and what the ``multiprocessing`` backend runs with one
+  process.
 - ``multiprocessing``: a ``multiprocessing.Pool`` using ``fork`` where
   available (workers inherit the warm schedule cache) and ``spawn``
   elsewhere — the pool initializer rebuilds the context in each child,
@@ -15,7 +17,8 @@ Three are provided:
   any machine sharing the queue's filesystem — claim cells via atomic
   renames, checkpoint results themselves, and survive crashes: the
   coordinator reaps dead workers, requeues their in-flight cells with a
-  retry cap, and keeps the fleet at strength while work remains.
+  retry cap, expires claims that outlive the lease, and keeps the fleet
+  at strength while work remains.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.obs import clock as obs_clock
 from repro.search.cell import SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.service.checkpoint import CheckpointStore
-from repro.search.service.queue import FileWorkQueue, heartbeat_interval_for_lease
+from repro.search.service.queue import CLAIM_LEASE, FileWorkQueue
 from repro.sim.calibration import Calibration
 
 __all__ = [
@@ -53,6 +56,8 @@ __all__ = [
 
 #: (input index, content-hash key, cell) — the unit executors schedule.
 Task = tuple[int, str, SweepCell]
+#: Seconds the file-queue coordinator waits between polls of the queue.
+_POLL_INTERVAL = 0.05
 #: What a cell search needs besides the cell itself.
 Context = tuple[TransformerSpec, ClusterSpec, Calibration, SearchSettings]
 
@@ -89,8 +94,6 @@ class Executor:
     recorder.
     """
 
-    #: Backend name as selected by ``SweepOptions.backend``.
-    name: str = "abstract"
     #: True when the backend's workers persist checkpoints themselves
     #: (the service then skips its own store-on-completion write).
     writes_checkpoints: bool = False
@@ -118,8 +121,6 @@ def _timed_search(
 
 class SerialExecutor(Executor):
     """In-process, input-order execution; every other backend's oracle."""
-
-    name = "serial"
 
     def run(self, context, tasks):
         for index, _key, cell in tasks:
@@ -180,8 +181,6 @@ class MultiprocessingExecutor(Executor):
     cell's metrics come back as a snapshot on its :class:`CellReport`.
     """
 
-    name = "multiprocessing"
-
     def __init__(self, *, processes: int | None = None) -> None:
         self.processes = processes
 
@@ -227,16 +226,10 @@ def worker_command(
     *,
     worker_id: str | None = None,
     wait: bool = False,
-    heartbeat_interval: float | None = None,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
 ) -> list[str]:
-    """The subprocess argv for one file-queue worker.
-
-    ``heartbeat_interval=None`` leaves the worker's own default; pass
-    :func:`repro.search.service.queue.heartbeat_interval_for_lease` of
-    the coordinator's lease so the heartbeat always beats the janitor.
-    """
+    """The subprocess argv for one file-queue worker."""
     cmd = [
         sys.executable,
         "-m",
@@ -250,8 +243,6 @@ def worker_command(
         cmd += ["--worker-id", worker_id]
     if wait:
         cmd.append("--wait")
-    if heartbeat_interval is not None:
-        cmd += ["--heartbeat-interval", repr(heartbeat_interval)]
     if crash_after_claims is not None:
         cmd += ["--crash-after-claims", str(crash_after_claims)]
     if metrics_out is not None:
@@ -270,9 +261,15 @@ class FileQueueExecutor(Executor):
     by hand — e.g. on other machines against the same directory — join
     the same sweep transparently; the coordinator simply sees cells
     complete faster.
+
+    Every poll also requeues claims older than
+    :data:`~repro.search.service.queue.CLAIM_LEASE`, busy or idle: the
+    recovery path for workers whose pid the coordinator cannot probe.
+    Live workers renew their claims well within the lease, so expiry
+    only reaches a worker that stopped; a genuinely stalled one costs a
+    duplicate computation (completion is idempotent) and one retry.
     """
 
-    name = "file-queue"
     writes_checkpoints = True
 
     def __init__(
@@ -282,9 +279,6 @@ class FileQueueExecutor(Executor):
         *,
         workers: int = 2,
         max_retries: int = 2,
-        poll_interval: float = 0.05,
-        stale_lease: float | None = None,
-        orphan_lease: float = 300.0,
         crash_first_worker_after: int | None = None,
         metrics_out: str | os.PathLike | None = None,
     ) -> None:
@@ -294,28 +288,6 @@ class FileQueueExecutor(Executor):
         self.checkpoint_dir = Path(checkpoint_dir)
         self.workers = workers
         self.max_retries = max_retries
-        self.poll_interval = poll_interval
-        #: Requeue claims older than this many seconds — the recovery
-        #: path for *external* workers (other machines) whose liveness
-        #: the coordinator can't probe.  None disables lease expiry;
-        #: locally-launched workers are reaped by pid regardless.  Live
-        #: workers renew their claim by heartbeat (touching the file
-        #: every third of this lease — see ``_spawn``), so the lease no
-        #: longer needs to exceed the longest cell: it only bounds how
-        #: long a *dead* external worker's cell stays stuck.  Expiry of
-        #: a genuinely stalled worker still just duplicates work
-        #: (completion is idempotent) at the cost of one retry.
-        if stale_lease is not None and not stale_lease > 0:
-            raise ValueError(
-                f"stale_lease must be positive or None, got {stale_lease}"
-            )
-        self.stale_lease = stale_lease
-        #: Fallback lease applied only when the coordinator is idle (no
-        #: local workers alive, nothing pending) yet claimed cells
-        #: remain — i.e. every remaining cell is held by an external
-        #: worker that may have died.  Without this the sweep would wait
-        #: forever on a claim nobody is computing.
-        self.orphan_lease = orphan_lease
         #: Failure injection (tests / CI smoke run): the first worker
         #: launched dies mid-cell after this many claims.
         self.crash_first_worker_after = crash_first_worker_after
@@ -323,21 +295,11 @@ class FileQueueExecutor(Executor):
         #: (``<dir>/<worker-id>.jsonl``); None leaves observability off.
         self.metrics_out = metrics_out
 
-    def _recover_stale_claims(self, queue: FileWorkQueue, *, idle: bool) -> None:
-        """Expire claims held too long (see ``stale_lease``/``orphan_lease``)."""
-        if self.stale_lease is not None:
-            queue.requeue_stale(self.stale_lease)
-        elif idle:
-            queue.requeue_stale(self.orphan_lease)
-
     def _spawn(self, worker_id: str, *, inject_crash: bool) -> subprocess.Popen:
         cmd = worker_command(
             self.queue_dir,
             self.checkpoint_dir,
             worker_id=worker_id,
-            # Derived from the configured lease so the heartbeat always
-            # outpaces the janitor, whatever lease the caller picked.
-            heartbeat_interval=heartbeat_interval_for_lease(self.stale_lease),
             crash_after_claims=(
                 self.crash_first_worker_after if inject_crash else None
             ),
@@ -395,9 +357,7 @@ class FileQueueExecutor(Executor):
                     if proc.poll() is not None:
                         del procs[worker_id]
                         queue.requeue_claims_of(worker_id)
-                self._recover_stale_claims(
-                    queue, idle=not procs and not queue.pending_keys()
-                )
+                queue.requeue_stale(CLAIM_LEASE)
 
                 can_spawn = spawned < spawn_budget
                 while (
@@ -421,7 +381,7 @@ class FileQueueExecutor(Executor):
                         "file-queue workers keep dying before finishing the "
                         f"sweep (launched {spawned}); see worker stderr"
                     )
-                time.sleep(self.poll_interval)
+                time.sleep(_POLL_INTERVAL)
         finally:
             for proc in procs.values():
                 proc.terminate()

@@ -39,6 +39,7 @@ from pathlib import Path
 from repro.search.grid import SearchOutcome
 from repro.search.service.checkpoint import CheckpointStore
 from repro.search.service.serialize import canonical_dumps
+from repro.utils import atomic_write
 
 __all__ = ["MANIFEST_NAME", "ManifestEntry", "MemoStore"]
 
@@ -163,10 +164,7 @@ class MemoStore(CheckpointStore):
             canonical_dumps(self._index[key].to_json()) + "\n"
             for key in sorted(self._index)
         )
-        path = self.manifest_path
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(lines, "utf-8")
-        os.replace(tmp, path)
+        atomic_write(self.manifest_path, lines.encode("utf-8"))
 
     def _append_line(self, entry: ManifestEntry) -> None:
         # One small write through an O_APPEND descriptor: atomic at the

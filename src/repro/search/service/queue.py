@@ -32,12 +32,12 @@ expired — the only option across machines, where liveness can't be
 probed).  Past ``max_retries`` requeues the cell lands in ``failed/``
 and the sweep reports it loudly rather than silently dropping it.
 
-A claim doubles as a *lease* keyed on the claim file's mtime.  A live
-worker computing a cell for longer than the lease renews it by touching
-the file (:meth:`FileWorkQueue.renew`, typically via a
-:class:`LeaseHeartbeat` thread), so ``requeue_stale`` only ever expires
-claims whose holder has actually stopped heartbeating — not merely one
-that drew a slow cell.
+A claim doubles as a *lease* keyed on the claim file's mtime, and every
+claim holds the same one: :data:`CLAIM_LEASE`.  A live worker renews
+its claim every :data:`HEARTBEAT_INTERVAL` seconds by touching the file
+(:meth:`FileWorkQueue.renew`, via a :class:`LeaseHeartbeat` thread), so
+``requeue_stale`` only ever expires claims whose holder has actually
+stopped heartbeating — not merely one that drew a slow cell.
 """
 
 from __future__ import annotations
@@ -63,39 +63,24 @@ from repro.search.service.serialize import (
     settings_to_json,
 )
 from repro.sim.calibration import Calibration
+from repro.utils import atomic_write
 
 __all__ = [
-    "DEFAULT_HEARTBEAT_INTERVAL",
+    "CLAIM_LEASE",
+    "HEARTBEAT_INTERVAL",
     "ClaimedCell",
     "FileWorkQueue",
     "LeaseHeartbeat",
-    "heartbeat_interval_for_lease",
 ]
 
-#: Default seconds between claim-file touches while a cell is computing.
-#: Kept well under the coordinator's idle-orphan fallback lease (300 s);
-#: callers configuring a custom lease should derive the interval from it
-#: via :func:`heartbeat_interval_for_lease` instead of using this
-#: constant directly.
-DEFAULT_HEARTBEAT_INTERVAL = 30.0
-
-
-def heartbeat_interval_for_lease(lease_seconds: float | None) -> float | None:
-    """The heartbeat interval matching a stale-claim lease.
-
-    A third of the lease: several touches fit inside one lease window,
-    so a single missed tick (GC pause, slow shared FS) cannot expire a
-    live worker's claim.  ``None`` (no lease configured) falls back to
-    :data:`DEFAULT_HEARTBEAT_INTERVAL`, which sits safely under the
-    idle-orphan fallback.
-    """
-    if lease_seconds is None:
-        return DEFAULT_HEARTBEAT_INTERVAL
-    if lease_seconds <= 0:
-        raise ValueError(
-            f"lease must be positive, got {lease_seconds}"
-        )
-    return min(DEFAULT_HEARTBEAT_INTERVAL, lease_seconds / 3.0)
+#: Seconds a claim stays valid without renewal.  It bounds how long the
+#: cell of a worker that died where no pid can be probed (another
+#: machine, or a process the coordinator did not launch) stays stuck.
+CLAIM_LEASE = 300.0
+#: Seconds between a live worker's claim renewals: a tenth of the lease,
+#: so several missed ticks (a GC pause, a slow shared FS) cannot expire
+#: a live worker's claim.
+HEARTBEAT_INTERVAL = CLAIM_LEASE / 10
 
 _SUBDIRS = ("pending", "claimed", "done", "failed")
 #: Advisory per-actor event logs (not a queue state — kept out of
@@ -156,7 +141,7 @@ class FileWorkQueue:
             "settings": settings_to_json(settings),
             **context_to_json(spec, cluster, calibration),
         }
-        queue._atomic_write(
+        atomic_write(
             queue.root / "context.json",
             canonical_dumps(payload).encode("utf-8"),
         )
@@ -197,11 +182,6 @@ class FileWorkQueue:
         return int(self._context_payload()["max_retries"])
 
     # ------------------------------------------------------------- plumbing
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        tmp = self.root / f".{path.name}.{os.getpid()}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
 
     def _dir(self, name: str) -> Path:
         return self.root / name
@@ -277,7 +257,7 @@ class FileWorkQueue:
             "batch_size": cell.batch_size,
             "attempts": attempts,
         }
-        self._atomic_write(
+        atomic_write(
             self._dir("pending") / f"{key}.json",
             canonical_dumps(payload).encode("utf-8"),
         )
@@ -348,7 +328,7 @@ class FileWorkQueue:
                 "batch_size": claim.cell.batch_size,
                 "attempts": claim.attempts,
             }
-            self._atomic_write(dest, canonical_dumps(payload).encode("utf-8"))
+            atomic_write(dest, canonical_dumps(payload).encode("utf-8"))
         worker = self._claim_worker(claim)
         self.record_event(worker, "complete", claim.key, worker=worker)
 
@@ -498,7 +478,7 @@ class LeaseHeartbeat:
     fresh mtime and leaves the cell alone, no matter how long the search
     takes.  Use as a context manager around the computation::
 
-        with LeaseHeartbeat(queue, claim, interval=lease / 3):
+        with LeaseHeartbeat(queue, claim, interval=HEARTBEAT_INTERVAL):
             outcome = search(cell)
 
     The thread stops promptly on exit (the stop event interrupts the

@@ -34,13 +34,11 @@ from repro.obs import (
 )
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome
-from repro.search.objective import Objective
 from repro.search.service.checkpoint import CheckpointStore
 from repro.search.service.executors import (
     Executor,
     FileQueueExecutor,
     MultiprocessingExecutor,
-    SerialExecutor,
     SweepError,
 )
 from repro.search.service.memo import MemoStore
@@ -51,7 +49,7 @@ from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 __all__ = ["BACKENDS", "SweepOptions", "run_sweep"]
 
 #: Selectable backend names, in documentation order.
-BACKENDS = ("serial", "multiprocessing", "file-queue")
+BACKENDS = ("multiprocessing", "file-queue")
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,13 @@ class SweepOptions:
         backend: One of :data:`BACKENDS`.
         processes: Pool size for the ``multiprocessing`` backend (None =
             CPU count, capped at the number of cells; 1 runs serially in
-            this process).
+            this process, the reference every backend must match).
         checkpoint_dir: Directory of per-cell checkpoints.  Optional for
             in-process backends, required for ``resume`` and for
             ``file-queue`` (workers deliver results through it).
         queue_dir: File-queue root; defaults to ``checkpoint_dir/queue``.
         workers: File-queue local worker count.
         max_retries: Requeues allowed per cell after worker crashes.
-        stale_lease: File-queue claim lease (seconds) for recovering
-            cells held by unreachable external workers; None disables.
         resume: Satisfy cells from existing checkpoints instead of
             recomputing them.
         progress: Print progress/ETA lines to stderr.
@@ -100,9 +96,8 @@ class SweepOptions:
 
     Raises:
         ValueError: An unknown backend, ``processes`` or ``workers``
-            below 1, ``max_retries`` below 0, a ``stale_lease`` that is
-            not positive, or ``resume`` or ``file-queue`` without a
-            ``checkpoint_dir``.
+            below 1, ``max_retries`` below 0, or ``resume`` or
+            ``file-queue`` without a ``checkpoint_dir``.
     """
 
     backend: str = "multiprocessing"
@@ -111,7 +106,6 @@ class SweepOptions:
     queue_dir: str | os.PathLike | None = None
     workers: int = 2
     max_retries: int = 2
-    stale_lease: float | None = None
     resume: bool = False
     progress: bool = False
     settings: SearchSettings = DEFAULT_SETTINGS
@@ -136,10 +130,6 @@ class SweepOptions:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.stale_lease is not None and not self.stale_lease > 0:
-            raise ValueError(
-                f"stale_lease must be positive or None, got {self.stale_lease}"
-            )
         if self.checkpoint_dir is None:
             if self.resume:
                 raise ValueError(
@@ -156,8 +146,6 @@ class SweepOptions:
 
 def _make_executor(options: SweepOptions) -> Executor:
     """The backend ``options`` names (their combination is already valid)."""
-    if options.backend == "serial":
-        return SerialExecutor()
     if options.backend == "multiprocessing":
         return MultiprocessingExecutor(processes=options.processes)
     assert options.checkpoint_dir is not None  # SweepOptions requires it
@@ -169,13 +157,12 @@ def _make_executor(options: SweepOptions) -> Executor:
         options.checkpoint_dir,
         workers=options.workers,
         max_retries=options.max_retries,
-        stale_lease=options.stale_lease,
         metrics_out=options.metrics_out,
     )
 
 
 def _order_longest_first(
-    store: CheckpointStore | None, tasks: list, objective: Objective
+    store: CheckpointStore | None, tasks: list
 ) -> tuple[list, dict[str, float]]:
     """Family-clustered longest-first order; also the cost estimates.
 
@@ -192,19 +179,14 @@ def _order_longest_first(
     Recorded wall-clock from the checkpoint store's timing sidecars (a
     previous run over the same directory) ranks known cells exactly;
     cells without a record are put on the same seconds scale by
-    estimating from the steepest recorded seconds-per-weighted-sample
-    rate (batch size is the dominant cost driver — more candidates, more
-    micro-batches per simulation — scaled by the objective's
-    ``simulate_cost_factor``, since e.g. a Pareto cell simulates ~2x the
-    candidates of a throughput argmax on the same batch), so a big *new*
-    cell still schedules ahead of small recorded ones instead of
-    defaulting to the back of the queue.  With no records at all the
-    estimate degenerates to weighted-batch-size order.  The objective
-    factor is constant within one sweep, but it keeps the recorded
-    *rate* on an objective-independent scale — checkpoint keys include
-    the objective, so sidecars always come from same-objective runs, and
-    dividing the factor back out means a directory's rate reads the same
-    whichever objective recorded it.  Front-loading long cells shortens
+    estimating from the steepest recorded seconds-per-sample rate (batch
+    size is the dominant cost driver — more candidates, more
+    micro-batches per simulation), so a big *new* cell still schedules
+    ahead of small recorded ones instead of defaulting to the back of
+    the queue.  With no records at all the estimate degenerates to
+    batch-size order.  Every cell of a sweep shares one objective, so
+    the order and the ratios of the estimates (all the ETA reads) need
+    no per-objective cost scale.  Front-loading long cells shortens
     a parallel sweep's critical path — no worker is left finishing a
     giant cell alone at the end — and makes the rate-based ETA an
     overestimate that only improves, instead of an early underestimate.
@@ -215,7 +197,6 @@ def _order_longest_first(
     feed the progress reporter's cost-weighted ETA, so one giant cell
     finishing first doesn't read as "every cell takes this long".
     """
-    factor = objective.simulate_cost_factor
     recorded: dict[str, float] = {}
     if store is not None:
         for _index, key, _cell in tasks:
@@ -224,7 +205,7 @@ def _order_longest_first(
                 recorded[key] = seconds
     rate = max(
         (
-            recorded[key] / max(1.0, cell.batch_size * factor)
+            recorded[key] / max(1, cell.batch_size)
             for _index, key, cell in tasks
             if key in recorded
         ),
@@ -232,7 +213,7 @@ def _order_longest_first(
     )
 
     estimates = {
-        key: recorded.get(key, rate * cell.batch_size * factor)
+        key: recorded.get(key, rate * cell.batch_size)
         for _index, key, cell in tasks
     }
     peak: dict = {}
@@ -308,7 +289,7 @@ def run_sweep(
         for key, (index, cell) in first_of.items()
         if key not in outcomes
     ]
-    tasks, estimates = _order_longest_first(store, tasks, settings.objective)
+    tasks, estimates = _order_longest_first(store, tasks)
     key_of_index = {index: key for index, key, _cell in tasks}
 
     reporter = (

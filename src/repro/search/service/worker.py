@@ -32,13 +32,13 @@ from repro.obs import clock as obs_clock
 from repro.search.service.executors import _timed_search
 from repro.search.service.memo import MemoStore
 from repro.search.service.queue import (
-    DEFAULT_HEARTBEAT_INTERVAL,
+    HEARTBEAT_INTERVAL,
     FileWorkQueue,
     LeaseHeartbeat,
 )
 from repro.search.service.serialize import group_key
 
-__all__ = ["DEFAULT_HEARTBEAT_INTERVAL", "default_worker_id", "main", "run_worker"]
+__all__ = ["default_worker_id", "main", "run_worker"]
 
 
 def default_worker_id() -> str:
@@ -55,17 +55,15 @@ def run_worker(
     wait: bool = False,
     poll_interval: float = 0.5,
     max_cells: int | None = None,
-    heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
 ) -> int:
     """Drain the queue; returns the number of cells this worker completed.
 
     While a cell is searching, a :class:`LeaseHeartbeat` thread touches
-    the claim file every ``heartbeat_interval`` seconds, so a slow cell
-    is never mistaken for a dead worker by ``requeue_stale`` janitors
-    (``None`` disables the heartbeat — the pre-heartbeat behaviour,
-    kept for tests that exercise lease expiry itself).
+    the claim file every :data:`HEARTBEAT_INTERVAL` seconds, so a slow
+    cell is never mistaken for a dead worker by ``requeue_stale``
+    janitors.
 
     ``crash_after_claims`` is a failure-injection hook for tests and the
     CI smoke run: after that many claims the worker dies via ``os._exit``
@@ -92,7 +90,6 @@ def run_worker(
             wait=wait,
             poll_interval=poll_interval,
             max_cells=max_cells,
-            heartbeat_interval=heartbeat_interval,
             crash_after_claims=crash_after_claims,
         )
     registry = MetricsRegistry(actor=worker_id)
@@ -103,7 +100,6 @@ def run_worker(
                 wait=wait,
                 poll_interval=poll_interval,
                 max_cells=max_cells,
-                heartbeat_interval=heartbeat_interval,
                 crash_after_claims=crash_after_claims,
             )
     finally:
@@ -121,7 +117,6 @@ def _drain(
     wait: bool,
     poll_interval: float,
     max_cells: int | None,
-    heartbeat_interval: float | None,
     crash_after_claims: int | None,
 ) -> int:
     """The claim/search/checkpoint/complete loop behind :func:`run_worker`."""
@@ -150,18 +145,11 @@ def _drain(
                 with rec.span(
                     "worker.cell", key=claim.key, worker=worker_id
                 ):
-                    if heartbeat_interval is not None:
-                        with LeaseHeartbeat(
-                            queue, claim, interval=heartbeat_interval
-                        ) as heartbeat:
-                            outcome, report = _timed_search(
-                                context, claim.cell
-                            )
-                        rec.count(
-                            "worker.heartbeat_renewals", heartbeat.renewals
-                        )
-                    else:
+                    with LeaseHeartbeat(
+                        queue, claim, interval=HEARTBEAT_INTERVAL
+                    ) as heartbeat:
                         outcome, report = _timed_search(context, claim.cell)
+                    rec.count("worker.heartbeat_renewals", heartbeat.renewals)
             except Exception:
                 # Don't swallow the cell with the traceback: requeue (or
                 # fail past the cap) before dying.
@@ -206,15 +194,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--poll-interval", type=float, default=0.5)
     parser.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=DEFAULT_HEARTBEAT_INTERVAL,
-        metavar="SECONDS",
-        help="touch the claim file this often while computing, so lease "
-             "janitors never requeue a live worker's slow cell "
-             f"(default: {DEFAULT_HEARTBEAT_INTERVAL:g}; <= 0 disables)",
-    )
-    parser.add_argument(
         "--max-cells",
         type=int,
         default=None,
@@ -239,9 +218,6 @@ def main(argv=None) -> int:
         wait=args.wait,
         poll_interval=args.poll_interval,
         max_cells=args.max_cells,
-        heartbeat_interval=(
-            args.heartbeat_interval if args.heartbeat_interval > 0 else None
-        ),
         crash_after_claims=args.crash_after_claims,
         metrics_out=args.metrics_out,
     )

@@ -13,14 +13,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.hardware.cluster import ClusterSpec
-from repro.models.spec import TransformerSpec
-from repro.parallel.config import Method, ParallelConfig, ScheduleKind, Sharding
-from repro.search.cell import DEFAULT_SETTINGS, SearchSettings
-from repro.sim.implementation import (
+from repro.implementations import (
     MEGATRON_LM,
     OUR_IMPLEMENTATION,
     ImplementationProfile,
 )
+from repro.models.spec import TransformerSpec
+from repro.parallel.config import Method, ParallelConfig, ScheduleKind, Sharding
+from repro.search.cell import DEFAULT_SETTINGS, SearchSettings
 
 #: Search caps keeping the simulated space close to the paper's grid.
 MAX_MICROBATCH_SIZE = 16

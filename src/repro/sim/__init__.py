@@ -9,15 +9,15 @@ whether communication overlaps computation — is the implementation policy
 the paper studies, so it is explicit (:class:`ImplementationProfile`).
 """
 
-from repro.sim.calibration import Calibration
-from repro.sim.cost import CostModel
-from repro.sim.engine import EngineDeadlock, Instruction, run_streams
-from repro.sim.implementation import (
+from repro.implementations import (
     MEGATRON_LM,
     OUR_IMPLEMENTATION,
     ImplementationProfile,
     default_implementation_for,
 )
+from repro.sim.calibration import Calibration
+from repro.sim.cost import CostModel
+from repro.sim.engine import EngineDeadlock, Instruction, run_streams
 from repro.sim.simulator import SimulationResult, simulate
 from repro.sim.timeline import TimelineEvent
 

@@ -25,10 +25,10 @@ from functools import lru_cache
 from repro.core.placement import Placement
 from repro.hardware.cluster import ClusterSpec, ParallelDim
 from repro.hardware.network import NetworkSpec
+from repro.implementations import ImplementationProfile
 from repro.models.spec import TransformerSpec
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
-from repro.sim.implementation import ImplementationProfile
 
 
 @dataclass(frozen=True)

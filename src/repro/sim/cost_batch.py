@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.placement import Placement
 from repro.hardware.cluster import ClusterSpec
+from repro.implementations import ImplementationProfile, default_implementation_for
 from repro.models.spec import TransformerSpec
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.calibration import Calibration
@@ -47,7 +48,6 @@ from repro.sim.cost import (
     comm_time_table,
     stage_time_table,
 )
-from repro.sim.implementation import ImplementationProfile, default_implementation_for
 
 __all__ = [
     "BoundPartials",

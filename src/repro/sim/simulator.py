@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from repro.analytical.memory import MemoryBreakdown, memory_model
 from repro.core.schedules.base import Schedule, build_schedule
 from repro.hardware.cluster import ClusterSpec
+from repro.implementations import (
+    ImplementationProfile,
+    default_implementation_for,
+)
 from repro.models.spec import TransformerSpec
 from repro.parallel.config import ParallelConfig
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel
 from repro.sim.engine import EngineResult, run_streams, run_streams_delta
-from repro.sim.implementation import (
-    ImplementationProfile,
-    default_implementation_for,
-)
 from repro.sim.program import ProgramLowering, build_program
 from repro.sim.timeline import TimelineEvent
 from repro.utils import gc_paused

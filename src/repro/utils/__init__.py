@@ -1,9 +1,11 @@
 """Shared utilities: unit helpers, ASCII tables and plots, CLI output
-paths, and the cyclic garbage collector's pause."""
+paths, atomic file replacement, and the cyclic garbage collector's
+pause."""
 
 from __future__ import annotations
 
 import gc
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -32,6 +34,7 @@ __all__ = [
     "MEGA",
     "TERA",
     "ascii_table",
+    "atomic_write",
     "create_output_dir",
     "create_output_file",
     "fmt_bytes",
@@ -71,6 +74,25 @@ def create_output_file(
     if path.is_dir():
         parser.error(f"{flag} {path} is a directory, not a file")
     create_output_dir(parser, flag, path.parent)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so readers see the old file or the
+    new one, never part of one.
+
+    The data goes to ``.<name>.<pid>.tmp`` beside ``path``, which is then
+    renamed over it.  If the write or the rename fails (a full disk, say),
+    the temporary file is removed and the error re-raised: ``path`` keeps
+    its previous contents and nothing is left behind.  The pid keeps
+    processes sharing a directory from writing one temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

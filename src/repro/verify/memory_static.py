@@ -25,10 +25,10 @@ from typing import cast
 
 from repro.analytical.memory import memory_model
 from repro.core.schedules.base import Schedule
+from repro.implementations import ImplementationProfile
 from repro.models.spec import TransformerSpec
 from repro.parallel.config import ParallelConfig
 from repro.sim.engine import Instruction
-from repro.sim.implementation import ImplementationProfile
 from repro.verify.report import Finding
 
 __all__ = ["check_static_memory", "static_in_flight"]

@@ -287,9 +287,9 @@ LINT_MUTATIONS: tuple[LintMutation, ...] = (
 def _baseline_program(kind: ScheduleKind) -> tuple[Streams, "Schedule"]:
     from repro.core.schedules.base import schedule_for
     from repro.hardware.cluster import DGX1_CLUSTER_64
+    from repro.implementations import default_implementation_for
     from repro.models.presets import MODEL_6_6B
     from repro.sim.cost import CostModel
-    from repro.sim.implementation import default_implementation_for
     from repro.sim.program import build_program
 
     config = ParallelConfig(

@@ -42,11 +42,11 @@ from repro.verify.report import Finding, VerifyReport
 
 if TYPE_CHECKING:
     from repro.hardware.cluster import ClusterSpec
+    from repro.implementations import ImplementationProfile
     from repro.models.spec import TransformerSpec
     from repro.parallel.config import ParallelConfig
     from repro.search.grid import SearchOutcome
     from repro.sim.calibration import Calibration
-    from repro.sim.implementation import ImplementationProfile
     from repro.sim.simulator import SimulationResult
 
 __all__ = [
@@ -357,9 +357,9 @@ def verify_config(
     :func:`repro.analytical.memory.memory_model`.
     """
     from repro.core.schedules.base import schedule_for
+    from repro.implementations import default_implementation_for
     from repro.sim.calibration import DEFAULT_CALIBRATION
     from repro.sim.cost import CostModel
-    from repro.sim.implementation import default_implementation_for
     from repro.sim.program import build_program
     from repro.verify.memory_static import check_static_memory
 

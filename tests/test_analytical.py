@@ -16,9 +16,9 @@ from repro.analytical.network import (
 )
 from repro.hardware.gpu import A100
 from repro.hardware.network import NVLINK_A100, NetworkSpec
+from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.models.presets import GPT3_175B, MODEL_1T, MODEL_52B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
-from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.utils.units import GB
 
 

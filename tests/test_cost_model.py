@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.cost import CostModel
-from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
 
 
 def make_cost(spec=MODEL_52B, impl=OUR_IMPLEMENTATION, **kw):

@@ -178,6 +178,8 @@ class TestRunnerCli:
              "{tmp}/r.json"],
             ["fig7", "--jobs", "0"],
             ["frontier", "--quick", "--jobs", "-1"],
+            # One in-process job is `--jobs 1`; there is no serial backend.
+            ["fig1", "--backend", "serial"],
             # Non-finite calibration constants are refused at load.
             ["fig7", "--calibration", "{nan}"],
             ["fig1", "--calibration", "{inf}"],

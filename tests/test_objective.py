@@ -346,7 +346,7 @@ class TestServiceThreading:
         outcomes = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, cells,
             options=SweepOptions(
-                backend="serial", settings=settings, checkpoint_dir=tmp_path,
+                processes=1, settings=settings, checkpoint_dir=tmp_path,
             ),
         )
         assert outcomes[0].frontier is not None
@@ -354,7 +354,7 @@ class TestServiceThreading:
         resumed = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, cells,
             options=SweepOptions(
-                backend="serial",
+                processes=1,
                 settings=settings,
                 checkpoint_dir=tmp_path,
                 resume=True,

@@ -479,24 +479,33 @@ class TestServe:
     def test_a_port_in_use_is_a_usage_error(self, tmp_path):
         # A subprocess with a timeout: a regression fails, it cannot hang
         # serving.  The test holds the port, so no name is resolved.
-        with socket.socket() as held:
-            held.bind(("127.0.0.1", 0))
-            held.listen(1)
-            port = held.getsockname()[1]
-            src = Path(__file__).resolve().parent.parent / "src"
-            run = subprocess.run(
-                [
-                    sys.executable, "-m", "repro.experiments.runner", "serve",
-                    "--store", str(tmp_path / "store"), "--port", str(port),
-                ],
-                env={**os.environ, "PYTHONPATH": str(src)},
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-        assert run.returncode == 2
-        assert "listening" not in run.stdout
-        assert "Traceback" not in run.stderr
-        errors = [line for line in run.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1
-        assert f"cannot listen on 127.0.0.1:{port}" in errors[0]
+        new, existing = tmp_path / "new", tmp_path / "existing"
+        existing.mkdir()
+        src = Path(__file__).resolve().parent.parent / "src"
+        for store in (new, existing):
+            with socket.socket() as held:
+                held.bind(("127.0.0.1", 0))
+                held.listen(1)
+                port = held.getsockname()[1]
+                run = subprocess.run(
+                    [
+                        sys.executable, "-m", "repro.experiments.runner",
+                        "serve", "--store", str(store), "--port", str(port),
+                    ],
+                    env={**os.environ, "PYTHONPATH": str(src)},
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+            assert run.returncode == 2
+            assert "listening" not in run.stdout
+            assert "Traceback" not in run.stderr
+            errors = [
+                line for line in run.stderr.splitlines() if "error:" in line
+            ]
+            assert len(errors) == 1
+            assert f"cannot listen on 127.0.0.1:{port}" in errors[0]
+        # serve binds before it touches the store: a new one is not
+        # created and an existing one is not written to.
+        assert not new.exists()
+        assert list(existing.iterdir()) == []

@@ -8,10 +8,10 @@ import pytest
 
 from repro.core.schedules.base import build_schedule
 from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.implementations import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.cost import CostModel
-from repro.sim.implementation import MEGATRON_LM, OUR_IMPLEMENTATION
 from repro.sim.program import COMPUTE, DP, PP, build_program, lower_program
 
 

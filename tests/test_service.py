@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +18,10 @@ from repro.parallel.config import Method
 from repro.search import grid as grid_module
 from repro.search.cell import SearchSettings
 from repro.search.grid import SearchOutcome, best_configuration
-from repro.search.objective import DEFAULT_OBJECTIVE, ParetoFrontObjective
 from repro.search.service import (
     CheckpointStore,
+    FileWorkQueue,
+    MemoStore,
     MultiprocessingExecutor,
     SweepCell,
     SweepOptions,
@@ -176,11 +180,85 @@ class TestCheckpointStore:
             assert store.load("bbbb") is None
 
 
+def _outcome(batch_size):
+    return SearchOutcome(
+        method=Method.NO_PIPELINE, batch_size=batch_size, best=None,
+        n_tried=0, n_excluded=0,
+    )
+
+
+def _checkpoint_writer(root):
+    store = CheckpointStore(root)
+    return lambda n: store.store("k", _outcome(n))
+
+
+def _timing_writer(root):
+    store = CheckpointStore(root)
+    return lambda n: store.store_timing("k", float(n))
+
+
+def _manifest_writer(root):
+    store = MemoStore(root)
+    store.store("k1", _outcome(1))
+    store.store("k2", _outcome(2))
+
+    def write(n):
+        # A store opened after a checkpoint was deleted rewrites its
+        # manifest without that checkpoint's line.
+        (root / f"k{n}.json").unlink()
+        return MemoStore(root).manifest_path
+
+    return write
+
+
+def _queue_writer(root):
+    queue = FileWorkQueue.create(
+        root, MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION
+    )
+
+    def write(n):
+        queue.enqueue("k", SweepCell(Method.NO_PIPELINE, n))
+        return root / "pending" / "k.json"
+
+    return write
+
+
+def _full_disk(path, data):
+    """``Path.write_bytes`` on a full disk: the file is created and part
+    of the data lands before the write fails."""
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+class TestAtomicWrites:
+    """Every file the sweep service replaces goes through one atomic
+    write (``repro.utils.atomic_write``)."""
+
+    @pytest.mark.parametrize(
+        "writer",
+        [_checkpoint_writer, _timing_writer, _manifest_writer, _queue_writer],
+        ids=["checkpoint", "timing", "manifest", "queue"],
+    )
+    def test_a_full_disk_leaves_the_previous_file(
+        self, tmp_path, monkeypatch, writer
+    ):
+        write = writer(tmp_path)
+        path = write(1)
+        before = path.read_bytes()
+        monkeypatch.setattr(Path, "write_bytes", _full_disk)
+        with pytest.raises(OSError) as raised:
+            write(2)
+        assert raised.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
 class TestRunSweep:
     def test_serial_matches_direct_search(self, outcomes):
         got = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=SweepOptions(backend="serial"),
+            options=SweepOptions(processes=1),
         )
         assert got == outcomes
 
@@ -197,7 +275,7 @@ class TestRunSweep:
         )
         got = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, [CELLS[0], CELLS[1], CELLS[0]],
-            options=SweepOptions(backend="serial"),
+            options=SweepOptions(processes=1),
         )
         assert len(calls) == 2
         assert got == [outcomes[0], outcomes[1], outcomes[0]]
@@ -205,7 +283,7 @@ class TestRunSweep:
     def test_checkpoints_written_and_resume_skips_search(
         self, tmp_path, monkeypatch, outcomes
     ):
-        opts = SweepOptions(backend="serial", checkpoint_dir=tmp_path)
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         first = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
         assert first == outcomes
         assert len(CheckpointStore(tmp_path)) == len(CELLS)
@@ -223,7 +301,7 @@ class TestRunSweep:
         assert resumed == first
 
     def test_resume_recomputes_corrupted_cell(self, tmp_path, outcomes):
-        opts = SweepOptions(backend="serial", checkpoint_dir=tmp_path)
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
         key = cell_key(
             MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[1]
@@ -261,14 +339,6 @@ class TestRunSweep:
                 backend="file-queue", checkpoint_dir=tmp_path, workers=0
             )
 
-    @pytest.mark.parametrize("stale_lease", [0, -1.0, float("nan")])
-    def test_non_positive_stale_lease_rejected(self, tmp_path, stale_lease):
-        with pytest.raises(ValueError, match="stale_lease"):
-            SweepOptions(
-                backend="file-queue", checkpoint_dir=tmp_path,
-                stale_lease=stale_lease,
-            )
-
     def test_negative_max_retries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):
             SweepOptions(
@@ -285,13 +355,13 @@ class TestRunSweep:
         slow = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
             options=SweepOptions(
-                backend="serial",
+                processes=1,
                 calibration=Calibration(fixed_step_overhead=1.0),
             ),
         )
         default = run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS[:1],
-            options=SweepOptions(backend="serial"),
+            options=SweepOptions(processes=1),
         )
         assert (
             slow[0].best.throughput_per_gpu
@@ -303,7 +373,7 @@ class TestCellTiming:
     """Per-cell wall-clock sidecars and longest-cell-first scheduling."""
 
     def test_sweep_records_timing_sidecars(self, tmp_path):
-        opts = SweepOptions(backend="serial", checkpoint_dir=tmp_path)
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
         store = CheckpointStore(tmp_path)
         for cell in CELLS:
@@ -352,7 +422,7 @@ class TestCellTiming:
         ]
         store.store_timing("aaa", 0.5)
         store.store_timing("ccc", 9.0)
-        ordered, _estimates = _order_longest_first(store, tasks, DEFAULT_OBJECTIVE)
+        ordered, _estimates = _order_longest_first(store, tasks)
         # Recorded cells rank by their measured seconds; the unrecorded
         # B=64 cell is estimated from the steepest recorded rate
         # (9.0s / 16 samples), putting its ~36s ahead of both — a big
@@ -371,10 +441,10 @@ class TestCellTiming:
             (0, "aaa", SweepCell(Method.NO_PIPELINE, 8)),
             (1, "bbb", SweepCell(Method.NO_PIPELINE, 64)),
         ]
-        ordered, _estimates = _order_longest_first(store, tasks, DEFAULT_OBJECTIVE)
+        ordered, _estimates = _order_longest_first(store, tasks)
         assert [key for _i, key, _c in ordered] == ["bbb", "aaa"]
 
-    def test_estimates_scale_with_objective_cost_factor(self, tmp_path):
+    def test_recorded_seconds_are_used_as_measured(self, tmp_path):
         from repro.search.service.service import _order_longest_first
 
         store = CheckpointStore(tmp_path)
@@ -382,29 +452,16 @@ class TestCellTiming:
             (0, "aaa", SweepCell(Method.NO_PIPELINE, 16)),
             (1, "bbb", SweepCell(Method.NO_PIPELINE, 64)),
         ]
-        # Cold store: a Pareto cell simulates ~2x the candidates, so its
-        # seconds estimate (and the ETA built on it) doubles.
-        _o, flat = _order_longest_first(store, tasks, DEFAULT_OBJECTIVE)
-        _o, pareto = _order_longest_first(store, tasks, ParetoFrontObjective())
-        factor = ParetoFrontObjective.simulate_cost_factor
-        assert factor == 2.0
-        assert pareto["bbb"] == flat["bbb"] * factor
-
-        # With a recorded sidecar the measured seconds win verbatim, and
-        # the unrecorded cell's estimate is objective-independent: the
-        # factor divides out of the recorded rate and multiplies back
-        # into the estimate, keeping sidecar-derived scales comparable
-        # across objectives.
+        # A recorded sidecar's seconds are the estimate verbatim; the
+        # unrecorded cell is estimated from that cell's rate per sample.
         store.store_timing("aaa", 8.0)
-        _o, flat = _order_longest_first(store, tasks, DEFAULT_OBJECTIVE)
-        _o, pareto = _order_longest_first(store, tasks, ParetoFrontObjective())
-        assert flat["aaa"] == pareto["aaa"] == 8.0
-        assert flat["bbb"] == pareto["bbb"] == 8.0 / 16 * 64
+        _o, estimates = _order_longest_first(store, tasks)
+        assert estimates == {"aaa": 8.0, "bbb": 8.0 / 16 * 64}
 
     def test_scheduling_order_never_changes_results(self, tmp_path, outcomes):
         # Seed timings that force a non-input order, then sweep: results
         # must still come back in input order.
-        opts = SweepOptions(backend="serial", checkpoint_dir=tmp_path)
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path)
         for cell, seconds in zip(CELLS, (1.0, 50.0, 10.0)):
             key = cell_key(
@@ -460,11 +517,11 @@ class TestBackendParity:
         # totals on every backend.
         used = _only_start_method(monkeypatch, start_method)
 
-        def recorded(backend):
+        def recorded(processes):
             with recording(MetricsRegistry()) as registry:
                 run_sweep(
                     MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-                    options=SweepOptions(backend=backend, processes=2),
+                    options=SweepOptions(processes=processes),
                 )
             snapshot = registry.snapshot()
             counters = {
@@ -481,8 +538,8 @@ class TestBackendParity:
             }
             return counters, counts
 
-        serial = recorded("serial")
-        pool = recorded("multiprocessing")
+        serial = recorded(1)
+        pool = recorded(2)
         assert used == [start_method]
         assert serial[0]["search.cells"] == len(CELLS)
         assert pool == serial

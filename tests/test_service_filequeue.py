@@ -4,16 +4,25 @@ The claim protocol is exercised directly (two "workers" racing over the
 same directory, requeue after crash, the retry cap) and end-to-end: a
 two-worker sweep where the first worker is killed mid-cell must still
 produce outcomes byte-identical to a serial run.
+
+No test waits on the wall clock for a lease to run out: claims are aged
+past it with ``os.utime``, and a slow search waits for the heartbeat's
+renewal instead of sleeping through it.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.parallel.config import Method
-from repro.search.grid import best_configuration
+from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.service import (
     DEFAULT_SETTINGS,
     CheckpointStore,
@@ -26,6 +35,10 @@ from repro.search.service import (
     cell_key,
     run_sweep,
 )
+from repro.search.service import executors as executors_mod
+from repro.search.service import worker as worker_mod
+from repro.search.service.executors import worker_command
+from repro.search.service.queue import CLAIM_LEASE, HEARTBEAT_INTERVAL
 from repro.search.service.worker import run_worker
 from repro.sim.calibration import DEFAULT_CALIBRATION
 
@@ -47,6 +60,47 @@ def keys_for(cells):
         cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, c)
         for c in cells
     ]
+
+
+def age_past_lease(path):
+    """Backdate a claim file to twice the lease ago."""
+    old = time.time() - 2 * CLAIM_LEASE
+    os.utime(path, (old, old))
+
+
+class RenewalGate:
+    """Holds every ``FileWorkQueue.renew`` until the test admits it.
+
+    :meth:`admit` lets one renewal through and returns once it has
+    touched its claim, so the test orders each renewal after whatever it
+    did before (aging the claim) with no sleep, and a heartbeat that
+    stops renewing fails the test.  :meth:`open` lets every later
+    renewal through, so the heartbeat can stop.
+    """
+
+    def __init__(self, monkeypatch):
+        self._tickets = threading.Semaphore(0)
+        self._renewed = threading.Semaphore(0)
+        self._open = threading.Event()
+        real_renew = FileWorkQueue.renew
+
+        def renew(queue, claim):
+            if not self._open.is_set():
+                self._tickets.acquire(timeout=60)
+            alive = real_renew(queue, claim)
+            self._renewed.release()
+            return alive
+
+        monkeypatch.setattr(FileWorkQueue, "renew", renew)
+
+    def admit(self) -> bool:
+        """Let one renewal through; True once it has run."""
+        self._tickets.release()
+        return self._renewed.acquire(timeout=60)
+
+    def open(self) -> None:
+        self._open.set()
+        self._tickets.release()
 
 
 class TestClaimProtocol:
@@ -143,20 +197,17 @@ class TestCrashRecovery:
         assert queue.pending_keys() == {"k1"}
 
     def test_lease_clock_starts_at_claim_not_enqueue(self, tmp_path):
-        import os as _os
-        import time as _time
-
         queue = make_queue(tmp_path)
         queue.enqueue("k1", CELLS[0])
         # Backdate the pending file: the cell sat unclaimed for "2 hours".
         task = tmp_path / "pending" / "k1.json"
-        old = _time.time() - 7200
-        _os.utime(task, (old, old))
+        old = time.time() - 7200
+        os.utime(task, (old, old))
 
         claim = queue.claim("w-a")
         # A lease far shorter than the queue wait must NOT expire a claim
         # taken just now.
-        assert queue.requeue_stale(60.0, now=_time.time() + 1) == ([], [])
+        assert queue.requeue_stale(60.0, now=time.time() + 1) == ([], [])
         assert queue.claimed_keys() == {"k1"}
         assert claim.path.stat().st_mtime > old + 3600
 
@@ -183,39 +234,85 @@ class TestCrashRecovery:
         assert queue.release(claim) is True
         assert queue.failed_keys() == set()
 
-    def test_idle_coordinator_recovers_orphaned_external_claim(self, tmp_path):
-        # An externally-launched worker (not one of the coordinator's
-        # children) died holding a claim; once the coordinator is idle the
-        # orphan lease requeues it instead of waiting forever.
-        queue = make_queue(tmp_path)
-        queue.enqueue("k1", CELLS[0])
-        queue.claim("external-worker")
-        executor = FileQueueExecutor(
-            tmp_path, tmp_path / "ck", orphan_lease=0.0
+    def test_busy_coordinator_requeues_expired_external_claim(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker the coordinator did not launch claims the cell and
+        # dies; no pid can be reaped, so only the lease recovers it.  The
+        # coordinator's own worker stays alive throughout, yet its next
+        # poll requeues the expired claim, and its worker then finishes
+        # the cell.
+        key = keys_for(CELLS)[0]
+        store = CheckpointStore(tmp_path / "ck")
+        outcome = SearchOutcome(
+            method=CELLS[0].method, batch_size=CELLS[0].batch_size,
+            best=None, n_tried=0, n_excluded=0,
         )
 
-        executor._recover_stale_claims(queue, idle=False)
-        assert queue.claimed_keys() == {"k1"}  # not idle: wait politely
-        executor._recover_stale_claims(queue, idle=True)
-        assert queue.pending_keys() == {"k1"}
+        class LiveWorker:
+            """A launched worker that stays alive until terminated."""
+
+            def __init__(self, cmd, **kwargs):
+                # The external worker wins the only pending cell first.
+                queue = FileWorkQueue.open(tmp_path / "q")
+                age_past_lease(queue.claim("external").path)
+
+            def poll(self):
+                return None
+
+            def terminate(self):
+                pass
+
+            def wait(self, timeout=None):
+                return 0
+
+        polls = []
+
+        def sleep(seconds):
+            # One coordinator poll ends here; the live worker takes the
+            # cell as soon as it is pending again.
+            polls.append(seconds)
+            assert len(polls) < 5, "the expired claim was never requeued"
+            queue = FileWorkQueue.open(tmp_path / "q")
+            claim = queue.claim("w0")
+            if claim is not None:  # requeued: the live worker computes it
+                store.store(claim.key, outcome)
+                queue.complete(claim)
+
+        monkeypatch.setattr(executors_mod.subprocess, "Popen", LiveWorker)
+        monkeypatch.setattr(executors_mod, "time", SimpleNamespace(sleep=sleep))
+        executor = FileQueueExecutor(tmp_path / "q", tmp_path / "ck", workers=1)
+        context = (
+            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
+            DEFAULT_SETTINGS,
+        )
+        results = list(executor.run(context, [(0, key, CELLS[0])]))
+
+        assert [(index, got) for index, got, _report in results] == [
+            (0, outcome)
+        ]
+        requeues = [
+            event
+            for event in FileWorkQueue(tmp_path / "q").events()
+            if event["event"] == "requeue"
+        ]
+        assert [(e["key"], e["worker"]) for e in requeues] == [
+            (key, "external")
+        ]
 
 
 class TestLeaseHeartbeat:
     """A live worker holding a slow cell must never lose it to a janitor."""
 
     def test_renew_refreshes_the_lease(self, tmp_path):
-        import os as _os
-        import time as _time
-
         queue = make_queue(tmp_path)
         queue.enqueue("k1", CELLS[0])
         claim = queue.claim("slow-worker")
-        # Backdate the claim far past any lease, then renew: the touched
+        # Backdate the claim past the lease, then renew: the touched
         # mtime must be what requeue_stale measures against.
-        old = _time.time() - 7200
-        _os.utime(claim.path, (old, old))
+        age_past_lease(claim.path)
         assert queue.renew(claim) is True
-        assert queue.requeue_stale(3600.0) == ([], [])
+        assert queue.requeue_stale(CLAIM_LEASE) == ([], [])
         assert queue.claimed_keys() == {"k1"}
 
     def test_renew_reports_vanished_claim(self, tmp_path):
@@ -226,22 +323,20 @@ class TestLeaseHeartbeat:
         assert requeued == ["k1"]
         assert queue.renew(claim) is False  # expired; must not raise
 
-    def test_heartbeat_thread_defeats_short_lease(self, tmp_path):
-        import time as _time
-
+    def test_heartbeat_thread_defeats_the_lease(self, tmp_path, monkeypatch):
+        gate = RenewalGate(monkeypatch)
         queue = make_queue(tmp_path)
         queue.enqueue("k1", CELLS[0])
         claim = queue.claim("slow-worker")
-        # Lease 10x the heartbeat interval: a loaded CI runner would
-        # have to stall the heartbeat thread for ~a full second to
-        # flake this, not just miss one tick.
-        lease = 1.0
-        with LeaseHeartbeat(queue, claim, interval=lease / 10) as heartbeat:
-            deadline = _time.time() + 2 * lease  # "slow cell": 2 leases long
-            while _time.time() < deadline:
-                assert queue.requeue_stale(lease) == ([], [])
-                _time.sleep(lease / 10)
-        assert heartbeat.renewals > 0
+        with LeaseHeartbeat(queue, claim, interval=0.01) as heartbeat:
+            # The cell outlives the lease twice, and the heartbeat renews
+            # it each time: one that renews once and stops fails here.
+            for _ in range(2):
+                age_past_lease(claim.path)
+                assert gate.admit()
+                assert queue.requeue_stale(CLAIM_LEASE) == ([], [])
+            gate.open()
+        assert heartbeat.renewals >= 2
         assert queue.claimed_keys() == {"k1"}
         queue.complete(claim)
         assert queue.done_keys() == {"k1"}
@@ -253,27 +348,11 @@ class TestLeaseHeartbeat:
         with pytest.raises(ValueError, match="interval"):
             LeaseHeartbeat(queue, claim, interval=0.0)
 
-    def test_heartbeat_interval_derived_from_lease(self):
-        from repro.search.service.queue import (
-            DEFAULT_HEARTBEAT_INTERVAL,
-            heartbeat_interval_for_lease,
-        )
-
-        # Short lease: a third, so several touches fit in one window.
-        assert heartbeat_interval_for_lease(15.0) == pytest.approx(5.0)
-        # Long lease: capped at the default.
-        assert (
-            heartbeat_interval_for_lease(3600.0) == DEFAULT_HEARTBEAT_INTERVAL
-        )
-        assert heartbeat_interval_for_lease(None) == DEFAULT_HEARTBEAT_INTERVAL
-        with pytest.raises(ValueError, match="lease"):
-            heartbeat_interval_for_lease(0.0)
-
-    def test_coordinator_spawns_workers_with_lease_matched_heartbeat(
+    def test_coordinator_spawns_workers_on_the_fixed_heartbeat(
         self, tmp_path, monkeypatch
     ):
-        from repro.search.service import executors as executors_mod
-
+        # Every worker renews its claim several times per lease, so the
+        # coordinator's workers take no lease-dependent argument.
         spawned = []
 
         class FakeProc:
@@ -281,116 +360,82 @@ class TestLeaseHeartbeat:
                 spawned.append(cmd)
 
         monkeypatch.setattr(executors_mod.subprocess, "Popen", FakeProc)
-        executor = FileQueueExecutor(
-            tmp_path / "q", tmp_path / "ck", stale_lease=9.0
-        )
+        executor = FileQueueExecutor(tmp_path / "q", tmp_path / "ck")
         executor._spawn("w0", inject_crash=False)
-        [cmd] = spawned
-        index = cmd.index("--heartbeat-interval")
-        assert float(cmd[index + 1]) == pytest.approx(3.0)  # lease / 3
+        assert spawned == [
+            worker_command(tmp_path / "q", tmp_path / "ck", worker_id="w0")
+        ]
+        assert CLAIM_LEASE / HEARTBEAT_INTERVAL >= 3
 
-        for bad in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="stale_lease"):
-                FileQueueExecutor(
-                    tmp_path / "q", tmp_path / "ck", stale_lease=bad
-                )
+    @staticmethod
+    def slow_worker_run(tmp_path, monkeypatch, *, janitor_first):
+        """One worker searches a cell that outlives the lease twice, and a
+        janitor runs ``requeue_stale`` each time: after the heartbeat
+        renewed the aged claim, or (``janitor_first``) once, before it
+        could.
+
+        Returns ``(queue, key, searches, requeued_keys, completed)``.
+        """
+        gate = RenewalGate(monkeypatch)
+        monkeypatch.setattr(worker_mod, "HEARTBEAT_INTERVAL", 0.01)
+        queue = make_queue(tmp_path / "q")
+        key = keys_for(CELLS)[0]
+        queue.enqueue(key, CELLS[0])
+
+        searches = []
+        requeued = []
+        real_search = worker_mod._timed_search
+
+        def slow_search(context, cell):
+            searches.append(cell)
+            result = real_search(context, cell)
+            [claim_path] = (tmp_path / "q" / "claimed").glob("*.json")
+            for _ in range(1 if janitor_first else 2):
+                age_past_lease(claim_path)  # the cell outlives the lease
+                if not janitor_first:
+                    assert gate.admit()
+                requeued.extend(queue.requeue_stale(CLAIM_LEASE)[0])
+            gate.open()
+            return result
+
+        monkeypatch.setattr(worker_mod, "_timed_search", slow_search)
+        completed = run_worker(
+            str(tmp_path / "q"),
+            str(tmp_path / "ck"),
+            worker_id="slow-worker",
+            max_cells=1,
+        )
+        return queue, key, searches, requeued, completed
 
     def test_slow_worker_cell_not_requeued_end_to_end(
         self, tmp_path, monkeypatch
     ):
         """The ROADMAP regression scenario: a live worker computes a cell
-        for longer than ``stale_lease`` while a janitor polls
+        for longer than the lease while a janitor runs
         ``requeue_stale``; with the heartbeat the cell is never requeued,
         never re-executed, and completes exactly once."""
-        import threading
-        import time as _time
-
-        from repro.search.service import worker as worker_mod
-
-        queue = make_queue(tmp_path / "q")
-        key = keys_for(CELLS)[0]
-        queue.enqueue(key, CELLS[0])
-
-        lease = 1.0  # 10x the heartbeat: stall-tolerant on loaded CI
-        searches = []
-        real_search = worker_mod._timed_search
-
-        def slow_search(context, cell):
-            searches.append(cell)
-            outcome, elapsed = real_search(context, cell)
-            _time.sleep(2 * lease)  # the cell outlives the lease
-            return outcome, elapsed
-
-        monkeypatch.setattr(worker_mod, "_timed_search", slow_search)
-
-        completed = []
-        worker = threading.Thread(
-            target=lambda: completed.append(run_worker(
-                str(tmp_path / "q"),
-                str(tmp_path / "ck"),
-                worker_id="slow-worker",
-                heartbeat_interval=lease / 10,
-            )),
+        queue, key, searches, requeued, completed = self.slow_worker_run(
+            tmp_path, monkeypatch, janitor_first=False
         )
-        worker.start()
-        requeue_events = []
-        while worker.is_alive():
-            requeued, exhausted = queue.requeue_stale(lease)
-            requeue_events += requeued + exhausted
-            _time.sleep(lease / 10)
-        worker.join()
-
-        assert requeue_events == []  # the live worker kept its lease
+        assert requeued == []  # the live worker kept its lease
         assert len(searches) == 1  # never re-executed
-        assert completed == [1]
+        assert completed == 1
         assert queue.done_keys() == {key}
         assert queue.pending_keys() == set()
         assert queue.failed_keys() == set()
         assert CheckpointStore(tmp_path / "ck").load(key) is not None
 
-    def test_without_heartbeat_short_lease_still_expires(
+    def test_claim_past_the_lease_before_renewal_expires(
         self, tmp_path, monkeypatch
     ):
-        """Control for the regression test: with the heartbeat disabled
-        the same slow cell *does* get requeued — proving the test above
-        exercises the heartbeat and not merely a generous lease."""
-        import threading
-        import time as _time
-
-        from repro.search.service import worker as worker_mod
-
-        queue = make_queue(tmp_path / "q")
-        key = keys_for(CELLS)[0]
-        queue.enqueue(key, CELLS[0])
-
-        lease = 0.3
-        real_search = worker_mod._timed_search
-
-        def slow_search(context, cell):
-            outcome, elapsed = real_search(context, cell)
-            _time.sleep(3 * lease)
-            return outcome, elapsed
-
-        monkeypatch.setattr(worker_mod, "_timed_search", slow_search)
-
-        worker = threading.Thread(
-            target=lambda: run_worker(
-                str(tmp_path / "q"),
-                str(tmp_path / "ck"),
-                worker_id="slow-worker",
-                max_cells=1,
-                heartbeat_interval=None,
-            ),
+        """Control for the regression test: a janitor that looks before
+        the heartbeat renews the aged claim *does* requeue it — proving
+        the test above exercises the heartbeat and not merely a
+        generous lease."""
+        queue, key, _searches, requeued, _completed = self.slow_worker_run(
+            tmp_path, monkeypatch, janitor_first=True
         )
-        worker.start()
-        requeue_events = []
-        while worker.is_alive():
-            requeued, exhausted = queue.requeue_stale(lease)
-            requeue_events += requeued + exhausted
-            _time.sleep(lease / 3)
-        worker.join()
-
-        assert key in requeue_events  # the old wasteful behaviour
+        assert requeued == [key]
         assert queue.done_keys() == {key}  # completion still idempotent
 
 
@@ -442,7 +487,7 @@ class TestFileQueueEndToEnd:
     def serial_reference(self):
         return run_sweep(
             MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=SweepOptions(backend="serial"),
+            options=SweepOptions(processes=1),
         )
 
     def test_two_worker_sweep_matches_serial(self, tmp_path):

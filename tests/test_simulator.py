@@ -8,16 +8,16 @@ import pytest
 
 from repro.fit import anchor_environment
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
+from repro.implementations import (
+    MEGATRON_LM,
+    OUR_IMPLEMENTATION,
+    default_implementation_for,
+)
 from repro.models.presets import MODEL_6_6B, MODEL_52B
 from repro.paper_data import PAPER_ANCHORS
 from repro.parallel.config import ParallelConfig, ScheduleKind, Sharding
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import CostModel
-from repro.sim.implementation import (
-    MEGATRON_LM,
-    OUR_IMPLEMENTATION,
-    default_implementation_for,
-)
 from repro.sim.simulator import simulate
 
 

@@ -9,7 +9,7 @@ from repro.search import sweep as sweep_module
 from repro.search.service import SweepOptions
 from repro.search.sweep import sweep_grid
 
-SERIAL = SweepOptions(backend="serial")
+SERIAL = SweepOptions(processes=1)
 
 
 class TestSweepGrid:

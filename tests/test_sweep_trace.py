@@ -150,8 +150,7 @@ class TestSweepTrace:
                 cell,
             )
         completed = run_worker(
-            str(queue_dir), str(checkpoint_dir), worker_id="solo",
-            heartbeat_interval=None,
+            str(queue_dir), str(checkpoint_dir), worker_id="solo"
         )
         assert completed == 2
         trace = sweep_trace(checkpoint_dir)  # no queue_dir
