@@ -75,7 +75,7 @@ def main() -> int:
         executor = FileQueueExecutor(
             queue_dir,
             checkpoint_dir,
-            workers=2,
+            processes=2,
             crash_first_worker_after=1,  # dies holding its second claim
         )
         tasks = list(zip(range(len(GRID)), keys, GRID))
@@ -98,7 +98,7 @@ def main() -> int:
                 backend="file-queue",
                 checkpoint_dir=checkpoint_dir,
                 queue_dir=queue_dir,
-                workers=2,
+                processes=2,
                 resume=True,
             ),
         )

@@ -265,7 +265,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         backend=args.backend,
         processes=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
-        workers=args.workers,
         resume=args.resume,
         progress=args.progress,
         settings=settings,
@@ -624,8 +623,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the search-backed experiments "
-             "(default: one per CPU; 1 disables the pool)",
+        help="worker processes for the search-backed experiments, on "
+             "either backend (default: one per CPU, capped at the cells; "
+             "with the default backend, 1 searches in this process)",
     )
     parser.add_argument(
         "--backend",
@@ -645,13 +645,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--resume",
         action="store_true",
         help="skip cells already checkpointed under --checkpoint-dir",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="local worker processes for --backend=file-queue (default: 2)",
     )
     parser.add_argument(
         "--progress",

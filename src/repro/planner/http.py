@@ -143,17 +143,15 @@ async def _handle(
 
 
 async def start_planner_server(
-    planner: Planner,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
+    planner: Planner, sock: socket.socket
 ) -> asyncio.AbstractServer:
-    """Bind and return the server (caller owns its lifetime).
-
-    ``port=0`` binds an ephemeral port — the tests' mode; read the real
-    one back from ``server.sockets[0].getsockname()``.
+    """Serve ``planner`` on the bound socket ``sock``; the caller owns
+    the returned server's lifetime.
     """
+    # ``_handle`` is looked up in this module on each connection:
+    # perfbench's tracer times requests by replacing it.
     return await asyncio.start_server(
-        lambda r, w: _handle(planner, r, w), host, port
+        lambda r, w: _handle(planner, r, w), sock=sock
     )
 
 
@@ -164,9 +162,7 @@ async def serve(planner: Planner, sock: socket.socket) -> None:
     The caller binds ``sock`` before it builds ``planner``, so an address
     that cannot be bound fails before any memo store is created.
     """
-    server = await asyncio.start_server(
-        lambda r, w: _handle(planner, r, w), sock=sock
-    )
+    server = await start_planner_server(planner, sock)
     addr = server.sockets[0].getsockname()
     print(f"planner listening on http://{addr[0]}:{addr[1]}", flush=True)
     async with server:

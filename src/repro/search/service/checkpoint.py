@@ -147,15 +147,6 @@ class CheckpointStore:
         record = self.load_timing_record(key)
         return None if record is None else float(record["seconds"])
 
-    def load_many(self, keys) -> dict[str, SearchOutcome]:
-        """Valid checkpoints among ``keys``, as ``{key: outcome}``."""
-        found = {}
-        for key in keys:
-            outcome = self.load(key)
-            if outcome is not None:
-                found[key] = outcome
-        return found
-
     def keys(self) -> list[str]:
         """Keys of every checkpoint file present (validity not checked)."""
         return sorted(

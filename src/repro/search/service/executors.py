@@ -13,12 +13,12 @@ Three are provided:
   elsewhere — the pool initializer rebuilds the context in each child,
   so spawn-only platforms get a real pool instead of the old silent
   serial fallback.
-- ``file-queue``: N independent worker *processes* — on this machine or
+- ``file-queue``: independent worker *processes* — on this machine or
   any machine sharing the queue's filesystem — claim cells via atomic
   renames, checkpoint results themselves, and survive crashes: the
   coordinator reaps dead workers, requeues their in-flight cells with a
-  retry cap, expires claims that outlive the lease, and keeps the fleet
-  at strength while work remains.
+  retry cap, expires claims that outlive the lease, and keeps its local
+  fleet, sized like the pool, at strength while work remains.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.obs import clock as obs_clock
 from repro.search.cell import SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.service.checkpoint import CheckpointStore
-from repro.search.service.queue import CLAIM_LEASE, FileWorkQueue
+from repro.search.service.queue import CLAIM_LEASE, MAX_RETRIES, FileWorkQueue
 from repro.sim.calibration import Calibration
 
 __all__ = [
@@ -225,7 +225,6 @@ def worker_command(
     checkpoint_dir: str | os.PathLike,
     *,
     worker_id: str | None = None,
-    wait: bool = False,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
 ) -> list[str]:
@@ -241,8 +240,6 @@ def worker_command(
     ]
     if worker_id is not None:
         cmd += ["--worker-id", worker_id]
-    if wait:
-        cmd.append("--wait")
     if crash_after_claims is not None:
         cmd += ["--crash-after-claims", str(crash_after_claims)]
     if metrics_out is not None:
@@ -253,11 +250,13 @@ def worker_command(
 class FileQueueExecutor(Executor):
     """Work-queue backend: independent worker processes over a shared FS.
 
-    The coordinator enqueues every cell, launches ``workers`` local
-    worker processes, and then only watches the filesystem: ``done/``
-    markers stream results back, dead workers get their claims requeued
-    (attempt count capped at ``max_retries``), and replacements are
-    launched while claimable work remains.  Additional workers started
+    The coordinator enqueues every cell, launches ``processes`` local
+    worker processes (None = CPU count; either way capped at the number
+    of cells, as the pool is), and then only watches the filesystem:
+    ``done/`` markers stream results back, dead workers get their claims
+    requeued (attempt count capped at
+    :data:`~repro.search.service.queue.MAX_RETRIES`), and replacements
+    are launched while claimable work remains.  Additional workers started
     by hand — e.g. on other machines against the same directory — join
     the same sweep transparently; the coordinator simply sees cells
     complete faster.
@@ -277,17 +276,13 @@ class FileQueueExecutor(Executor):
         queue_dir: str | os.PathLike,
         checkpoint_dir: str | os.PathLike,
         *,
-        workers: int = 2,
-        max_retries: int = 2,
+        processes: int | None = None,
         crash_first_worker_after: int | None = None,
         metrics_out: str | os.PathLike | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.queue_dir = Path(queue_dir)
         self.checkpoint_dir = Path(checkpoint_dir)
-        self.workers = workers
-        self.max_retries = max_retries
+        self.processes = processes
         #: Failure injection (tests / CI smoke run): the first worker
         #: launched dies mid-cell after this many claims.
         self.crash_first_worker_after = crash_first_worker_after
@@ -313,19 +308,19 @@ class FileQueueExecutor(Executor):
         spec, cluster, calibration, settings = context
         store = CheckpointStore(self.checkpoint_dir)
         queue = FileWorkQueue.create(
-            self.queue_dir, spec, cluster, calibration,
-            settings=settings, max_retries=self.max_retries,
+            self.queue_dir, spec, cluster, calibration, settings=settings
         )
         for _index, key, cell in tasks:
             queue.enqueue(key, cell)
         remaining = {key: index for index, key, _cell in tasks}
 
+        fleet = _resolve_processes(self.processes, len(tasks))
         procs: dict[str, subprocess.Popen] = {}
         spawned = 0
         # Enough restarts for every cell to exhaust its retries plus the
         # initial fleet; beyond that the environment is broken (e.g. the
         # worker can't import) and we bail out instead of spinning.
-        spawn_budget = self.workers + len(tasks) * (self.max_retries + 1)
+        spawn_budget = fleet + len(tasks) * (MAX_RETRIES + 1)
         try:
             while remaining:
                 for key in sorted(queue.done_keys() & remaining.keys()):
@@ -350,7 +345,7 @@ class FileQueueExecutor(Executor):
                 if failed:
                     raise SweepError(
                         f"{len(failed)} cell(s) exhausted the retry cap "
-                        f"({self.max_retries}): {', '.join(failed)}"
+                        f"({MAX_RETRIES}): {', '.join(failed)}"
                     )
 
                 for worker_id, proc in list(procs.items()):
@@ -361,7 +356,7 @@ class FileQueueExecutor(Executor):
 
                 can_spawn = spawned < spawn_budget
                 while (
-                    len(procs) < self.workers
+                    len(procs) < fleet
                     and can_spawn
                     and queue.pending_keys()
                 ):

@@ -6,9 +6,9 @@ store behind the planner (:mod:`repro.planner`).  The difference is one
 file — ``index.jsonl``, an append-only manifest with one small JSON line
 per checkpoint carrying ``(key, method, batch_size, group)``:
 
-- ``keys()`` / ``load_many()`` stop globbing and re-parsing the
-  directory per call; the manifest is loaded once at construction and
-  kept in memory.
+- ``keys()`` stops globbing the directory per call, and ``load_many()``
+  skips keys the index has never seen; the manifest is loaded once at
+  construction and kept in memory.
 - The *group* column (:func:`~repro.search.service.serialize.group_key`:
   spec + cluster + calibration + settings, i.e. a cell key minus the
   cell) makes nearest-neighbor lookup an index scan: the planner asks
@@ -226,7 +226,7 @@ class MemoStore(CheckpointStore):
         Keys the manifest has never seen are skipped without touching
         the filesystem; indexed keys still load (and validate) the real
         payload, so a deleted-behind-our-back file degrades to a miss
-        exactly as the base class would report it.
+        exactly as :meth:`load` reports it.
         """
         found: dict[str, SearchOutcome] = {}
         for key in keys:

@@ -3,7 +3,7 @@
 This is the multi-machine backend's substrate.  The queue is a directory
 (typically on a filesystem shared by every worker) laid out as::
 
-    context.json          serialized (spec, cluster, calibration) + retry cap
+    context.json          serialized (spec, cluster, calibration, settings)
     pending/<key>.json    claimable cell: method, batch size, attempt count
     claimed/<key>--<worker>.json   a worker owns the cell
     done/<key>.json       finished (its checkpoint was written first)
@@ -29,7 +29,7 @@ behind, and the coordinator (or any janitor) moves it back to pending
 with the attempt count incremented via :meth:`FileWorkQueue.requeue_claims_of`
 (worker known dead) or :meth:`FileWorkQueue.requeue_stale` (lease
 expired — the only option across machines, where liveness can't be
-probed).  Past ``max_retries`` requeues the cell lands in ``failed/``
+probed).  Past :data:`MAX_RETRIES` requeues the cell lands in ``failed/``
 and the sweep reports it loudly rather than silently dropping it.
 
 A claim doubles as a *lease* keyed on the claim file's mtime, and every
@@ -68,9 +68,11 @@ from repro.utils import atomic_write
 __all__ = [
     "CLAIM_LEASE",
     "HEARTBEAT_INTERVAL",
+    "MAX_RETRIES",
     "ClaimedCell",
     "FileWorkQueue",
     "LeaseHeartbeat",
+    "check_worker_id",
 ]
 
 #: Seconds a claim stays valid without renewal.  It bounds how long the
@@ -81,14 +83,27 @@ CLAIM_LEASE = 300.0
 #: so several missed ticks (a GC pause, a slow shared FS) cannot expire
 #: a live worker's claim.
 HEARTBEAT_INTERVAL = CLAIM_LEASE / 10
+#: Requeues a cell gets after its worker crashed, released it or let its
+#: lease expire; one more sends it to ``failed/``.
+MAX_RETRIES = 2
 
 _SUBDIRS = ("pending", "claimed", "done", "failed")
-#: Advisory per-actor event logs (not a queue state — kept out of
-#: ``_SUBDIRS`` so ``counts()`` reports queue states only).
+#: Advisory per-actor event logs (not a queue state).
 _EVENTS_DIR = "events"
 #: Separates the cell key from the worker id in claim filenames.  Keys
 #: are hex so the separator can never appear inside one.
 _CLAIM_SEP = "--"
+
+
+def check_worker_id(worker_id: str) -> None:
+    """Refuse an id that cannot name a claim file.
+
+    Raises:
+        ValueError: ``worker_id`` is empty or contains ``/`` or the
+            ``--`` that separates it from the cell key.
+    """
+    if _CLAIM_SEP in worker_id or "/" in worker_id or not worker_id:
+        raise ValueError(f"invalid worker id {worker_id!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,6 @@ class FileWorkQueue:
         calibration: Calibration,
         *,
         settings: SearchSettings = DEFAULT_SETTINGS,
-        max_retries: int = 2,
     ) -> "FileWorkQueue":
         """Initialize (or reset) a queue directory for a new sweep run.
 
@@ -126,8 +140,6 @@ class FileWorkQueue:
         results live in the checkpoint store, not the queue, so a stale
         queue holds nothing worth keeping.
         """
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         queue = cls(root)
         queue.root.mkdir(parents=True, exist_ok=True)
         for name in (*_SUBDIRS, _EVENTS_DIR):
@@ -137,7 +149,6 @@ class FileWorkQueue:
                 stale.unlink()
         payload = {
             "format": FORMAT_VERSION,
-            "max_retries": max_retries,
             "settings": settings_to_json(settings),
             **context_to_json(spec, cluster, calibration),
         }
@@ -158,28 +169,22 @@ class FileWorkQueue:
             )
         return queue
 
-    def _context_payload(self) -> dict:
+    def load_context(
+        self,
+    ) -> tuple[TransformerSpec, ClusterSpec, Calibration, SearchSettings]:
+        """The sweep inputs every worker searches against."""
         payload = json.loads((self.root / "context.json").read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("queue context is not a JSON object")
         if payload.get("format") != FORMAT_VERSION:
             raise ValueError(
                 f"queue context format {payload.get('format')!r} != "
                 f"{FORMAT_VERSION}"
             )
-        return payload
-
-    def load_context(
-        self,
-    ) -> tuple[TransformerSpec, ClusterSpec, Calibration, SearchSettings]:
-        """The sweep inputs every worker searches against."""
-        payload = self._context_payload()
         return (
             *context_from_json(payload),
             settings_from_json(payload["settings"]),
         )
-
-    @property
-    def max_retries(self) -> int:
-        return int(self._context_payload()["max_retries"])
 
     # ------------------------------------------------------------- plumbing
 
@@ -271,8 +276,7 @@ class FileWorkQueue:
         wins; returns ``None`` when nothing is claimable right now (other
         workers may still be computing).
         """
-        if _CLAIM_SEP in worker_id or "/" in worker_id or not worker_id:
-            raise ValueError(f"invalid worker id {worker_id!r}")
+        check_worker_id(worker_id)
         claimed_dir = self._dir("claimed")
         for path in sorted(self._dir("pending").glob("*.json")):
             key = path.stem
@@ -363,7 +367,7 @@ class FileWorkQueue:
     def _requeue(
         self, claim_path: Path, key: str, cell: SweepCell, attempts: int
     ) -> bool:
-        if attempts + 1 > self.max_retries:
+        if attempts + 1 > MAX_RETRIES:
             try:
                 os.replace(claim_path, self._dir("failed") / f"{key}.json")
             except FileNotFoundError:
@@ -465,9 +469,6 @@ class FileWorkQueue:
 
     def failed_keys(self) -> set[str]:
         return self._keys_in("failed")
-
-    def counts(self) -> dict[str, int]:
-        return {name: len(self._keys_in(name)) for name in _SUBDIRS}
 
 
 class LeaseHeartbeat:

@@ -63,15 +63,16 @@ class SweepOptions:
 
     Attributes:
         backend: One of :data:`BACKENDS`.
-        processes: Pool size for the ``multiprocessing`` backend (None =
-            CPU count, capped at the number of cells; 1 runs serially in
-            this process, the reference every backend must match).
+        processes: Local worker processes of either backend (None = CPU
+            count; either way capped at the number of cells left).  For
+            the ``multiprocessing`` backend 1 means no pool: the cells
+            are searched serially in this process, the reference every
+            backend must match.  The ``file-queue`` backend always
+            launches worker subprocesses.
         checkpoint_dir: Directory of per-cell checkpoints.  Optional for
             in-process backends, required for ``resume`` and for
             ``file-queue`` (workers deliver results through it).
         queue_dir: File-queue root; defaults to ``checkpoint_dir/queue``.
-        workers: File-queue local worker count.
-        max_retries: Requeues allowed per cell after worker crashes.
         resume: Satisfy cells from existing checkpoints instead of
             recomputing them.
         progress: Print progress/ETA lines to stderr.
@@ -95,17 +96,14 @@ class SweepOptions:
             part of checkpoint content hashes.
 
     Raises:
-        ValueError: An unknown backend, ``processes`` or ``workers``
-            below 1, ``max_retries`` below 0, or ``resume`` or
-            ``file-queue`` without a ``checkpoint_dir``.
+        ValueError: An unknown backend, ``processes`` below 1, or
+            ``resume`` or ``file-queue`` without a ``checkpoint_dir``.
     """
 
     backend: str = "multiprocessing"
     processes: int | None = None
     checkpoint_dir: str | os.PathLike | None = None
     queue_dir: str | os.PathLike | None = None
-    workers: int = 2
-    max_retries: int = 2
     resume: bool = False
     progress: bool = False
     settings: SearchSettings = DEFAULT_SETTINGS
@@ -121,14 +119,6 @@ class SweepOptions:
         if self.processes is not None and self.processes < 1:
             raise ValueError(
                 f"processes (--jobs) must be >= 1, got {self.processes}"
-            )
-        if self.workers < 1:
-            raise ValueError(
-                f"workers (--workers) must be >= 1, got {self.workers}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
             )
         if self.checkpoint_dir is None:
             if self.resume:
@@ -155,8 +145,7 @@ def _make_executor(options: SweepOptions) -> Executor:
     return FileQueueExecutor(
         queue_dir,
         options.checkpoint_dir,
-        workers=options.workers,
-        max_retries=options.max_retries,
+        processes=options.processes,
         metrics_out=options.metrics_out,
     )
 
@@ -309,15 +298,15 @@ def run_sweep(
     if options.metrics_out is not None and not get_recorder().enabled:
         own_registry = MetricsRegistry(actor="coordinator")
 
-    if tasks:
-        backend = _make_executor(options)
-        context = (spec, cluster, calibration, settings)
-        with ExitStack() as stack:
-            if own_registry is not None:
-                stack.enter_context(recording(own_registry))
-            rec = get_recorder()
-            rec.count("sweep.cells_total", len(first_of))
-            rec.count("sweep.cells_from_checkpoints", len(outcomes))
+    with ExitStack() as stack:
+        if own_registry is not None:
+            stack.enter_context(recording(own_registry))
+        rec = get_recorder()
+        rec.count("sweep.cells_total", len(first_of))
+        rec.count("sweep.cells_from_checkpoints", len(outcomes))
+        if tasks:
+            backend = _make_executor(options)
+            context = (spec, cluster, calibration, settings)
             with rec.span("sweep.run", backend=options.backend):
                 for index, outcome, report in backend.run(context, tasks):
                     key = key_of_index[index]
@@ -331,11 +320,11 @@ def run_sweep(
                         merge_snapshot(rec, report.metrics)
                     if reporter is not None:
                         reporter.update(cost=estimates.get(key))
-        if own_registry is not None:
-            write_snapshot_line(
-                Path(options.metrics_out) / "coordinator.jsonl",
-                own_registry.snapshot(),
-            )
+    if own_registry is not None:
+        write_snapshot_line(
+            Path(options.metrics_out) / "coordinator.jsonl",
+            own_registry.snapshot(),
+        )
 
     missing = [key for key in first_of if key not in outcomes]
     if missing:

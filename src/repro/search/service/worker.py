@@ -10,6 +10,9 @@ recomputation after a crash idempotent.
 
 Workers exit when no pending work remains (default), or poll forever
 with ``--wait`` — the mode for a standing fleet fed by multiple sweeps.
+Bad input (an invalid ``--worker-id``, a ``--queue-dir`` whose context
+cannot be loaded, an output directory that cannot be created) is a
+usage error, refused before the worker creates anything.
 """
 
 from __future__ import annotations
@@ -35,10 +38,15 @@ from repro.search.service.queue import (
     HEARTBEAT_INTERVAL,
     FileWorkQueue,
     LeaseHeartbeat,
+    check_worker_id,
 )
 from repro.search.service.serialize import group_key
+from repro.utils import create_output_dir
 
 __all__ = ["default_worker_id", "main", "run_worker"]
+
+#: Seconds a ``--wait`` worker sleeps while the queue has nothing to claim.
+_POLL_INTERVAL = 0.5
 
 
 def default_worker_id() -> str:
@@ -53,8 +61,6 @@ def run_worker(
     *,
     worker_id: str | None = None,
     wait: bool = False,
-    poll_interval: float = 0.5,
-    max_cells: int | None = None,
     crash_after_claims: int | None = None,
     metrics_out: str | os.PathLike | None = None,
 ) -> int:
@@ -87,20 +93,14 @@ def run_worker(
     if metrics_out is None:
         return _drain(
             queue, context, store, worker_id,
-            wait=wait,
-            poll_interval=poll_interval,
-            max_cells=max_cells,
-            crash_after_claims=crash_after_claims,
+            wait=wait, crash_after_claims=crash_after_claims,
         )
     registry = MetricsRegistry(actor=worker_id)
     try:
         with recording(registry):
             return _drain(
                 queue, context, store, worker_id,
-                wait=wait,
-                poll_interval=poll_interval,
-                max_cells=max_cells,
-                crash_after_claims=crash_after_claims,
+                wait=wait, crash_after_claims=crash_after_claims,
             )
     finally:
         write_snapshot_line(
@@ -115,8 +115,6 @@ def _drain(
     worker_id: str,
     *,
     wait: bool,
-    poll_interval: float,
-    max_cells: int | None,
     crash_after_claims: int | None,
 ) -> int:
     """The claim/search/checkpoint/complete loop behind :func:`run_worker`."""
@@ -127,12 +125,12 @@ def _drain(
     busy_seconds = 0.0
     completed = 0
     claims = 0
-    while max_cells is None or completed < max_cells:
+    while True:
         claim = queue.claim(worker_id)
         if claim is None:
             if not wait:
                 break
-            time.sleep(poll_interval)
+            time.sleep(_POLL_INTERVAL)
             continue
         claims += 1
         rec.count("worker.claims")
@@ -192,13 +190,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="poll for new work instead of exiting when the queue is empty",
     )
-    parser.add_argument("--poll-interval", type=float, default=0.5)
-    parser.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        help="exit after completing this many cells",
-    )
     parser.add_argument(
         "--metrics-out",
         default=None,
@@ -211,13 +202,27 @@ def main(argv=None) -> int:
         "--crash-after-claims", type=int, default=None, help=argparse.SUPPRESS
     )
     args = parser.parse_args(argv)
+    # Refused before the output directories exist: a usage error
+    # creates nothing.
+    if args.worker_id is not None:
+        try:
+            check_worker_id(args.worker_id)
+        except ValueError as exc:
+            parser.error(str(exc))
+    try:
+        FileWorkQueue.open(args.queue_dir).load_context()
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        parser.error(
+            f"cannot load the context of --queue-dir {args.queue_dir}: {exc}"
+        )
+    if args.metrics_out is not None:
+        create_output_dir(parser, "--metrics-out", Path(args.metrics_out))
+    create_output_dir(parser, "--checkpoint-dir", Path(args.checkpoint_dir))
     completed = run_worker(
         args.queue_dir,
         args.checkpoint_dir,
         worker_id=args.worker_id,
         wait=args.wait,
-        poll_interval=args.poll_interval,
-        max_cells=args.max_cells,
         crash_after_claims=args.crash_after_claims,
         metrics_out=args.metrics_out,
     )

@@ -130,7 +130,10 @@ class TestRunnerCli:
             ["fig7", "--objective", "memory-constrained",
              "--memory-headroom", "5"],
             ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
-             "--workers", "0"],
+             "--jobs", "0"],
+            # --jobs sizes the file queue's fleet too; there is no --workers.
+            ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
+             "--workers", "2"],
             ["fig1", "--backend", "file-queue"],
             ["fig1", "--resume"],
             ["frontier", "--quick", "--resume"],

@@ -307,7 +307,8 @@ class TestHttp:
         """Serve on an ephemeral port; fire raw HTTP/1.1 requests."""
 
         async def run():
-            server = await start_planner_server(planner, port=0)
+            sock = socket.create_server(("127.0.0.1", 0))
+            server = await start_planner_server(planner, sock)
             port = server.sockets[0].getsockname()[1]
             responses = []
             async with server:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B
-from repro.obs import MetricsRegistry, recording
+from repro.obs import MetricsRegistry, read_snapshots, recording
 from repro.parallel.config import Method
 from repro.search import grid as grid_module
 from repro.search.cell import SearchSettings
@@ -300,6 +300,33 @@ class TestRunSweep:
         )
         assert resumed == first
 
+    @pytest.mark.parametrize("observer", ["recording", "metrics_out"])
+    def test_fully_resumed_sweep_records_its_counters(
+        self, tmp_path, observer
+    ):
+        # Nothing is left to compute, yet the sweep still counts where
+        # its cells came from, and writes its own snapshot when asked.
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path / "ck")
+        run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        resumed = replace(opts, resume=True)
+        if observer == "recording":
+            registry = MetricsRegistry(actor="coordinator")
+            with recording(registry):
+                run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=resumed)
+            counters = registry.snapshot()["counters"]
+        else:
+            metrics = tmp_path / "metrics"
+            run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=replace(resumed, metrics_out=metrics),
+            )
+            [snapshot] = read_snapshots(metrics / "coordinator.jsonl")
+            counters = snapshot["counters"]
+        assert counters == {
+            "sweep.cells_from_checkpoints": len(CELLS),
+            "sweep.cells_total": len(CELLS),
+        }
+
     def test_resume_recomputes_corrupted_cell(self, tmp_path, outcomes):
         opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
@@ -332,18 +359,6 @@ class TestRunSweep:
     def test_pool_of_fewer_than_one_process_rejected(self, processes):
         with pytest.raises(ValueError, match="processes"):
             SweepOptions(processes=processes)
-
-    def test_fewer_than_one_worker_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="workers"):
-            SweepOptions(
-                backend="file-queue", checkpoint_dir=tmp_path, workers=0
-            )
-
-    def test_negative_max_retries_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_retries"):
-            SweepOptions(
-                backend="file-queue", checkpoint_dir=tmp_path, max_retries=-1
-            )
 
     def test_empty_cells(self):
         assert run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, []) == []

@@ -1,9 +1,10 @@
-"""Tests for the file-based work queue and its executor.
+"""Tests for the file-based work queue, its executor and its worker.
 
 The claim protocol is exercised directly (two "workers" racing over the
 same directory, requeue after crash, the retry cap) and end-to-end: a
 two-worker sweep where the first worker is killed mid-cell must still
-produce outcomes byte-identical to a serial run.
+produce outcomes byte-identical to a serial run.  The worker's command
+line refuses bad input before it creates anything.
 
 No test waits on the wall clock for a lease to run out: claims are aged
 past it with ``os.utime``, and a slow search waits for the heartbeat's
@@ -36,9 +37,14 @@ from repro.search.service import (
     run_sweep,
 )
 from repro.search.service import executors as executors_mod
+from repro.search.service import queue as queue_mod
 from repro.search.service import worker as worker_mod
 from repro.search.service.executors import worker_command
-from repro.search.service.queue import CLAIM_LEASE, HEARTBEAT_INTERVAL
+from repro.search.service.queue import (
+    CLAIM_LEASE,
+    HEARTBEAT_INTERVAL,
+    MAX_RETRIES,
+)
 from repro.search.service.worker import run_worker
 from repro.sim.calibration import DEFAULT_CALIBRATION
 
@@ -60,6 +66,27 @@ def keys_for(cells):
         cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, c)
         for c in cells
     ]
+
+
+def placeholder_outcome(cell):
+    """A cheap outcome standing in for a search of ``cell``."""
+    return SearchOutcome(
+        method=cell.method, batch_size=cell.batch_size,
+        best=None, n_tried=0, n_excluded=0,
+    )
+
+
+class IdleProc:
+    """A launched worker that stays alive until terminated."""
+
+    def poll(self):
+        return None
+
+    def terminate(self):
+        pass
+
+    def wait(self, timeout=None):
+        return 0
 
 
 def age_past_lease(path):
@@ -137,14 +164,13 @@ class TestClaimProtocol:
                 queue.claim(bad)
 
     def test_context_round_trips(self, tmp_path):
-        make_queue(tmp_path, max_retries=5)
+        make_queue(tmp_path)
         queue = FileWorkQueue.open(tmp_path)
         spec, cluster, calibration, settings = queue.load_context()
         assert spec == MODEL_6_6B
         assert cluster == DGX1_CLUSTER_64
         assert calibration == DEFAULT_CALIBRATION
         assert settings == DEFAULT_SETTINGS
-        assert queue.max_retries == 5
 
     def test_open_requires_initialized_queue(self, tmp_path):
         with pytest.raises(ValueError, match="context.json"):
@@ -165,11 +191,11 @@ class TestCrashRecovery:
         assert retry.attempts == 1  # the crash was counted
 
     def test_retry_cap_moves_cell_to_failed(self, tmp_path):
-        queue = make_queue(tmp_path, max_retries=1)
-        queue.enqueue("k1", CELLS[0])
+        queue = make_queue(tmp_path)
+        queue.enqueue("k1", CELLS[0], attempts=MAX_RETRIES - 1)
         queue.claim("w-0")
         assert queue.requeue_claims_of("w-0") == (["k1"], [])
-        queue.claim("w-1")
+        assert queue.claim("w-1").attempts == MAX_RETRIES
         assert queue.requeue_claims_of("w-1") == ([], ["k1"])
         assert queue.failed_keys() == {"k1"}
         assert queue.pending_keys() == set()
@@ -227,8 +253,8 @@ class TestCrashRecovery:
         # The claim can disappear between parsing and the failed/ rename
         # (the worker completed it concurrently); that must not raise and
         # must not mark the finished cell failed.
-        queue = make_queue(tmp_path, max_retries=0)
-        queue.enqueue("k1", CELLS[0])
+        queue = make_queue(tmp_path)
+        queue.enqueue("k1", CELLS[0], attempts=MAX_RETRIES)
         claim = queue.claim("w-0")
         claim.path.unlink()  # simulate the concurrent completion rename
         assert queue.release(claim) is True
@@ -244,27 +270,13 @@ class TestCrashRecovery:
         # the cell.
         key = keys_for(CELLS)[0]
         store = CheckpointStore(tmp_path / "ck")
-        outcome = SearchOutcome(
-            method=CELLS[0].method, batch_size=CELLS[0].batch_size,
-            best=None, n_tried=0, n_excluded=0,
-        )
+        outcome = placeholder_outcome(CELLS[0])
 
-        class LiveWorker:
-            """A launched worker that stays alive until terminated."""
-
+        class LiveWorker(IdleProc):
             def __init__(self, cmd, **kwargs):
                 # The external worker wins the only pending cell first.
                 queue = FileWorkQueue.open(tmp_path / "q")
                 age_past_lease(queue.claim("external").path)
-
-            def poll(self):
-                return None
-
-            def terminate(self):
-                pass
-
-            def wait(self, timeout=None):
-                return 0
 
         polls = []
 
@@ -281,7 +293,9 @@ class TestCrashRecovery:
 
         monkeypatch.setattr(executors_mod.subprocess, "Popen", LiveWorker)
         monkeypatch.setattr(executors_mod, "time", SimpleNamespace(sleep=sleep))
-        executor = FileQueueExecutor(tmp_path / "q", tmp_path / "ck", workers=1)
+        executor = FileQueueExecutor(
+            tmp_path / "q", tmp_path / "ck", processes=1
+        )
         context = (
             MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
             DEFAULT_SETTINGS,
@@ -299,6 +313,49 @@ class TestCrashRecovery:
         assert [(e["key"], e["worker"]) for e in requeues] == [
             (key, "external")
         ]
+
+
+class TestFleet:
+    """The coordinator launches ``processes`` local workers, the CPU count
+    when unset, and never more than there are cells."""
+
+    @pytest.mark.parametrize(
+        "processes, launched", [(1, 1), (3, 3), (5, 3), (None, 2)]
+    )
+    def test_fleet_follows_processes(
+        self, tmp_path, monkeypatch, processes, launched
+    ):
+        spawned = []
+
+        def spawn(executor, worker_id, *, inject_crash):
+            spawned.append(worker_id)
+            return IdleProc()
+
+        def sleep(seconds):
+            # The idle fleet's first poll ends here: every cell is
+            # computed at once, so no replacement is ever launched.
+            queue = FileWorkQueue.open(tmp_path / "q")
+            store = CheckpointStore(tmp_path / "ck")
+            while (claim := queue.claim("w")) is not None:
+                store.store(claim.key, placeholder_outcome(claim.cell))
+                queue.complete(claim)
+
+        monkeypatch.setattr(executors_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(FileQueueExecutor, "_spawn", spawn)
+        monkeypatch.setattr(executors_mod, "time", SimpleNamespace(sleep=sleep))
+        executor = FileQueueExecutor(
+            tmp_path / "q", tmp_path / "ck", processes=processes
+        )
+        context = (
+            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
+            DEFAULT_SETTINGS,
+        )
+        tasks = list(zip(range(len(CELLS)), keys_for(CELLS), CELLS))
+        finished = sorted(
+            index for index, _outcome, _report in executor.run(context, tasks)
+        )
+        assert finished == [0, 1, 2]
+        assert len(spawned) == launched
 
 
 class TestLeaseHeartbeat:
@@ -400,10 +457,7 @@ class TestLeaseHeartbeat:
 
         monkeypatch.setattr(worker_mod, "_timed_search", slow_search)
         completed = run_worker(
-            str(tmp_path / "q"),
-            str(tmp_path / "ck"),
-            worker_id="slow-worker",
-            max_cells=1,
+            str(tmp_path / "q"), str(tmp_path / "ck"), worker_id="slow-worker"
         )
         return queue, key, searches, requeued, completed
 
@@ -432,11 +486,15 @@ class TestLeaseHeartbeat:
         the heartbeat renews the aged claim *does* requeue it — proving
         the test above exercises the heartbeat and not merely a
         generous lease."""
-        queue, key, _searches, requeued, _completed = self.slow_worker_run(
+        queue, key, searches, requeued, _completed = self.slow_worker_run(
             tmp_path, monkeypatch, janitor_first=True
         )
         assert requeued == [key]
-        assert queue.done_keys() == {key}  # completion still idempotent
+        # The worker then claims the requeued copy and finds its own
+        # checkpoint: completion is idempotent and nothing is searched twice.
+        assert len(searches) == 1
+        assert queue.done_keys() == {key}
+        assert queue.pending_keys() == set()
 
 
 class TestWorkerFunction:
@@ -483,6 +541,55 @@ class TestWorkerFunction:
         assert queue.done_keys() == {key}
 
 
+class TestWorkerCli:
+    """The worker's command line refuses bad input before it creates
+    anything: exit status 2 and one argparse error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--queue-dir", "{empty}"],  # no context.json
+            ["--queue-dir", "{truncated}"],
+            ["--checkpoint-dir", "{file}"],
+            ["--worker-id", "a--b"],
+            ["--metrics-out", "{file}/metrics"],
+            # The coordinator sizes the fleet and a worker drains the
+            # queue; neither is set per worker.
+            ["--poll-interval", "1"],
+            ["--max-cells", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, capsys):
+        make_queue(tmp_path / "q")
+        (tmp_path / "empty").mkdir()
+        truncated = tmp_path / "truncated"
+        context = make_queue(truncated).root / "context.json"
+        context.write_bytes(context.read_bytes()[:40])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [
+            arg.replace("{empty}", str(tmp_path / "empty"))
+            .replace("{truncated}", str(truncated))
+            .replace("{file}", str(blocker))
+            for arg in argv
+        ]
+        for flag, default in (
+            ("--queue-dir", tmp_path / "q"),
+            ("--checkpoint-dir", tmp_path / "ck"),
+        ):
+            if flag not in argv:
+                argv += [flag, str(default)]
+        with pytest.raises(SystemExit) as exc_info:
+            worker_mod.main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (tmp_path / "ck").exists()
+        assert blocker.is_file()
+
+
 class TestFileQueueEndToEnd:
     def serial_reference(self):
         return run_sweep(
@@ -497,7 +604,7 @@ class TestFileQueueEndToEnd:
                 backend="file-queue",
                 checkpoint_dir=tmp_path / "ck",
                 queue_dir=tmp_path / "q",
-                workers=2,
+                processes=2,
             ),
         )
         assert got == self.serial_reference()
@@ -511,7 +618,7 @@ class TestFileQueueEndToEnd:
         executor = FileQueueExecutor(
             tmp_path / "q",
             tmp_path / "ck",
-            workers=2,
+            processes=2,
             crash_first_worker_after=1,
         )
         context = (
@@ -532,18 +639,19 @@ class TestFileQueueEndToEnd:
                 == store.payload_bytes(key, outcome)
             )
 
-    def test_exhausted_retries_raise_not_drop(self, tmp_path):
-        # Every attempt crashes before finishing a single cell: the sweep
-        # must fail loudly once the retry cap is hit.
+    def test_exhausted_retries_raise_not_drop(self, tmp_path, monkeypatch):
+        # A worker crashes before finishing a single cell: the sweep must
+        # fail loudly once the retry cap is hit.  Crash injection only
+        # applies to the first worker launched, so with no retries its
+        # crashed cell fails immediately.
+        monkeypatch.setattr(queue_mod, "MAX_RETRIES", 0)
+        monkeypatch.setattr(executors_mod, "MAX_RETRIES", 0)
         executor = FileQueueExecutor(
             tmp_path / "q",
             tmp_path / "ck",
-            workers=1,
-            max_retries=0,
+            processes=1,
             crash_first_worker_after=0,
         )
-        # Crash injection only applies to the first worker launched; with
-        # max_retries=0 its crashed cell fails immediately.
         context = (
             MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
             DEFAULT_SETTINGS,

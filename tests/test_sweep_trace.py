@@ -110,7 +110,7 @@ class TestSweepTrace:
             options=SweepOptions(
                 backend="file-queue",
                 checkpoint_dir=checkpoint_dir,
-                workers=2,
+                processes=2,
             ),
         )
         assert len(outcomes) == len(CELLS)
