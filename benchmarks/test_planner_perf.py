@@ -1,20 +1,27 @@
 """Planner load test: exact hits do no search work, and coalescing.
 
-Two invariants of the planner service, guarded in CI on deterministic
+Three invariants of the planner service, guarded in CI on deterministic
 counts, never on wall time:
 
 1. **Exact hits do no search work** — answering a memoized query must
-   never touch the search stack: resolve the request, hash the cells,
-   load one small JSON payload off the I/O pool.  N exact hits record
-   N ``planner.hit.exact``, open no ``search.grid`` span, price no
-   config family and load the memo store once per request.  Their p50
-   and max latency (about 0.4 ms locally) are recorded as data only.
-2. **Coalescing under load** — a mixed burst of N identical cold
+   never touch the search stack.  A planner loads a cell from the memo
+   store once, on its first hit, and answers every later hit from
+   memory on the event loop.  So N exact hits on a fresh planner over
+   a solved store record N ``planner.hit.exact``, open no
+   ``search.grid`` span, price no config family, call
+   ``MemoStore.load`` once, and after the first neither submit work
+   to an executor nor hash the request's keys again.  Their p50 and
+   max latency (tens of microseconds locally) are recorded as data
+   only.
+2. **A computed cell is held** — the planner that searched a cell
+   answers the next request for it with no load, no submission and no
+   key hash.
+3. **Coalescing under load** — a mixed burst of N identical cold
    queries and M exact hits runs *exactly one* ``search.grid`` span:
    the defining invariant of request coalescing (without it, N
    identical concurrent queries each pay a full search).
 
-Both tests append trajectory entries to ``benchmarks/BENCH_search.json``
+The tests append trajectory entries to ``benchmarks/BENCH_search.json``
 (see :mod:`repro.obs.trajectory`) so the latency history accumulates
 per commit next to the search-speedup history.
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -31,6 +39,7 @@ import pytest
 from repro.obs import MetricsRegistry, recording
 from repro.obs.trajectory import record_entry
 from repro.planner import Planner, PlanRequest
+from repro.planner import core as planner_core
 from repro.search.service.memo import MemoStore
 from repro.sim.cost import comm_time_table, stage_time_table
 
@@ -60,31 +69,60 @@ def store_dir(tmp_path_factory):
     return root
 
 
-def test_exact_hits_do_no_search_work(store_dir, benchmark, monkeypatch):
+@pytest.fixture
+def work(monkeypatch):
+    """Running counts of memo-store loads, thread-pool submissions and
+    the planner's key hashes (cell, group and query keys)."""
+    counts = {"loads": 0, "submissions": 0, "hashes": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(MemoStore, "load", counted("loads", MemoStore.load))
+    monkeypatch.setattr(
+        ThreadPoolExecutor,
+        "submit",
+        counted("submissions", ThreadPoolExecutor.submit),
+    )
+    for name in ("cell_key", "group_key", "query_key"):
+        monkeypatch.setattr(
+            planner_core, name, counted("hashes", getattr(planner_core, name))
+        )
+    return counts
+
+
+async def _plan_counted(planner, request, work):
+    """``(answer, seconds, {count: added})`` for one request."""
+    before = dict(work)
+    started = time.perf_counter()
+    answer = await planner.plan(request)
+    seconds = time.perf_counter() - started
+    return answer, seconds, {name: work[name] - before[name] for name in work}
+
+
+def test_exact_hits_do_no_search_work(store_dir, benchmark, work):
     request = _request(8)
-    loads = []
-    load = MemoStore.load
-
-    def counted_load(self, key):
-        loads.append(key)
-        return load(self, key)
-
-    monkeypatch.setattr(MemoStore, "load", counted_load)
     with Planner(store_dir) as planner:
 
         async def drive():
-            latencies = []
+            latencies, added = [], []
             for _ in range(N_EXACT_HITS):
-                started = time.perf_counter()
-                answer = await planner.plan(request)
-                latencies.append(time.perf_counter() - started)
+                answer, seconds, done = await _plan_counted(
+                    planner, request, work
+                )
                 assert answer.sources == ("exact",)
-            return latencies
+                latencies.append(seconds)
+                added.append(done)
+            return latencies, added
 
         tables = (stage_time_table.cache_info(), comm_time_table.cache_info())
         with recording(MetricsRegistry(actor="planner-bench")) as registry:
-            latencies = asyncio.run(drive())
-        n_loads = len(loads)
+            latencies, added = asyncio.run(drive())
+        n_loads = sum(done["loads"] for done in added)
         assert (
             stage_time_table.cache_info(), comm_time_table.cache_info()
         ) == tables
@@ -98,8 +136,8 @@ def test_exact_hits_do_no_search_work(store_dir, benchmark, monkeypatch):
     p50 = statistics.median(latencies)
     print(
         f"\nplanner exact hit ({N_EXACT_HITS} requests): "
-        f"p50 {p50 * 1e3:.2f} ms, max {max(latencies) * 1e3:.2f} ms, "
-        f"{n_loads} store loads, {len(searches)} search span(s)"
+        f"p50 {p50 * 1e6:.0f} us, max {max(latencies) * 1e6:.0f} us, "
+        f"{n_loads} store load(s), {len(searches)} search span(s)"
     )
     record_entry(
         TRAJECTORY_PATH,
@@ -116,9 +154,30 @@ def test_exact_hits_do_no_search_work(store_dir, benchmark, monkeypatch):
     assert counters["planner.hit.exact"] == N_EXACT_HITS
     assert searches == [], "an exact hit ran a search"
     assert counters.get("search.batch.families_priced", 0) == 0
-    assert n_loads == N_EXACT_HITS, (
-        f"{N_EXACT_HITS} exact hits loaded the memo store {n_loads} times"
+    assert n_loads == 1, (
+        f"{N_EXACT_HITS} exact hits on one planner loaded the memo store "
+        f"{n_loads} times, not once"
     )
+    assert added[0] == {"loads": 1, "submissions": 1, "hashes": 3}
+    assert added[1:] == [{"loads": 0, "submissions": 0, "hashes": 0}] * (
+        N_EXACT_HITS - 1
+    ), "a held exact hit left the event loop or hashed its request again"
+
+
+def test_a_computed_cell_is_answered_from_memory(tmp_path, work):
+    """The planner that searched a cell loads and submits nothing for it."""
+    request = _request(8)
+    with Planner(tmp_path) as planner:
+
+        async def drive():
+            first = await planner.plan(request)
+            return first, await _plan_counted(planner, request, work)
+
+        first, (again, _seconds, added) = asyncio.run(drive())
+    assert first.sources == ("computed",)
+    assert again.sources == ("exact",)
+    assert again.outcomes[0] is first.outcomes[0]
+    assert added == {"loads": 0, "submissions": 0, "hashes": 0}
 
 
 def test_coalescing_invariant_under_load(store_dir):

@@ -7,7 +7,8 @@ in-process async API (what tests and the CLI use);
 :mod:`repro.planner.http` wraps it in a stdlib HTTP/JSON front-end for
 ``repro-experiments serve``.  Answers come from the shared
 :class:`~repro.search.service.memo.MemoStore`: exact content-hash hits
-load a sweep checkpoint byte-identical to a cold search, near misses
+load a sweep checkpoint byte-identical to a cold search (once per
+planner, which then answers them from memory), near misses
 warm-start the search from neighbor cells, identical concurrent queries
 coalesce into one search.  See ``docs/planner.md``.
 """

@@ -5,32 +5,44 @@
 ``asyncio`` object answering :class:`~repro.planner.protocol.PlanRequest`
 queries from a shared :class:`~repro.search.service.memo.MemoStore`.
 
-Per cell of a query, in order:
+A planner remembers what it has answered, in two maps bounded by
+:data:`_MEMORY_ENTRIES` (oldest out first): each request's resolved
+cells with their cell, group and query keys, and each cell's outcome
+once it has loaded or searched it.  Per cell of a query, in order:
 
-1. **Exact hit** — the cell's content hash is loaded straight from the
-   memo store (``planner.hit.exact``); by the store's byte-identical
-   checkpoint contract the answer equals a cold search's exactly.
-2. **Neighbor seed** — on a miss, the manifest index finds solved cells
+1. **Exact hit in memory** — an outcome this planner already holds is
+   answered inline in :meth:`Planner.plan` (``planner.hit.exact``): no
+   task, no executor, no file read.
+2. **Exact hit on disk** — otherwise the cell's content hash is loaded
+   from the memo store on the I/O pool (``planner.hit.exact``); by the
+   store's byte-identical checkpoint contract the answer equals a cold
+   search's exactly.
+3. **Neighbor seed** — on a miss, the manifest index finds solved cells
    of the same group (same model/cluster/calibration/settings) and
    method at the nearest batch sizes; their winning/frontier configs
    become a :class:`~repro.sim.cost.WarmStartSeed`
    (``planner.hit.seeded``).  Seeding only pre-fills caches the search
    would fill anyway, so the outcome stays byte-identical to cold.
-3. **Search** — ``best_configuration`` runs in a dedicated single
+4. **Search** — ``best_configuration`` runs in a dedicated single
    worker thread under a ``search.grid`` span, and the result is
    persisted back to the store for every future query.
 
 Identical in-flight cells are **coalesced**: the first awaiter becomes
 the leader and registers a future; later awaiters (`planner.coalesced`)
 share its result, so N concurrent identical queries run exactly one
-search.  The event loop itself never blocks: every filesystem or search
-call is offloaded to an executor (the repo linter's L503 rule bans
-blocking calls directly on the loop in this package).
+search.  The leader puts the outcome in memory before it releases the
+future, with no ``await`` in between: from the moment a cell's first
+request starts to resolve it, the cell is in flight or in memory (until
+memory evicts it).  The event loop itself never blocks: an in-memory
+hit is a dict lookup, and every filesystem or search call is offloaded
+to an executor (the repo linter's L503 rule bans blocking calls
+directly on the loop in this package).
 
 Threading notes: the search pool is a *single* worker on purpose — the
 obs recorder's span stack is not thread-safe, and searches are GIL-bound
 anyway; the I/O pool only runs store methods, which are safe to
-interleave with the loop thread's counter updates.
+interleave with the loop thread's counter updates.  Both in-memory maps
+are read and written on the event loop thread alone.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import asyncio
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.models.presets import PRESETS
 from repro.obs import clock as obs_clock
@@ -69,6 +82,42 @@ PRESET_MODELS: tuple[str, ...] = ("52B", "6.6B")
 #: side is where the family overlap lives; more only re-warms caches.
 _NEIGHBOR_LIMIT = 2
 
+#: Entries each of a planner's two in-memory maps keeps (outcomes by
+#: cell key, resolved queries by request) before the oldest goes.
+_MEMORY_ENTRIES = 4096
+
+
+class _Query(NamedTuple):
+    """A request resolved and hashed: fixed for a planner's lifetime,
+    because the presets, the cluster aliases and its calibration are."""
+
+    resolved: ResolvedPlan
+    cells: tuple[SweepCell, ...]
+    keys: tuple[str, ...]
+    group: str
+    query_key: str
+
+
+def _remember(table: dict, key, value) -> None:
+    """Insert into a map bounded by :data:`_MEMORY_ENTRIES`, oldest out."""
+    if len(table) >= _MEMORY_ENTRIES and key not in table:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+def _request_id(request: PlanRequest) -> tuple:
+    """``request`` plus the types its keys' JSON depends on.
+
+    ``8 == 8.0`` and ``True == 1``, so equal requests can still hash to
+    different cell keys; the types keep such requests apart.
+    """
+    return (
+        request,
+        type(request.include_hybrid),
+        type(request.memory_headroom),
+        tuple(map(type, request.batch_sizes)),
+    )
+
 
 class Planner:
     """Async planning service over a shared memo store.
@@ -95,6 +144,8 @@ class Planner:
             max_workers=2, thread_name_prefix="planner-io"
         )
         self._inflight: dict[str, asyncio.Future] = {}
+        self._outcomes: dict[str, SearchOutcome] = {}
+        self._queries: dict[tuple, _Query] = {}
         self._preset_index = self._build_preset_index()
 
     # ------------------------------------------------------------ lifecycle
@@ -133,47 +184,75 @@ class Planner:
         }
 
     async def plan(self, request: PlanRequest) -> PlanAnswer:
-        """Answer one query; every cell memoized, seeded, or computed."""
+        """Answer one query; every cell memoized, seeded, or computed.
+
+        Cells this planner already holds are answered here, with no
+        ``await``; only the others go to :meth:`_plan_cell`.
+        """
         rec = get_recorder()
         started = obs_clock.perf()
-        resolved = request.resolve()
-        group = group_key(
-            resolved.spec, resolved.cluster, self._calibration, resolved.settings
-        )
-        cells = [
-            SweepCell(method, batch)
-            for method in resolved.methods
-            for batch in resolved.batch_sizes
-        ]
-        keys = [
-            cell_key(
-                resolved.spec,
-                resolved.cluster,
-                self._calibration,
-                cell,
-                resolved.settings,
-            )
-            for cell in cells
-        ]
+        query = self._query(request)
         rec.count("planner.requests")
-        results = await asyncio.gather(
-            *(
-                self._plan_cell(resolved, cell, key, group)
-                for cell, key in zip(cells, keys)
+        results = [(self._outcomes.get(key), "exact") for key in query.keys]
+        missing = [i for i, (held, _) in enumerate(results) if held is None]
+        if len(missing) < len(results):
+            rec.count("planner.hit.exact", len(results) - len(missing))
+        if missing:
+            searched = await asyncio.gather(
+                *(
+                    self._plan_cell(
+                        query.resolved, query.cells[i], query.keys[i], query.group
+                    )
+                    for i in missing
+                )
             )
-        )
+            for i, result in zip(missing, searched):
+                results[i] = result
         best: SimulationResult | None = None
         for outcome, _source in results:
             if outcome.best is not None and better_result(outcome.best, best):
                 best = outcome.best
         rec.observe("planner.latency.request.seconds", obs_clock.perf() - started)
         return PlanAnswer(
-            query_key=query_key(resolved, self._calibration),
-            cell_keys=tuple(keys),
+            query_key=query.query_key,
+            cell_keys=query.keys,
             outcomes=tuple(outcome for outcome, _source in results),
             sources=tuple(source for _outcome, source in results),
             best=best,
         )
+
+    def _query(self, request: PlanRequest) -> _Query:
+        """``request`` resolved and hashed, once per planner."""
+        request_id = _request_id(request)
+        query = self._queries.get(request_id)
+        if query is not None:
+            return query
+        resolved = request.resolve()
+        cells = tuple(
+            SweepCell(method, batch)
+            for method in resolved.methods
+            for batch in resolved.batch_sizes
+        )
+        query = _Query(
+            resolved=resolved,
+            cells=cells,
+            keys=tuple(
+                cell_key(
+                    resolved.spec,
+                    resolved.cluster,
+                    self._calibration,
+                    cell,
+                    resolved.settings,
+                )
+                for cell in cells
+            ),
+            group=group_key(
+                resolved.spec, resolved.cluster, self._calibration, resolved.settings
+            ),
+            query_key=query_key(resolved, self._calibration),
+        )
+        _remember(self._queries, request_id, query)
+        return query
 
     # --------------------------------------------------------------- cells
 
@@ -189,7 +268,8 @@ class Planner:
         The leader registers its future *synchronously* (no await
         between the membership test and the registration — on a
         single-threaded loop that is what makes the window race-free),
-        resolves the cell, then settles the future for every follower.
+        resolves the cell, puts its outcome in memory, then settles the
+        future for every follower.
         """
         rec = get_recorder()
         inflight = self._inflight.get(key)
@@ -207,6 +287,7 @@ class Planner:
             future.exception()  # mark retrieved: followers re-raise it
             raise
         else:
+            _remember(self._outcomes, key, result[0])
             future.set_result(result)
             return result
         finally:

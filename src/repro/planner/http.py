@@ -11,11 +11,14 @@ bodies, no TLS), so the repo stays dependency-free.  Endpoints:
   are already exact hits, per committed preset pair.
 - ``GET /healthz`` — liveness plus the memo-store size.
 
-Malformed requests get a 400 with ``{"error": ...}``; unknown paths a
-404.  Connections are one-shot (``Connection: close``).  All handler
-coroutines follow the same L503 rule as the core: nothing blocking runs
-on the loop — request handling only touches the planner's async API and
-in-memory indexes.
+Malformed requests get a 400 with ``{"error": ...}``, and so does a
+body that ends before its ``Content-Length``; unknown paths get a 404,
+and a known path asked with another method a 405 whose ``Allow`` header
+names the path's one method.  Connections are one-shot (``Connection:
+close``); a client that resets its connection before the answer is
+written is let go without an error.  All handler coroutines follow the
+same L503 rule as the core: nothing blocking runs on the loop — request
+handling only touches the planner's async API and in-memory indexes.
 """
 
 from __future__ import annotations
@@ -46,6 +49,16 @@ DEFAULT_PORT = 8642
 _MAX_BODY_BYTES = 1 << 20
 
 _MAX_HEADER_LINES = 100
+
+#: Each endpoint's one method.
+_ENDPOINTS = {"/plan": "POST", "/presets": "GET", "/healthz": "GET"}
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+}
 
 
 class _BadRequest(ValueError):
@@ -80,20 +93,25 @@ async def _read_request(
         raise _BadRequest("too many header lines")
     if content_length < 0 or content_length > _MAX_BODY_BYTES:
         raise _BadRequest(f"unacceptable Content-Length: {content_length}")
-    body = (
-        await reader.readexactly(content_length) if content_length else b""
-    )
+    try:
+        body = (
+            await reader.readexactly(content_length) if content_length else b""
+        )
+    except asyncio.IncompleteReadError as exc:
+        raise _BadRequest(
+            f"body ended after {len(exc.partial)} of {content_length} bytes"
+        ) from None
     return method, target.split("?", 1)[0], body
 
 
-def _response(status: int, payload: dict) -> bytes:
+def _response(status: int, payload: dict, *, allow: str | None = None) -> bytes:
     body = canonical_dumps(payload).encode("utf-8")
-    reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(status, "")
     head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        + (f"Allow: {allow}\r\n" if allow else "")
+        + "Connection: close\r\n\r\n"
     )
     return head.encode("ascii") + body
 
@@ -106,13 +124,24 @@ async def _handle(
     try:
         try:
             method, path, body = await _read_request(reader)
-            if (method, path) == ("GET", "/healthz"):
+            allowed = _ENDPOINTS.get(path)
+            if allowed is None:
+                response = _response(
+                    404, {"error": f"no such endpoint: {method} {path}"}
+                )
+            elif method != allowed:
+                response = _response(
+                    405,
+                    {"error": f"method not allowed: {method} {path}; use {allowed}"},
+                    allow=allowed,
+                )
+            elif path == "/healthz":
                 response = _response(
                     200, {"status": "ok", "cells_indexed": len(planner.store)}
                 )
-            elif (method, path) == ("GET", "/presets"):
+            elif path == "/presets":
                 response = _response(200, planner.preset_frontiers())
-            elif (method, path) == ("POST", "/plan"):
+            else:
                 try:
                     data = json.loads(body)
                 except json.JSONDecodeError as exc:
@@ -122,18 +151,14 @@ async def _handle(
                 request = request_from_json(data)
                 answer = await planner.plan(request)
                 response = _response(200, answer_to_json(answer))
-            else:
-                response = _response(
-                    404, {"error": f"no such endpoint: {method} {path}"}
-                )
         except (_BadRequest, ValueError) as exc:
             # ValueError covers request validation/resolution failures
             # (unknown model/cluster/objective, bad batch sizes).
             response = _response(400, {"error": str(exc)})
-        except asyncio.IncompleteReadError:
-            return  # client hung up mid-body; nothing to answer
         writer.write(response)
         await writer.drain()
+    except ConnectionError:
+        pass  # the client reset the connection: nobody is left to answer
     finally:
         writer.close()
         try:

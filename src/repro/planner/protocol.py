@@ -88,6 +88,10 @@ class PlanRequest:
     methods: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # Tuples whatever sequence the caller passed: a request is a key
+        # (the planner keeps each request's resolved cells by it).
+        object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.batch_sizes:
             raise ValueError("batch_sizes must not be empty")
         if any(b <= 0 for b in self.batch_sizes):

@@ -2,9 +2,10 @@
 
 The acceptance contract of the planner refactor, end to end:
 
-- **Byte identity** — an exact-hit answer (and a neighbor-seeded one)
-  must equal a cold ``best_configuration`` checkpoint byte for byte,
-  for every objective kind.  Memoization and warm starts are allowed to
+- **Byte identity** — an exact-hit answer, whether the planner held it
+  in memory or loaded it from disk (and a neighbor-seeded one), must
+  equal a cold ``best_configuration`` checkpoint byte for byte, for
+  every objective kind.  Memoization and warm starts are allowed to
   change *latency*, never *answers*.
 - **Coalescing** — N identical concurrent queries run exactly one
   ``search.grid`` span.
@@ -19,6 +20,7 @@ import asyncio
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import MetricsRegistry, recording
+from repro.planner import core as planner_core
+from repro.planner import http as planner_http
 from repro.planner import (
     PlanRequest,
     Planner,
@@ -37,7 +41,11 @@ from repro.planner import (
 from repro.search.cell import SweepCell
 from repro.search.grid import best_configuration
 from repro.search.objective import OBJECTIVE_KINDS
-from repro.search.service.serialize import cell_key
+from repro.search.service.serialize import (
+    canonical_dumps,
+    cell_key,
+    outcome_to_json,
+)
 
 MODEL = "6.6B"
 CLUSTER = "dgx1-64"
@@ -91,7 +99,10 @@ class TestAnswers:
         request = _request(objective=objective)
         with Planner(tmp_path) as planner:
             first = _plan(planner, request)
+            # The same planner answers again from memory.
+            held = _plan(planner, request)
         assert first.sources == ("computed",)
+        assert held.sources == ("exact",)
 
         # A fresh planner over the same directory answers from the memo.
         with Planner(tmp_path) as planner:
@@ -113,10 +124,63 @@ class TestAnswers:
                 planner.calibration,
                 cell.settings,
             )
-            assert (
-                planner.store.path_for(key).read_bytes()
-                == planner.store.payload_bytes(key, cold)
-            )
+            checkpoint = planner.store.path_for(key).read_bytes()
+            assert checkpoint == planner.store.payload_bytes(key, cold)
+            # So are the computed, the held and the loaded answers.
+            expected = canonical_dumps(outcome_to_json(cold))
+            for answer in (first, held, again):
+                assert answer.cell_keys == (key,)
+                (outcome,) = answer.outcomes
+                assert canonical_dumps(outcome_to_json(outcome)) == expected
+                assert planner.store.payload_bytes(key, outcome) == checkpoint
+
+    def test_a_held_answer_outlives_its_deleted_checkpoint(self, tmp_path):
+        # A planner answers a cell it holds from memory, even once the
+        # cell's file is gone; a fresh planner searches it again.
+        request = _request()
+        with Planner(tmp_path) as planner:
+            first = _plan(planner, request)
+            planner.store.path_for(first.cell_keys[0]).unlink()
+            held = _plan(planner, request)
+        assert held.sources == ("exact",)
+        assert held.outcomes == first.outcomes
+        with Planner(tmp_path) as planner:
+            fresh = _plan(planner, request)
+            assert planner.store.path_for(first.cell_keys[0]).exists()
+        assert fresh.sources == ("computed",)
+        assert fresh.outcomes == first.outcomes
+
+    def test_memory_keeps_the_newest_answers(self, tmp_path, monkeypatch):
+        # One entry per map: the second cell pushes the first out, so
+        # once both files are gone only the second is still answered.
+        monkeypatch.setattr(planner_core, "_MEMORY_ENTRIES", 1)
+        older, newer = _request(batch_sizes=(8,)), _request(batch_sizes=(16,))
+        with Planner(tmp_path) as planner:
+            answers = [_plan(planner, request) for request in (older, newer)]
+            for answer in answers:
+                planner.store.path_for(answer.cell_keys[0]).unlink()
+            held = _plan(planner, newer)
+            evicted = _plan(planner, older)
+        assert held.sources == ("exact",)
+        assert evicted.sources == ("computed",)
+        assert evicted.outcomes == answers[0].outcomes
+
+    def test_equal_requests_keep_the_keys_of_their_own_values(self, tmp_path):
+        # 1 == 1.0, but a headroom of 1 and one of 1.0 hash to different
+        # cell keys: the planner answers each under its own keys.
+        requests = [
+            _request(objective="memory-constrained", memory_headroom=headroom)
+            for headroom in (1.0, 1)
+        ]
+        assert requests[0] == requests[1]
+        with Planner(tmp_path) as planner:
+            answers = [_plan(planner, request) for request in requests]
+            expected = [
+                query_key(request.resolve(), planner.calibration)
+                for request in requests
+            ]
+        assert [answer.query_key for answer in answers] == expected
+        assert expected[0] != expected[1]
 
     def test_cell_keys_match_the_sweep_service_scheme(self, tmp_path):
         # A plan decomposes into exactly the cell keys a sweep over the
@@ -228,6 +292,14 @@ class TestProtocol:
         with pytest.raises(ValueError):
             _request(**bad)
 
+    def test_requests_hold_their_sequences_as_tuples(self):
+        # A request is a hashable key whatever sequence type it was given.
+        request = PlanRequest(
+            model=MODEL, cluster=CLUSTER, batch_sizes=[8, 16], methods=[BF]
+        )
+        assert request == _request(batch_sizes=(8, 16))
+        assert hash(request) == hash(_request(batch_sizes=(8, 16)))
+
     def test_request_validation_rejects_duplicate_methods(self):
         # Refused like a repeated batch size: the repeat would answer the
         # same cell twice under a query key of its own.
@@ -304,7 +376,16 @@ class TestProtocol:
 
 class TestHttp:
     def _roundtrip(self, planner, requests):
-        """Serve on an ephemeral port; fire raw HTTP/1.1 requests."""
+        """Serve on an ephemeral port; ``(status, JSON body)`` per request."""
+        responses = []
+        for payload in self._exchange(planner, requests):
+            head, _, body = payload.partition(b"\r\n\r\n")
+            responses.append((int(head.split()[1]), json.loads(body)))
+        return responses
+
+    def _exchange(self, planner, requests):
+        """Serve on an ephemeral port; fire raw HTTP/1.1 requests and
+        return each raw response."""
 
         async def run():
             sock = socket.create_server(("127.0.0.1", 0))
@@ -319,12 +400,9 @@ class TestHttp:
                     writer.write(raw)
                     await writer.drain()
                     writer.write_eof()
-                    payload = await reader.read()
+                    responses.append(await reader.read())
                     writer.close()
                     await writer.wait_closed()
-                    head, _, body = payload.partition(b"\r\n\r\n")
-                    status = int(head.split()[1])
-                    responses.append((status, json.loads(body)))
             return responses
 
         return asyncio.run(run())
@@ -353,7 +431,7 @@ class TestHttp:
             (b"GET /healthz HTTP/1.1\r\nX: " + b"y" * (1 << 16) + b"\r\n\r\n",
              400, "limit"),
             (b"", 400, "empty request"),
-            (b"PUT /plan HTTP/1.1\r\n\r\n", 404, "no such endpoint: PUT /plan"),
+            (b"PUT /plan HTTP/1.1\r\n\r\n", 405, "method not allowed: PUT /plan"),
         ],
         ids=[
             "negative-length", "oversized-length", "non-integer-length",
@@ -370,6 +448,88 @@ class TestHttp:
         assert got_status == status
         assert list(payload) == ["error"]
         assert error in payload["error"]
+
+    @pytest.mark.parametrize(
+        "method, path, allowed",
+        [
+            ("GET", "/plan", "POST"),
+            ("POST", "/healthz", "GET"),
+            ("POST", "/presets", "GET"),
+        ],
+    )
+    def test_a_known_path_with_the_wrong_method_gets_405(
+        self, tmp_path, method, path, allowed
+    ):
+        raw = f"{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+        with Planner(tmp_path) as planner:
+            (payload,) = self._exchange(planner, [raw])
+        head, _, body = payload.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("ascii").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line == "HTTP/1.1 405 Method Not Allowed"
+        assert headers["Allow"] == allowed
+        assert json.loads(body) == {
+            "error": f"method not allowed: {method} {path}; use {allowed}"
+        }
+
+    def test_a_body_shorter_than_its_length_gets_a_400(
+        self, tmp_path, monkeypatch
+    ):
+        # Content-Length promises 50 bytes; the client sends 4, then
+        # half-closes (and waits for the answer) or resets the connection
+        # (and leaves nobody to answer: the handler must end quietly).
+        sent = b"POST /plan HTTP/1.1\r\nContent-Length: 50\r\n\r\nabcd"
+        ended = []
+        handle = planner_http._handle
+
+        async def watched(planner, reader, writer):
+            try:
+                await handle(planner, reader, writer)
+            except BaseException as exc:
+                ended.append(exc)
+                raise
+            ended.append(None)
+
+        monkeypatch.setattr(planner_http, "_handle", watched)
+
+        def half_close(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.sendall(sent)
+                sock.shutdown(socket.SHUT_WR)
+                chunks = []
+                while chunk := sock.recv(1 << 16):
+                    chunks.append(chunk)
+            return b"".join(chunks)
+
+        def reset(port):
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            sock.sendall(sent)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+
+        async def run(planner):
+            errors = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            sock = socket.create_server(("127.0.0.1", 0))
+            server = await start_planner_server(planner, sock)
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                answer = await asyncio.to_thread(half_close, port)
+                await asyncio.to_thread(reset, port)
+                while len(ended) < 2:
+                    await asyncio.sleep(0.01)
+            return answer, errors
+
+        with Planner(tmp_path) as planner:
+            answer, errors = asyncio.run(asyncio.wait_for(run(planner), 30))
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert json.loads(body) == {"error": "body ended after 4 of 50 bytes"}
+        assert ended == [None, None]
+        assert errors == []
 
     def test_plan_presets_healthz_and_errors(self, tmp_path):
         request = _request()
