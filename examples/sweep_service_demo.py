@@ -1,15 +1,15 @@
-"""End-to-end smoke run of the distributed sweep service — used by CI.
+"""End-to-end smoke run of the sweep service's crash recovery — used by CI.
 
-Acts out the acceptance scenario for the file-queue backend:
+Acts out the acceptance scenario for the process pool:
 
 1. Search a small Figure-7-style grid serially — the reference.
-2. Start the same grid on the file-queue backend with two worker
-   processes, the first of which is killed mid-cell (after completing
-   one cell, it dies holding a claim — SIGKILL semantics).  The
-   coordinator requeues the orphaned cell and the sweep still finishes.
-3. Simulate a full coordinator interruption: wipe the queue, keep the
-   checkpoints, and ``--resume`` the grid.  Every cell must be satisfied
-   from checkpoints without a single new search.
+2. Search the same grid on a two-worker pool with a checkpoint
+   directory.  This script kills one worker mid-cell: the pool's workers
+   are forked from it, and a wrapped per-cell search SIGKILLs the first
+   worker that takes the B=64 cell.  The pool resubmits the lost cell to
+   a fresh pool and the sweep still finishes.
+3. Resume the grid from the checkpoints: every cell must come from a
+   checkpoint, without a single new search.
 4. Verify the outcomes — and the checkpoint files' *bytes* — are
    identical to the uninterrupted serial run.
 
@@ -19,20 +19,24 @@ invoke anywhere: ``PYTHONPATH=src python examples/sweep_service_demo.py``.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
+from repro.obs import MetricsRegistry, recording
 from repro.parallel.config import Method
 from repro.search.service import (
-    DEFAULT_SETTINGS,
     CheckpointStore,
-    FileQueueExecutor,
     SweepCell,
     SweepOptions,
     cell_key,
+    executors,
     run_sweep,
 )
 from repro.sim.calibration import DEFAULT_CALIBRATION
@@ -44,6 +48,8 @@ GRID = [
     SweepCell(Method.DEPTH_FIRST, 8),
     SweepCell(Method.DEPTH_FIRST, 16),
 ]
+#: The cell whose first worker dies.
+DOOMED = GRID[1]
 
 
 def check(condition: bool, message: str) -> None:
@@ -53,10 +59,28 @@ def check(condition: bool, message: str) -> None:
         sys.exit(1)
 
 
+def kill_first_worker_of(cell: SweepCell, marker: Path) -> None:
+    """Make the first pool worker that searches ``cell`` die mid-cell.
+
+    Creating ``marker`` with ``O_EXCL`` succeeds once, so only one
+    worker is killed; the resubmitted cell then searches normally.
+    """
+    search = executors._timed_search
+
+    def search_or_die(context, searched):
+        if searched == cell:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return search(context, searched)
+
+    executors._timed_search = search_or_die
+
+
 def main() -> int:
-    context = (
-        MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, DEFAULT_SETTINGS,
-    )
     keys = [
         cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell)
         for cell in GRID
@@ -69,38 +93,37 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="sweep-demo-") as tmp:
         checkpoint_dir = Path(tmp) / "checkpoints"
-        queue_dir = Path(tmp) / "queue"
+        options = SweepOptions(processes=2, checkpoint_dir=checkpoint_dir)
+        marker = Path(tmp) / "killed"
 
-        print("2. file-queue run, 2 workers, first worker killed mid-cell")
-        executor = FileQueueExecutor(
-            queue_dir,
-            checkpoint_dir,
-            processes=2,
-            crash_first_worker_after=1,  # dies holding its second claim
+        print("2. pool run, 2 workers, one worker killed mid-cell")
+        # Spawned workers would not inherit the wrapped search.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        if fork:
+            kill_first_worker_of(DOOMED, marker)
+        else:
+            print("  (no fork on this platform: the kill cannot be injected)")
+        interrupted = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, GRID, options=options)
+        if fork:
+            check(marker.exists(), "a worker died holding the B=64 cell")
+        check(
+            not multiprocessing.active_children(), "no worker outlived the run"
         )
-        tasks = list(zip(range(len(GRID)), keys, GRID))
-        results = {
-            index: outcome
-            for index, outcome, _elapsed in executor.run(context, tasks)
-        }
-        interrupted = [results[i] for i in range(len(GRID))]
-        check(len(interrupted) == len(GRID), "all cells completed despite the kill")
         check(interrupted == reference, "outcomes match the serial run")
 
-        print("3. resume after a (simulated) coordinator interruption")
-        for stale in queue_dir.rglob("*.json"):
-            stale.unlink()  # the queue is disposable state; checkpoints are not
-        resumed = run_sweep(
-            MODEL_6_6B,
-            DGX1_CLUSTER_64,
-            GRID,
-            options=SweepOptions(
-                backend="file-queue",
-                checkpoint_dir=checkpoint_dir,
-                queue_dir=queue_dir,
-                processes=2,
-                resume=True,
-            ),
+        print("3. resume from the checkpoints")
+        with recording(MetricsRegistry()) as registry:
+            resumed = run_sweep(
+                MODEL_6_6B,
+                DGX1_CLUSTER_64,
+                GRID,
+                options=replace(options, resume=True),
+            )
+        counters = registry.snapshot()["counters"]
+        check(
+            counters.get("sweep.cells_from_checkpoints") == len(GRID)
+            and "sweep.cells_computed" not in counters,
+            "every cell came from a checkpoint, none was searched",
         )
         check(resumed == reference, "resumed outcomes match the serial run")
 

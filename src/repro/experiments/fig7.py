@@ -83,10 +83,9 @@ def run_fig7(
         panel: "52B", "6.6B" or "6.6B-ethernet".
         quick: Use the reduced batch list (default for benches); the full
             paper sweep is selected with ``quick=False``.
-        options: Sweep-service settings (pool size, backend,
-            checkpointing, resume); the checkpoint keys are content
-            hashes, so all three panels can share one checkpoint
-            directory.
+        options: Sweep-service settings (pool size, checkpointing,
+            resume); the checkpoint keys are content hashes, so all
+            three panels can share one checkpoint directory.
     """
     spec, cluster = panel_setup(panel)
     batch_sizes = (QUICK_BATCHES if quick else PANEL_BATCHES)[panel]

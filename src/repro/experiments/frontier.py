@@ -124,7 +124,7 @@ def run_frontier(
     """Search one panel's grid under the Pareto objective, all methods.
 
     Runs through the sweep service like every search-backed experiment
-    (checkpointing, backends and ``--no-bound-pruning`` all apply); the
+    (checkpointing, the pool and ``--no-bound-pruning`` all apply); the
     Pareto objective and the hybrid axis are folded into the checkpoint
     keys, so these cells never collide with plain Figure 7 sweeps in a
     shared directory.

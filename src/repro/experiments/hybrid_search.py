@@ -66,7 +66,7 @@ def run_hybrid_search(
 ) -> list[HybridComparison]:
     """Search one panel's breadth-first cells with and without the axis.
 
-    Both sweeps run through the same service (checkpointing, backends and
+    Both sweeps run through the same service (checkpointing, the pool and
     ``--no-bound-pruning`` all apply); their checkpoint keys differ by
     the ``include_hybrid`` setting, so one directory holds both.
     """

@@ -7,8 +7,8 @@ which takes substantially longer.  Those four render the three Figure 7
 panel searches, and one invocation searches each panel at most once.
 
 The search-backed experiments fan their (method, batch) cells out over
-the sweep service (:mod:`repro.search.service`): ``--backend`` selects
-the executor (in-process pools or the multi-machine file queue),
+the sweep service (:mod:`repro.search.service`): ``--jobs`` sizes its
+process pool (``--jobs 1`` searches in this process),
 ``--checkpoint-dir`` persists every completed cell, and ``--resume``
 skips cells already checkpointed — an interrupted ``--full`` grid picks
 up where it left off.  ``--objective`` / ``--memory-headroom`` select
@@ -17,7 +17,7 @@ what every search cell optimizes (:mod:`repro.search.objective`);
 Figure-7 grid.  ``--trace-out`` additionally exports the Figure 4
 schedule timelines as a ``chrome://tracing`` JSON file, and
 ``repro-experiments sweep-trace`` exports a *sweep's* per-worker cell
-timeline from its checkpoint/queue directories.
+timeline from its checkpoint directory.
 
 Two calibration hooks (see ``docs/calibration.md``):
 
@@ -69,7 +69,7 @@ from repro.obs import (
 from repro.obs.report import build_report, report_to_json_text
 from repro.search.cell import SearchSettings
 from repro.search.objective import OBJECTIVE_KINDS, parse_objective
-from repro.search.service import BACKENDS, SweepOptions
+from repro.search.service import SweepOptions
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.utils import create_output_dir, create_output_file
 from repro.utils.tables import ascii_table
@@ -262,7 +262,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         verify_winners=args.verify_winners,
     )
     return SweepOptions(
-        backend=args.backend,
         processes=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
@@ -407,8 +406,8 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
     """``repro-experiments sweep-trace``: export a sweep's worker timeline.
 
     Builds a ``chrome://tracing`` / Perfetto file from a sweep
-    directory's timing sidecars plus (optionally) the file-queue's claim
-    event log — one process row per worker, one slice per cell.
+    directory's timing sidecars — one process row per worker, one slice
+    per computed cell.
     """
     parser = argparse.ArgumentParser(
         prog="repro-experiments sweep-trace",
@@ -416,11 +415,6 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
         "chrome://tracing JSON file (see repro.viz.sweep_trace).",
     )
     parser.add_argument("--checkpoint-dir", required=True, metavar="DIR")
-    parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="file-queue directory with events/ claim logs "
-        "(default: DIR/queue if present)",
-    )
     parser.add_argument(
         "--metrics", default=None, metavar="DIR",
         help="merge obs spans from this --metrics-out directory (or "
@@ -437,13 +431,7 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
         )
     create_output_file(parser, "--out", Path(args.out))
 
-    queue_dir = args.queue_dir
-    if queue_dir is None:
-        candidate = Path(args.checkpoint_dir) / "queue"
-        queue_dir = candidate if candidate.is_dir() else None
-    written = write_sweep_trace(
-        args.out, args.checkpoint_dir, queue_dir, args.metrics
-    )
+    written = write_sweep_trace(args.out, args.checkpoint_dir, args.metrics)
     n_events = len(json.loads(written.read_text())["traceEvents"])
     print(
         f"wrote {n_events} events to {written} — load at chrome://tracing "
@@ -451,9 +439,8 @@ def sweep_trace_main(argv: Sequence[str] | None = None) -> int:
     )
     if n_events == 0:
         print(
-            "note: no attributable cells found (sidecars lack worker "
-            "attribution before a file-queue run, and --queue-dir had no "
-            "events)",
+            "note: no attributable cells found (no timing sidecar under "
+            "--checkpoint-dir names its worker and start time)",
             file=sys.stderr,
         )
     return 0
@@ -623,23 +610,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the search-backed experiments, on "
-             "either backend (default: one per CPU, capped at the cells; "
-             "with the default backend, 1 searches in this process)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="multiprocessing",
-        help="sweep executor backend (default: multiprocessing; file-queue "
-             "supports workers on other machines sharing --checkpoint-dir)",
+        help="pool worker processes for the search-backed experiments "
+             "(default: one per CPU, capped at the cells; 1 searches in "
+             "this process)",
     )
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="persist each completed search cell as JSON under DIR "
-             "(required for --backend=file-queue)",
+        help="persist each completed search cell as JSON under DIR",
     )
     parser.add_argument(
         "--resume",
@@ -733,8 +712,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else args.names
     )
     # With --metrics-out, everything run in-process (serial cells, the
-    # multiprocessing coordinator, resume bookkeeping) records into one
-    # coordinator registry; file-queue workers write their own files.
+    # pool coordinator, resume bookkeeping) records into one coordinator
+    # registry, and the pool workers' per-cell snapshots merge into it.
     registry = (
         MetricsRegistry(actor="coordinator")
         if args.metrics_out is not None

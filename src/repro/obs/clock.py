@@ -12,7 +12,7 @@ Semantics are identical to the stdlib functions they wrap:
 - :func:`perf` — high-resolution monotonic seconds for *durations*
   (``time.perf_counter``).  Never compare across processes.
 - :func:`wall` — epoch seconds for *timestamps* that must line up
-  across machines (``time.time``): queue events, trace anchors,
+  across processes (``time.time``): cell start times, trace anchors,
   trajectory entries.
 """
 

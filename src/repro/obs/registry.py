@@ -351,9 +351,8 @@ def merge_snapshot(recorder: Recorder, snapshot: dict) -> None:
 def write_snapshot_line(path: str | os.PathLike, snapshot: dict) -> Path:
     """Append one snapshot as a JSONL line; returns the path written.
 
-    One file per actor is the multi-writer convention (mirroring the
-    queue's ``events/`` logs): callers pass their own file, so appends
-    never interleave across processes.
+    One file per actor is the multi-writer convention: callers pass
+    their own file, so appends never interleave across processes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,8 +18,8 @@ prints where a run's time and pruning power actually went:
   (``search.batch.families_{priced,cached}``).
 - **Engine** — wavefront runs, ordered runs, events popped and
   wavefront sweeps per wavefront run.
-- **Service** — per-worker busy fractions, claim/requeue/heartbeat
-  counts and checkpoint hit rates for sweep runs.
+- **Service** — the sweep coordinator's cell counts: cells in the
+  sweep, cells taken from checkpoints and cells computed.
 
 The report is advisory output over advisory data: snapshots are merged
 tolerantly (missing sections simply leave their report section empty),
@@ -31,7 +31,7 @@ data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.tables import ascii_table
 
@@ -115,7 +115,6 @@ class AttributionReport:
     warm_start: dict
     engine: dict
     service: dict
-    workers: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -130,7 +129,6 @@ class AttributionReport:
             "warm_start": self.warm_start,
             "engine": self.engine,
             "service": self.service,
-            "workers": self.workers,
             "ok": self.ok,
         }
 
@@ -206,24 +204,6 @@ class AttributionReport:
                 for name, value in sorted(self.service.items())
             ]
             blocks.append("service: " + ", ".join(parts))
-        if self.workers:
-            rows = [
-                (
-                    w["actor"],
-                    str(w.get("cells_completed", 0)),
-                    str(w.get("checkpoint_hits", 0)),
-                    str(w.get("heartbeat_renewals", 0)),
-                    f"{w['busy_fraction'] * 100:.0f}%"
-                    if w.get("busy_fraction") is not None
-                    else "-",
-                )
-                for w in self.workers
-            ]
-            blocks.append(ascii_table(
-                ["Worker", "Cells", "Ckpt hits", "Heartbeats", "Busy"],
-                rows,
-                title="Per-worker sweep activity",
-            ))
         return "\n\n".join(blocks)
 
 
@@ -299,24 +279,8 @@ def build_report(snapshots: list[dict]) -> AttributionReport:
     service = {
         name.split(".", 1)[1]: value
         for name, value in sorted(counters.items())
-        if name.startswith(("queue.", "sweep."))
+        if name.startswith("sweep.")
     }
-
-    workers: list[dict] = []
-    for snap in snapshots:
-        snap_counters = snap.get("counters", {})
-        if "worker.cells_completed" not in snap_counters:
-            continue
-        workers.append({
-            "actor": snap.get("actor", "?"),
-            "cells_completed": int(snap_counters.get("worker.cells_completed", 0)),
-            "checkpoint_hits": int(snap_counters.get("worker.checkpoint_hits", 0)),
-            "heartbeat_renewals": int(
-                snap_counters.get("worker.heartbeat_renewals", 0)
-            ),
-            "busy_fraction": snap.get("gauges", {}).get("worker.busy_fraction"),
-        })
-    workers.sort(key=lambda w: w["actor"])
 
     return AttributionReport(
         n_snapshots=len(snapshots),
@@ -325,7 +289,6 @@ def build_report(snapshots: list[dict]) -> AttributionReport:
         warm_start=warm_start,
         engine=engine,
         service=service,
-        workers=workers,
     )
 
 

@@ -1,4 +1,4 @@
-"""Distributed sweep service: resumable grid search over pluggable backends.
+"""Sweep service: resumable grid search on a crash-tolerant process pool.
 
 The subsystem behind the Figure 7 / Appendix E grids at production
 scale.  :func:`run_sweep` is the single entry point; everything else is
@@ -8,26 +8,24 @@ its machinery:
   ``SearchOutcome`` and friends, plus content-hash cell keys.
 - :mod:`~repro.search.service.checkpoint` — per-cell checkpoint files,
   written atomically, corrupt files rejected cleanly.
-- :mod:`~repro.search.service.executors` — serial, multiprocessing
-  (fork *and* spawn), and the file-based work queue where independent
-  workers claim cells via atomic renames.
-- :mod:`~repro.search.service.queue` / ``worker`` — the shared-FS claim
-  protocol and the ``python -m repro.search.service.worker`` process.
+- :mod:`~repro.search.service.executors` — the in-process loop and the
+  process pool (fork *and* spawn), which resubmits a dead worker's
+  cells up to ``MAX_RETRIES`` times.
+- :mod:`~repro.search.service.memo` — the checkpoint store plus the
+  manifest the planner reads.
 - :mod:`~repro.search.service.progress` — progress/ETA lines.
 """
 
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.service.checkpoint import CheckpointStore
 from repro.search.service.executors import (
-    Executor,
-    FileQueueExecutor,
+    MAX_RETRIES,
     MultiprocessingExecutor,
     SerialExecutor,
     SweepError,
 )
 from repro.search.service.memo import MANIFEST_NAME, ManifestEntry, MemoStore
 from repro.search.service.progress import ProgressReporter
-from repro.search.service.queue import ClaimedCell, FileWorkQueue, LeaseHeartbeat
 from repro.search.service.serialize import (
     calibration_from_json,
     calibration_to_json,
@@ -38,18 +36,13 @@ from repro.search.service.serialize import (
     outcome_from_json,
     outcome_to_json,
 )
-from repro.search.service.service import BACKENDS, SweepOptions, run_sweep
+from repro.search.service.service import SweepOptions, run_sweep
 
 __all__ = [
-    "BACKENDS",
-    "MANIFEST_NAME",
-    "CheckpointStore",
-    "ClaimedCell",
     "DEFAULT_SETTINGS",
-    "Executor",
-    "FileQueueExecutor",
-    "FileWorkQueue",
-    "LeaseHeartbeat",
+    "MANIFEST_NAME",
+    "MAX_RETRIES",
+    "CheckpointStore",
     "ManifestEntry",
     "MemoStore",
     "MultiprocessingExecutor",

@@ -1,11 +1,13 @@
-"""``run_sweep``: the resumable, backend-pluggable sweep entry point.
+"""``run_sweep``: the resumable sweep entry point.
 
-One call searches a set of (method, batch size) cells over any of the
-executor backends and, when a checkpoint directory is given, persists
-every completed cell as it lands.  With ``resume=True`` the sweep first
-satisfies cells from valid checkpoints and only schedules the remainder
-— an interrupted full-paper grid loses at most the cells that were in
-flight, and a finished grid replays instantly.
+One call searches a set of (method, batch size) cells on the process
+pool (:class:`~repro.search.service.executors.MultiprocessingExecutor`,
+or in the calling process with ``processes=1``) and, when a checkpoint
+directory is given, persists every completed cell as it lands.  With
+``resume=True`` the sweep first satisfies cells from valid checkpoints
+and only schedules the remainder — an interrupted full-paper grid loses
+at most the cells that were in flight, and a finished grid replays
+instantly.
 
 Checkpoint keys are content hashes of the complete search input
 (:func:`repro.search.service.serialize.cell_key`), so one directory can
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,21 +37,13 @@ from repro.obs import (
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome
 from repro.search.service.checkpoint import CheckpointStore
-from repro.search.service.executors import (
-    Executor,
-    FileQueueExecutor,
-    MultiprocessingExecutor,
-    SweepError,
-)
+from repro.search.service.executors import MultiprocessingExecutor
 from repro.search.service.memo import MemoStore
 from repro.search.service.progress import ProgressReporter
 from repro.search.service.serialize import cell_key, group_key
 from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 
-__all__ = ["BACKENDS", "SweepOptions", "run_sweep"]
-
-#: Selectable backend names, in documentation order.
-BACKENDS = ("multiprocessing", "file-queue")
+__all__ = ["SweepOptions", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -62,17 +56,12 @@ class SweepOptions:
     or not the sweep has anything left to compute.
 
     Attributes:
-        backend: One of :data:`BACKENDS`.
-        processes: Local worker processes of either backend (None = CPU
-            count; either way capped at the number of cells left).  For
-            the ``multiprocessing`` backend 1 means no pool: the cells
-            are searched serially in this process, the reference every
-            backend must match.  The ``file-queue`` backend always
-            launches worker subprocesses.
-        checkpoint_dir: Directory of per-cell checkpoints.  Optional for
-            in-process backends, required for ``resume`` and for
-            ``file-queue`` (workers deliver results through it).
-        queue_dir: File-queue root; defaults to ``checkpoint_dir/queue``.
+        processes: Pool worker processes (None = CPU count; either way
+            capped at the number of cells left).  1 means no pool: the
+            cells are searched serially in this process, the reference
+            the pool must match.
+        checkpoint_dir: Directory of per-cell checkpoints.  Optional,
+            but required for ``resume``.
         resume: Satisfy cells from existing checkpoints instead of
             recomputing them.
         progress: Print progress/ETA lines to stderr.
@@ -91,19 +80,17 @@ class SweepOptions:
             checkpoints strictly separate in a shared directory.
         metrics_out: Directory for observability snapshots
             (``--metrics-out`` on the experiments CLI): the coordinator
-            appends to ``coordinator.jsonl`` and file-queue workers each
-            append to ``<worker-id>.jsonl``.  Pure observation — never
-            part of checkpoint content hashes.
+            appends to ``coordinator.jsonl``, which also holds what the
+            pool workers recorded.  Pure observation — never part of
+            checkpoint content hashes.
 
     Raises:
-        ValueError: An unknown backend, ``processes`` below 1, or
-            ``resume`` or ``file-queue`` without a ``checkpoint_dir``.
+        ValueError: ``processes`` below 1, or ``resume`` without a
+            ``checkpoint_dir``.
     """
 
-    backend: str = "multiprocessing"
     processes: int | None = None
     checkpoint_dir: str | os.PathLike | None = None
-    queue_dir: str | os.PathLike | None = None
     resume: bool = False
     progress: bool = False
     settings: SearchSettings = DEFAULT_SETTINGS
@@ -111,43 +98,14 @@ class SweepOptions:
     metrics_out: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from "
-                f"{', '.join(BACKENDS)}"
-            )
         if self.processes is not None and self.processes < 1:
             raise ValueError(
                 f"processes (--jobs) must be >= 1, got {self.processes}"
             )
-        if self.checkpoint_dir is None:
-            if self.resume:
-                raise ValueError(
-                    "resume (--resume) requires checkpoint_dir "
-                    "(--checkpoint-dir)"
-                )
-            if self.backend == "file-queue":
-                raise ValueError(
-                    "the file-queue backend requires checkpoint_dir "
-                    "(--checkpoint-dir): workers deliver their results "
-                    "through the checkpoint store"
-                )
-
-
-def _make_executor(options: SweepOptions) -> Executor:
-    """The backend ``options`` names (their combination is already valid)."""
-    if options.backend == "multiprocessing":
-        return MultiprocessingExecutor(processes=options.processes)
-    assert options.checkpoint_dir is not None  # SweepOptions requires it
-    queue_dir = options.queue_dir
-    if queue_dir is None:
-        queue_dir = Path(options.checkpoint_dir) / "queue"
-    return FileQueueExecutor(
-        queue_dir,
-        options.checkpoint_dir,
-        processes=options.processes,
-        metrics_out=options.metrics_out,
-    )
+        if self.resume and self.checkpoint_dir is None:
+            raise ValueError(
+                "resume (--resume) requires checkpoint_dir (--checkpoint-dir)"
+            )
 
 
 def _order_longest_first(
@@ -158,12 +116,12 @@ def _order_longest_first(
     Cells of one *method* share pricing families across batch sizes (a
     family is ``(n_pp, n_loop, s_mb, n_tp)`` — batch size only changes
     how many micro-batches flow through it), so scheduling a method's
-    cells consecutively means every cell after the group's first runs
-    against warm family caches on the same worker under the file
-    queue's claim order.  Groups are ordered by their *longest* member
-    (descending), cells within a group longest-first, which preserves
-    the critical-path property: the giant that would otherwise finish
-    alone at the end still starts first.
+    cells consecutively means most cells after the group's first run
+    against family caches that their worker already warmed.  Groups are
+    ordered by their *longest* member (descending), cells within a
+    group longest-first, which preserves the critical-path property:
+    the giant that would otherwise finish alone at the end still starts
+    first.
 
     Recorded wall-clock from the checkpoint store's timing sidecars (a
     previous run over the same directory) ranks known cells exactly;
@@ -233,13 +191,13 @@ def run_sweep(
         spec: Model to search for.
         cluster: Hardware description.
         cells: The (method, batch size) cells to search.
-        options: Everything else: the backend, checkpointing, and the
+        options: Everything else: the pool size, checkpointing, and the
             calibration and search settings shared by every cell (see
             :class:`SweepOptions`).  None means ``SweepOptions()``.
 
     Raises:
-        SweepError: A cell could not be completed (e.g. file-queue
-            workers exhausted the retry cap).
+        SweepError: A cell lost its pool worker more than
+            :data:`~repro.search.service.executors.MAX_RETRIES` times.
     """
     if options is None:
         options = SweepOptions()
@@ -282,7 +240,7 @@ def run_sweep(
     key_of_index = {index: key for index, key, _cell in tasks}
 
     reporter = (
-        ProgressReporter(len(first_of), label=f"sweep:{options.backend}")
+        ProgressReporter(len(first_of), label="sweep")
         if options.progress
         else None
     )
@@ -305,15 +263,20 @@ def run_sweep(
         rec.count("sweep.cells_total", len(first_of))
         rec.count("sweep.cells_from_checkpoints", len(outcomes))
         if tasks:
-            backend = _make_executor(options)
+            executor = MultiprocessingExecutor(processes=options.processes)
             context = (spec, cluster, calibration, settings)
-            with rec.span("sweep.run", backend=options.backend):
-                for index, outcome, report in backend.run(context, tasks):
+            results = stack.enter_context(closing(executor.run(context, tasks)))
+            with rec.span("sweep.run"):
+                for index, outcome, report in results:
                     key = key_of_index[index]
-                    if store is not None and not backend.writes_checkpoints:
+                    if store is not None:
                         store.store(key, outcome, group=group)
-                        if report.seconds is not None:
-                            store.store_timing(key, report.seconds)
+                        store.store_timing(
+                            key,
+                            report.seconds,
+                            worker=report.worker,
+                            started_at=report.started_at,
+                        )
                     outcomes[key] = outcome
                     rec.count("sweep.cells_computed")
                     if report.metrics is not None:
@@ -326,10 +289,4 @@ def run_sweep(
             own_registry.snapshot(),
         )
 
-    missing = [key for key in first_of if key not in outcomes]
-    if missing:
-        raise SweepError(
-            f"sweep finished with {len(missing)} unresolved cell(s): "
-            f"{', '.join(sorted(missing))}"
-        )
     return [outcomes[key] for key in keys]

@@ -25,9 +25,9 @@ time*, from source structure alone:
   ``json.dumps`` without ``sort_keys=True``, and may not iterate a
   ``set`` directly — any of these makes content hashes
   machine-dependent.
-- **L401 bare except**: worker/queue code may not swallow arbitrary
-  exceptions with a bare ``except:`` — crash recovery depends on
-  failures propagating to the retry accounting.
+- **L401 bare except**: sweep-service and verifier code may not
+  swallow arbitrary exceptions with a bare ``except:`` — crash recovery
+  depends on failures propagating to the retry accounting.
 - **L501 direct clock reads**: modules instrumented with
   :mod:`repro.obs` may not call ``time.time()`` /
   ``time.perf_counter()`` (or their ``_ns``/``monotonic`` siblings)
@@ -154,8 +154,6 @@ DIRECT_CLOCK_MARKER = "lint: direct-clock-ok"
 INSTRUMENTED_SOURCES: tuple[str, ...] = (
     "src/repro/search/grid.py",
     "src/repro/sim/engine.py",
-    "src/repro/search/service/queue.py",
-    "src/repro/search/service/worker.py",
     "src/repro/search/service/executors.py",
     "src/repro/search/service/service.py",
     "src/repro/search/service/progress.py",
@@ -779,9 +777,9 @@ def _check_bare_except(
                     rule="L401",
                     location=f"{path}:{node.lineno}",
                     message=(
-                        "bare 'except:' in worker/queue code — swallows "
-                        "KeyboardInterrupt/SystemExit and hides crashes "
-                        "from the retry accounting"
+                        "bare 'except:' swallows KeyboardInterrupt/"
+                        "SystemExit and hides crashes from the retry "
+                        "accounting"
                     ),
                 )
             )

@@ -266,9 +266,9 @@ LINT_MUTATIONS: tuple[LintMutation, ...] = (
     ),
     LintMutation(
         "direct-wall-clock",
-        "time.time() bypassing repro.obs.clock in the worker loop",
+        "time.time() bypassing repro.obs.clock in a cell's start time",
         ("L501",),
-        "src/repro/search/service/worker.py",
+        "src/repro/search/service/executors.py",
         _direct_wall_clock,
     ),
     LintMutation(

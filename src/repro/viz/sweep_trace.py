@@ -2,35 +2,28 @@
 
 The engine-timeline exporter (:mod:`repro.viz.chrome_trace`) shows what
 happens *inside* one simulated step; this module shows what happened to
-the sweep that produced it — which worker computed which cell, when, and
-where the queue sat idle or requeued a dead worker's claim.  Load the
-output at ``chrome://tracing`` or https://ui.perfetto.dev to see
-multi-machine queue utilization at a glance: every worker (on any
-machine sharing the queue's filesystem) becomes a process row, every
-completed cell a slice on it, and janitor requeues become instant
-markers.
+the sweep that produced it — which worker computed which cell, and
+when.  Load the output at ``chrome://tracing`` or
+https://ui.perfetto.dev: every worker becomes a process row and every
+computed cell a slice on it, so idle workers and a long tail show at a
+glance.
 
-Three data sources, merged:
+Two data sources, merged:
 
-- **Queue claim events** (``events/<actor>.jsonl``, written by
-  :class:`repro.search.service.queue.FileWorkQueue`): a claim/complete
-  pair brackets the full ownership of a cell, including checkpoint I/O.
-- **Timing sidecars** (``<key>.time.json`` with worker/start
-  attribution, written by the file-queue worker): cover cells whose
-  events are missing — e.g. a sweep traced after the queue directory
-  was reset — with the measured search wall-clock.
+- **Timing sidecars** (``<key>.time.json``, written by
+  :func:`repro.search.service.run_sweep` for every cell it computes):
+  the cell's search wall-clock, its start time and the process that
+  searched it — ``pool-<pid>`` for a pool worker, ``coordinator`` for
+  an in-process search.
 - **Obs spans** (metric snapshots from ``--metrics-out``, see
-  :mod:`repro.obs`): nested slices *inside* a worker's cell slices —
-  per-stage search phases, individual cell searches — because span
-  times are epoch-anchored and the span's actor is the worker id, so
-  they land on the same lane and nest by time containment.
+  :mod:`repro.obs`): slices on their actor's lane.  Spans are
+  epoch-anchored, so an in-process sweep's ``search.cell`` spans line
+  up with the ``coordinator`` lane's cell slices.
 
-All sources are advisory and clock-stamped by whichever machine wrote
-them; cross-machine clock skew shifts lanes relative to each other but
-never corrupts a lane's own story.  Every source tolerates the debris a
-killed worker leaves behind — truncated final lines, half-written JSON,
-nonsense field types — by skipping what it cannot read: a trace render
-must never fail because a sweep did not end cleanly.
+Both sources are advisory.  Every reader tolerates the debris an
+interrupted sweep leaves behind — truncated snapshot lines, half-written
+or foreign JSON, nonsense field types — by skipping what it cannot read:
+a trace render must never fail because a sweep did not end cleanly.
 """
 
 from __future__ import annotations
@@ -41,83 +34,28 @@ from pathlib import Path
 
 from repro.obs import read_snapshots
 from repro.search.service.checkpoint import CheckpointStore
-from repro.search.service.queue import FileWorkQueue
 
 __all__ = ["sweep_trace", "sweep_trace_events", "write_sweep_trace"]
 
 _SECONDS_TO_US = 1e6
 
 
-def _cell_label(info: dict, key: str) -> str:
-    method = info.get("method")
-    batch = info.get("batch_size")
-    if method and batch is not None:
-        return f"{method} B={batch}"
-    return str(key)[:10]
-
-
-def _as_float(value, default: float | None = None) -> float | None:
-    """Coerce an advisory payload field; malformed values become ``default``."""
+def _as_float(value) -> float | None:
+    """Coerce an advisory payload field; malformed values become None."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    return default
-
-
-def _as_int(value, default: int = 0) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return default
+    return None
 
 
 def _collect_slices(
     checkpoint_dir: str | os.PathLike,
-    queue_dir: str | os.PathLike | None,
     metrics: str | os.PathLike | None = None,
-) -> tuple[list[dict], list[dict]]:
-    """Returns (slices, markers): per-cell spans and instant events.
+) -> list[dict]:
+    """Per-cell spans ``{worker, key, start, end, name, source}``.
 
-    A slice is ``{worker, key, start, end, name, source}`` in epoch
-    seconds; a marker is ``{worker, key, t, name}``.
+    Times are epoch seconds.
     """
     slices: list[dict] = []
-    markers: list[dict] = []
-    seen: set[tuple[str, str, int]] = set()
-
-    if queue_dir is not None:
-        open_claims: dict[tuple[str, str], dict] = {}
-        for event in FileWorkQueue(queue_dir).events():
-            kind = event.get("event")
-            key = event.get("key")
-            worker = event.get("worker") or event.get("actor")
-            t = event.get("t")
-            if not (kind and key and worker) or not isinstance(t, (int, float)):
-                continue
-            if kind == "claim":
-                open_claims[(worker, key)] = event
-            elif kind in ("complete", "release"):
-                claim = open_claims.pop((worker, key), None)
-                if claim is None:
-                    continue
-                attempt = _as_int(claim.get("attempts", 0))
-                slices.append({
-                    "worker": worker,
-                    "key": key,
-                    "start": float(claim["t"]),
-                    "end": float(t),
-                    "name": _cell_label(claim, key),
-                    "source": "queue",
-                    "attempt": attempt,
-                })
-                seen.add((worker, key, attempt))
-            elif kind in ("requeue", "fail"):
-                markers.append({
-                    "worker": worker,
-                    "key": key,
-                    "t": float(t),
-                    "name": f"{kind} {key[:10]}",
-                })
-
     store = CheckpointStore(checkpoint_dir)
     suffix = ".time.json"
     sidecar_keys = sorted(
@@ -134,22 +72,18 @@ def _collect_slices(
         seconds = _as_float(record.get("seconds"))
         if worker is None or started is None or seconds is None:
             continue
-        if any(w == worker and k == key for w, k, _a in seen):
-            continue  # the queue events already cover this computation
         outcome = store.load(key)
-        info = (
-            {"method": outcome.method.value, "batch_size": outcome.batch_size}
-            if outcome is not None
-            else {}
-        )
         slices.append({
             "worker": str(worker),
             "key": key,
             "start": started,
             "end": started + seconds,
-            "name": _cell_label(info, key),
+            "name": (
+                f"{outcome.method.value} B={outcome.batch_size}"
+                if outcome is not None
+                else key[:10]
+            ),
             "source": "sidecar",
-            "attempt": 0,
         })
 
     if metrics is not None:
@@ -175,30 +109,24 @@ def _collect_slices(
                     "end": end,
                     "name": name,
                     "source": "obs",
-                    "attempt": 0,
                 })
-    return slices, markers
+    return slices
 
 
 def sweep_trace_events(
     checkpoint_dir: str | os.PathLike,
-    queue_dir: str | os.PathLike | None = None,
     metrics: str | os.PathLike | None = None,
 ) -> list[dict]:
     """Trace Event Format dicts for one sweep directory.
 
     ``metrics`` (a ``--metrics-out`` directory or one snapshot file)
-    merges obs spans in as nested slices on their actor's lane.
+    merges obs spans in as slices on their actor's lane.
     """
-    slices, markers = _collect_slices(checkpoint_dir, queue_dir, metrics)
-    if not slices and not markers:
+    slices = _collect_slices(checkpoint_dir, metrics)
+    if not slices:
         return []
-    t0 = min(
-        [s["start"] for s in slices] + [m["t"] for m in markers]
-    )
-    workers = sorted(
-        {s["worker"] for s in slices} | {m["worker"] for m in markers}
-    )
+    t0 = min(s["start"] for s in slices)
+    workers = sorted({s["worker"] for s in slices})
     pid_of = {worker: pid for pid, worker in enumerate(workers)}
 
     out: list[dict] = []
@@ -224,34 +152,18 @@ def sweep_trace_events(
             "tid": 0,
             "ts": (s["start"] - t0) * _SECONDS_TO_US,
             "dur": max(0.0, s["end"] - s["start"]) * _SECONDS_TO_US,
-            "args": {
-                "key": s["key"],
-                "source": s["source"],
-                "attempt": s["attempt"],
-            },
-        })
-    for m in markers:
-        out.append({
-            "ph": "i",
-            "s": "p",  # process-scoped instant
-            "name": m["name"],
-            "cat": "recovery",
-            "pid": pid_of[m["worker"]],
-            "tid": 0,
-            "ts": (m["t"] - t0) * _SECONDS_TO_US,
-            "args": {"key": m["key"]},
+            "args": {"key": s["key"], "source": s["source"]},
         })
     return out
 
 
 def sweep_trace(
     checkpoint_dir: str | os.PathLike,
-    queue_dir: str | os.PathLike | None = None,
     metrics: str | os.PathLike | None = None,
 ) -> dict:
     """A complete JSON-serializable trace document for one sweep."""
     return {
-        "traceEvents": sweep_trace_events(checkpoint_dir, queue_dir, metrics),
+        "traceEvents": sweep_trace_events(checkpoint_dir, metrics),
         "displayTimeUnit": "ms",
     }
 
@@ -259,11 +171,10 @@ def sweep_trace(
 def write_sweep_trace(
     path: str | os.PathLike,
     checkpoint_dir: str | os.PathLike,
-    queue_dir: str | os.PathLike | None = None,
     metrics: str | os.PathLike | None = None,
 ) -> Path:
     """Write the sweep trace file; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(sweep_trace(checkpoint_dir, queue_dir, metrics)))
+    path.write_text(json.dumps(sweep_trace(checkpoint_dir, metrics)))
     return path

@@ -22,7 +22,7 @@ from repro.sgd.tradeoff import TradeoffPoint, UtilizationCurve, tradeoff_curve
 def _cli_args(**overrides):
     """The experiments parser's namespace at its defaults, plus overrides."""
     base = dict(
-        backend="multiprocessing", jobs=None, checkpoint_dir=None,
+        jobs=None, checkpoint_dir=None,
         resume=False, progress=False, no_bound_pruning=False,
         verify_winners=False, objective="throughput", memory_headroom=None,
         calibration=None, metrics_out=None,

@@ -129,9 +129,10 @@ class TestRunnerCli:
              "--memory-headroom", "3"],
             ["fig7", "--objective", "memory-constrained",
              "--memory-headroom", "5"],
+            # The process pool is the one sweep backend: --backend and
+            # --workers are gone, and --jobs sizes the pool.
             ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
              "--jobs", "0"],
-            # --jobs sizes the file queue's fleet too; there is no --workers.
             ["fig1", "--backend", "file-queue", "--checkpoint-dir", "{tmp}",
              "--workers", "2"],
             ["fig1", "--backend", "file-queue"],

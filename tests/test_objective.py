@@ -361,14 +361,3 @@ class TestServiceThreading:
             ),
         )
         assert resumed == outcomes
-
-    def test_queue_context_round_trips_objective(self, tmp_path):
-        from repro.search.service.queue import FileWorkQueue
-
-        objective = MemoryConstrainedThroughput(headroom=0.4)
-        queue = FileWorkQueue.create(
-            tmp_path / "q", MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION,
-            settings=SearchSettings(objective=objective),
-        )
-        *_, settings = queue.load_context()
-        assert settings.objective == objective

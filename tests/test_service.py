@@ -1,11 +1,15 @@
-"""Tests for the sweep service: serialization, checkpoints, backends."""
+"""Tests for the sweep service: serialization, checkpoints, the pool."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import errno
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,8 +23,8 @@ from repro.search import grid as grid_module
 from repro.search.cell import SearchSettings
 from repro.search.grid import SearchOutcome, best_configuration
 from repro.search.service import (
+    MAX_RETRIES,
     CheckpointStore,
-    FileWorkQueue,
     MemoStore,
     MultiprocessingExecutor,
     SweepCell,
@@ -211,18 +215,6 @@ def _manifest_writer(root):
     return write
 
 
-def _queue_writer(root):
-    queue = FileWorkQueue.create(
-        root, MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION
-    )
-
-    def write(n):
-        queue.enqueue("k", SweepCell(Method.NO_PIPELINE, n))
-        return root / "pending" / "k.json"
-
-    return write
-
-
 def _full_disk(path, data):
     """``Path.write_bytes`` on a full disk: the file is created and part
     of the data lands before the write fails."""
@@ -237,8 +229,8 @@ class TestAtomicWrites:
 
     @pytest.mark.parametrize(
         "writer",
-        [_checkpoint_writer, _timing_writer, _manifest_writer, _queue_writer],
-        ids=["checkpoint", "timing", "manifest", "queue"],
+        [_checkpoint_writer, _timing_writer, _manifest_writer],
+        ids=["checkpoint", "timing", "manifest"],
     )
     def test_a_full_disk_leaves_the_previous_file(
         self, tmp_path, monkeypatch, writer
@@ -343,14 +335,6 @@ class TestRunSweep:
 
     # SweepOptions refuses what no sweep can run when it is built, even
     # if nothing would be left to compute.
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SweepOptions(backend="dask")
-
-    def test_file_queue_requires_checkpoint_dir(self):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            SweepOptions(backend="file-queue")
-
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             SweepOptions(resume=True)
@@ -509,7 +493,7 @@ def _only_start_method(monkeypatch, method):
 
 
 class TestBackendParity:
-    """Every backend must reproduce the serial outcomes exactly."""
+    """The pool must reproduce the serial outcomes exactly."""
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_pool_matches_serial(self, monkeypatch, outcomes, start_method):
@@ -529,7 +513,7 @@ class TestBackendParity:
         # A recording coordinator gets every pool worker's per-cell
         # metrics back: the merged search counters and histograms equal
         # a serial run's, so --metrics-out reports the same candidate
-        # totals on every backend.
+        # totals at every --jobs.
         used = _only_start_method(monkeypatch, start_method)
 
         def recorded(processes):
@@ -559,12 +543,34 @@ class TestBackendParity:
         assert serial[0]["search.cells"] == len(CELLS)
         assert pool == serial
 
-    #: What ``run_sweep`` hands a backend: the search context and
+    #: What ``run_sweep`` hands the executor: the search context and
     #: ``(index, key, cell)`` tasks.
     POOL_CONTEXT = (
         MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, SearchSettings()
     )
     POOL_TASKS = [(index, f"k{index}", cell) for index, cell in enumerate(CELLS)]
+
+    @pytest.mark.parametrize(
+        "processes, sizes",
+        [(1, []), (3, [3]), (5, [3]), (None, [2])],
+        ids=["1-in-process", "3", "5-capped-at-cells", "None-cpu-count"],
+    )
+    def test_pool_size_follows_processes(self, monkeypatch, processes, sizes):
+        # ``processes`` workers, capped at the cells; None means one per
+        # CPU (two here); one searches in the calling process.
+        started = []
+
+        class SizedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        executor = MultiprocessingExecutor(processes=processes)
+        results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
+        assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
+        assert started == sizes
 
     def test_pool_reports_carry_no_metrics_when_not_recording(self):
         executor = MultiprocessingExecutor(processes=2)
@@ -580,7 +586,7 @@ class TestBackendParity:
     def test_pool_reports_carry_their_own_cells_metrics(self):
         # Each report holds one cell's snapshot, recorded in the worker;
         # folding it into the coordinator is run_sweep's job, so running
-        # the backend alone leaves the coordinator's registry empty.
+        # the executor alone leaves the coordinator's registry empty.
         executor = MultiprocessingExecutor(processes=2)
         with recording(MetricsRegistry()) as registry:
             results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
@@ -591,6 +597,205 @@ class TestBackendParity:
             assert counters["search.cells"] == 1
             assert counters["search.candidates.simulated"] == outcome.n_tried
             assert counters["search.candidates.excluded"] == outcome.n_excluded
+
+
+#: One faulted pool sweep over ``CELLS``, run by :func:`_run_faulted` in
+#: a child interpreter.  A patched ``_timed_search`` SIGKILLs the pool
+#: worker that takes ``CELLS[1]``: every time (``kill-every-time``), or
+#: the first time only (``kill-once``: an ``O_EXCL`` marker file admits
+#: one kill).  Each kill appends a line to ``kills.log`` first.  The child
+#: prints what it saw as one JSON line, including how many pool workers
+#: were still alive after each run.
+_FAULT_CHILD = """
+import json, multiprocessing, os, signal, sys
+from dataclasses import replace
+
+from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.models.presets import MODEL_6_6B
+from repro.obs import MetricsRegistry, recording
+from repro.parallel.config import Method
+from repro.search.service import (
+    DEFAULT_SETTINGS, MultiprocessingExecutor, SweepCell, SweepError,
+    SweepOptions, outcome_to_json, run_sweep,
+)
+from repro.search.service import executors
+from repro.sim.calibration import DEFAULT_CALIBRATION
+
+scenario, root = sys.argv[1], sys.argv[2]
+cells = [
+    SweepCell(Method.NO_PIPELINE, 8),
+    SweepCell(Method.NO_PIPELINE, 64),
+    SweepCell(Method.DEPTH_FIRST, 8),
+]
+search = executors._timed_search
+
+
+def first_kill():
+    try:
+        marker = os.open(
+            os.path.join(root, "killed"), os.O_CREAT | os.O_EXCL | os.O_WRONLY
+        )
+    except FileExistsError:
+        return False
+    os.close(marker)
+    return True
+
+
+def killing_search(context, cell):
+    if cell == cells[1] and (scenario == "kill-every-time" or first_kill()):
+        with open(os.path.join(root, "kills.log"), "a") as log:
+            log.write("kill\\n")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return search(context, cell)
+
+
+executors._timed_search = killing_search
+report = {"children": []}
+options = SweepOptions(processes=2, checkpoint_dir=os.path.join(root, "ck"))
+if scenario == "kill-once":
+    with recording(MetricsRegistry()) as registry:
+        outcomes = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, cells, options=options)
+    report["children"].append(len(multiprocessing.active_children()))
+    report["outcomes"] = [outcome_to_json(outcome) for outcome in outcomes]
+    report["counters"] = registry.snapshot()["counters"]
+    with recording(MetricsRegistry()) as registry:
+        resumed = run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, cells,
+            options=replace(options, resume=True),
+        )
+    report["children"].append(len(multiprocessing.active_children()))
+    report["resumed_counters"] = registry.snapshot()["counters"]
+    report["resumed_equal"] = resumed == outcomes
+elif scenario == "kill-every-time":
+    try:
+        run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, cells, options=options)
+    except SweepError as exc:
+        report["error"] = str(exc)
+    report["children"].append(len(multiprocessing.active_children()))
+elif scenario == "close-early":
+    executors._timed_search = search
+    context = (MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, DEFAULT_SETTINGS)
+    tasks = [(index, f"k{index}", cell) for index, cell in enumerate(cells)]
+    results = MultiprocessingExecutor(processes=2).run(context, tasks)
+    next(results)
+    results.close()
+    report["children"].append(len(multiprocessing.active_children()))
+try:
+    with open(os.path.join(root, "kills.log")) as log:
+        report["kills"] = len(log.readlines())
+except FileNotFoundError:
+    report["kills"] = 0
+print(json.dumps(report))
+"""
+
+#: Detects a hung sweep, and is no speed gate: each faulted sweep takes
+#: well under a second.
+_FAULT_TIMEOUT = 120
+
+
+def _run_faulted(scenario, root):
+    """Run one ``_FAULT_CHILD`` scenario in its own session.
+
+    Fails if the child is still running after ``_FAULT_TIMEOUT`` seconds
+    (the whole session is killed) or if any process of its session
+    outlives it.  Returns the child's report.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _FAULT_CHILD, scenario, str(root)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=_FAULT_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(
+            f"{scenario}: the sweep was still running after {_FAULT_TIMEOUT} s"
+        )
+    try:
+        os.killpg(child.pid, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        os.killpg(child.pid, signal.SIGKILL)
+        pytest.fail(f"{scenario}: a process outlived the sweep's interpreter")
+    assert child.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def serial_candidate_counters():
+    with recording(MetricsRegistry()) as registry:
+        run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=1),
+        )
+    return {
+        name: value
+        for name, value in registry.snapshot()["counters"].items()
+        if name.startswith("search.candidates.")
+    }
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the injected fault reaches pool workers through fork",
+)
+class TestPoolFaults:
+    """The pool recovers a dead worker's cells, and no worker outlives
+    the run.  Each sweep runs in a child interpreter (_run_faulted)."""
+
+    def test_killed_worker_cell_is_resubmitted(
+        self, tmp_path, outcomes, serial_candidate_counters
+    ):
+        report = _run_faulted("kill-once", tmp_path)
+        assert report["kills"] == 1
+        assert [outcome_from_json(o) for o in report["outcomes"]] == outcomes
+        store = CheckpointStore(tmp_path / "ck")
+        for cell, outcome in zip(CELLS, outcomes):
+            key = cell_key(
+                MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
+            )
+            assert store.path_for(key).read_bytes() == store.payload_bytes(
+                key, outcome
+            )
+        # Only completed cells ship metrics: the killed attempt adds none.
+        counters = report["counters"]
+        assert {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("search.candidates.")
+        } == serial_candidate_counters
+        assert counters["sweep.cells_computed"] == len(CELLS)
+        # A resume computes nothing.
+        assert report["resumed_counters"] == {
+            "sweep.cells_from_checkpoints": len(CELLS),
+            "sweep.cells_total": len(CELLS),
+        }
+        assert report["resumed_equal"]
+        assert report["children"] == [0, 0]
+
+    def test_cell_that_kills_every_worker_fails_the_sweep(self, tmp_path):
+        report = _run_faulted("kill-every-time", tmp_path)
+        key = cell_key(
+            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[1]
+        )
+        assert key in report["error"]
+        assert report["kills"] == MAX_RETRIES + 1
+        assert report["children"] == [0]
+
+    def test_closing_the_run_early_leaves_no_worker(self, tmp_path):
+        report = _run_faulted("close-early", tmp_path)
+        assert report["children"] == [0]
 
 
 class TestTieBreak:
