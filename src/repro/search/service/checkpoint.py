@@ -134,6 +134,8 @@ class CheckpointStore:
         """
         try:
             data = json.loads(self.timing_path_for(key).read_bytes())
+            if not isinstance(data, dict):
+                return None
             if data.get("key") != key or data.get("format") != FORMAT_VERSION:
                 return None
             if float(data["seconds"]) < 0:

@@ -222,7 +222,9 @@ class MultiprocessingExecutor:
                         break
                     done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
                     finished = []
-                    for future in done:
+                    # In submission order: lost cells go back in the
+                    # order they were scheduled (longest first).
+                    for future in [f for f in in_flight if f in done]:
                         task = in_flight.pop(future)
                         if isinstance(future.exception(), BrokenProcessPool):
                             broken = True

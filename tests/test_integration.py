@@ -165,6 +165,9 @@ class TestRunnerCli:
              "{tmp}/trace.json"],
             ["sweep-trace", "--checkpoint-dir", "{dir}", "--out",
              "{file}/x/trace.json"],
+            # The sidecars are the one trace source: --queue-dir is gone.
+            ["sweep-trace", "--checkpoint-dir", "{dir}", "--queue-dir",
+             "{dir}", "--out", "{tmp}/trace.json"],
             # Output files are checked before any work: an existing
             # directory or a parent under a regular file is refused.
             ["fig3", "--trace-out", "{dir}"],

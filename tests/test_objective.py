@@ -13,6 +13,8 @@ worker contexts carry objectives).
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
@@ -361,3 +363,28 @@ class TestServiceThreading:
             ),
         )
         assert resumed == outcomes
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pool_carries_objective(self, monkeypatch, start_method):
+        # Pool workers get the settings through the pool initializer:
+        # inherited under fork, pickled under spawn.
+        from repro.search.service import SweepOptions, run_sweep
+
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable on this platform")
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: [start_method]
+        )
+        cells = [
+            SweepCell(Method.NO_PIPELINE, 8), SweepCell(Method.NO_PIPELINE, 16)
+        ]
+        settings = SearchSettings(objective=ParetoFrontObjective())
+        pooled, serial = (
+            run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, cells,
+                options=SweepOptions(processes=processes, settings=settings),
+            )
+            for processes in (2, 1)
+        )
+        assert pooled == serial
+        assert all(outcome.frontier is not None for outcome in pooled)

@@ -422,6 +422,21 @@ class TestReport:
             "cells_total=4" in report.format()
         )
 
+    def test_older_worker_counters_stay_out_of_the_service_section(self):
+        # Metrics directories written before the pool was the one
+        # backend hold per-worker queue counters; they still report, and
+        # the service section keeps to the coordinator's sweep.* ones.
+        worker = MetricsRegistry(actor="w0")
+        worker.count("worker.cells_completed", 3)
+        worker.count("queue.events.claim", 3)
+        worker.gauge("worker.busy_fraction", 0.8)
+        coordinator = MetricsRegistry(actor="coordinator")
+        coordinator.count("sweep.cells_total", 3)
+        report = build_report([worker.snapshot(), coordinator.snapshot()])
+        assert report.n_snapshots == 2
+        assert report.service == {"cells_total": 3.0}
+        assert "service: cells_total=3" in report.format()
+
     def test_engine_section_prints_sweeps_per_core_run(self):
         # Sweeps are counted on full runs and delta replays alike; ordered
         # runs sweep nothing and are not averaged in.

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import concurrent.futures
 import errno
+import functools
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,12 +32,14 @@ from repro.search.service import (
     MemoStore,
     MultiprocessingExecutor,
     SweepCell,
+    SweepError,
     SweepOptions,
     cell_key,
     outcome_from_json,
     outcome_to_json,
     run_sweep,
 )
+from repro.search.service import executors as executors_mod
 from repro.search.service.progress import ProgressReporter
 from repro.search.service.serialize import (
     context_from_json,
@@ -50,6 +56,14 @@ CELLS = [
     SweepCell(Method.NO_PIPELINE, 64),
     SweepCell(Method.DEPTH_FIRST, 8),
 ]
+
+
+#: What ``run_sweep`` hands the executor: the search context and
+#: ``(index, key, cell)`` tasks.
+POOL_CONTEXT = (
+    MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, SearchSettings()
+)
+POOL_TASKS = [(index, f"k{index}", cell) for index, cell in enumerate(CELLS)]
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +353,16 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             SweepOptions(resume=True)
 
+    @pytest.mark.parametrize(
+        "retired", [{"backend": "file-queue"}, {"queue_dir": "q"}],
+        ids=["backend", "queue_dir"],
+    )
+    def test_retired_backend_options_are_refused(self, retired):
+        # The pool is the one backend: asking for another one, or for
+        # its queue, fails when the options are built.
+        with pytest.raises(TypeError, match=next(iter(retired))):
+            SweepOptions(**retired)
+
     @pytest.mark.parametrize("processes", [0, -3])
     def test_pool_of_fewer_than_one_process_rejected(self, processes):
         with pytest.raises(ValueError, match="processes"):
@@ -401,6 +425,26 @@ class TestCellTiming:
         record["retired_field"] = 0.9
         path.write_text(json.dumps(record))
         assert store.load_timing("abc123") == 1.25
+
+    def test_non_object_sidecar_does_not_stop_a_resume(
+        self, tmp_path, outcomes
+    ):
+        # Scheduling reads every sidecar; one holding a JSON list is
+        # ignored like any unreadable one, and rewritten.
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
+        run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        store = CheckpointStore(tmp_path)
+        key = cell_key(
+            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[1]
+        )
+        store.path_for(key).unlink()
+        store.timing_path_for(key).write_bytes(b"[1, 2]")
+        resumed = run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=replace(opts, resume=True),
+        )
+        assert resumed == outcomes
+        assert store.load_timing(key) > 0
 
     def test_timing_files_do_not_pollute_checkpoint_keys(
         self, tmp_path, outcomes
@@ -543,13 +587,6 @@ class TestBackendParity:
         assert serial[0]["search.cells"] == len(CELLS)
         assert pool == serial
 
-    #: What ``run_sweep`` hands the executor: the search context and
-    #: ``(index, key, cell)`` tasks.
-    POOL_CONTEXT = (
-        MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, SearchSettings()
-    )
-    POOL_TASKS = [(index, f"k{index}", cell) for index, cell in enumerate(CELLS)]
-
     @pytest.mark.parametrize(
         "processes, sizes",
         [(1, []), (3, [3]), (5, [3]), (None, [2])],
@@ -568,7 +605,7 @@ class TestBackendParity:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         executor = MultiprocessingExecutor(processes=processes)
-        results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
+        results = list(executor.run(POOL_CONTEXT, POOL_TASKS))
         assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
         assert started == sizes
 
@@ -577,7 +614,7 @@ class TestBackendParity:
         reports = [
             report
             for _index, _outcome, report in executor.run(
-                self.POOL_CONTEXT, self.POOL_TASKS
+                POOL_CONTEXT, POOL_TASKS
             )
         ]
         assert len(reports) == len(CELLS)
@@ -589,7 +626,7 @@ class TestBackendParity:
         # the executor alone leaves the coordinator's registry empty.
         executor = MultiprocessingExecutor(processes=2)
         with recording(MetricsRegistry()) as registry:
-            results = list(executor.run(self.POOL_CONTEXT, self.POOL_TASKS))
+            results = list(executor.run(POOL_CONTEXT, POOL_TASKS))
         assert registry.counters == {}
         assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
         for _index, outcome, report in results:
@@ -597,6 +634,302 @@ class TestBackendParity:
             assert counters["search.cells"] == 1
             assert counters["search.candidates.simulated"] == outcome.n_tried
             assert counters["search.candidates.excluded"] == outcome.n_excluded
+
+    @pytest.mark.parametrize("processes", [1, 2], ids=["in-process", "pool"])
+    def test_reports_name_the_searching_process(self, processes):
+        # A pool worker signs its cells pool-<pid>, the actor its metrics
+        # carry; an in-process search signs them coordinator.  Both
+        # stamp the search's start on the wall clock: with the name, it
+        # places the cell on a lane of the sweep trace.
+        before = time.time()
+        results = list(
+            MultiprocessingExecutor(processes=processes).run(
+                POOL_CONTEXT, POOL_TASKS
+            )
+        )
+        after = time.time()
+        workers = {report.worker for _index, _outcome, report in results}
+        if processes == 1:
+            assert workers == {"coordinator"}
+        else:
+            assert all(
+                worker.startswith("pool-")
+                and int(worker[len("pool-"):]) != os.getpid()
+                for worker in workers
+            )
+        assert all(
+            before <= report.started_at <= after
+            for _index, _outcome, report in results
+        )
+
+    def test_pool_checkpoints_match_serial_bytes(self, tmp_path, outcomes):
+        run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=2, checkpoint_dir=tmp_path),
+        )
+        store = CheckpointStore(tmp_path)
+        for cell, outcome in zip(CELLS, outcomes):
+            key = cell_key(
+                MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
+            )
+            assert store.path_for(key).read_bytes() == store.payload_bytes(
+                key, outcome
+            )
+
+    def test_pool_resume_searches_only_the_missing_cells(
+        self, tmp_path, outcomes
+    ):
+        opts = SweepOptions(processes=2, checkpoint_dir=tmp_path)
+        run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        store = CheckpointStore(tmp_path)
+        for cell in CELLS[1:]:  # two cells left: still a pool of two
+            store.path_for(
+                cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell)
+            ).unlink()
+        with recording(MetricsRegistry()) as registry:
+            resumed = run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=replace(opts, resume=True),
+            )
+        assert resumed == outcomes
+        counters = registry.snapshot()["counters"]
+        assert counters["sweep.cells_from_checkpoints"] == 1
+        assert counters["sweep.cells_computed"] == 2
+        assert counters["search.cells"] == 2
+
+    def test_pool_metrics_out_writes_one_coordinator_log(self, tmp_path):
+        # The workers' per-cell snapshots are merged into the
+        # coordinator's, so --metrics-out holds one file.
+        metrics = tmp_path / "metrics"
+        run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=2, metrics_out=metrics),
+        )
+        assert [path.name for path in metrics.iterdir()] == ["coordinator.jsonl"]
+        [snapshot] = read_snapshots(metrics / "coordinator.jsonl")
+        assert snapshot["actor"] == "coordinator"
+        assert snapshot["counters"]["search.cells"] == len(CELLS)
+        assert snapshot["counters"]["sweep.cells_computed"] == len(CELLS)
+
+
+_REAL_WAIT = concurrent.futures.wait
+
+
+class _ScriptedPool:
+    """In-process stand-in for ``concurrent.futures.ProcessPoolExecutor``.
+
+    Built by the executor through :class:`PoolScript`.  Cells run in the
+    calling process when the executor waits, with the worker context set
+    as ``_init_worker`` sets it (minus its reset of the recorder).  A
+    worker's death breaks the pool the way a real one breaks: every cell
+    in flight fails with ``BrokenProcessPool``, and so does every later
+    ``submit``.
+    """
+
+    def __init__(self, script, max_workers, *, mp_context, initializer,
+                 initargs):
+        self.script = script
+        self.number = len(script.pools)
+        self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
+        self.initializer = initializer
+        self.initargs = initargs
+        self.in_flight = []
+        self.n_submits = 0
+        self.broken = False
+        self.shutdowns = []
+        script.pools.append(self)
+        executors_mod._WORKER_CONTEXT.update(
+            args=initargs[:4], record=initargs[4]
+        )
+
+    def submit(self, fn, task):
+        if (self.number, self.n_submits) in self.script.refusals:
+            self.broken = True  # a worker died while idle
+        self.n_submits += 1
+        if self.broken:
+            raise BrokenProcessPool("a worker died while idle")
+        index, _cell = task
+        dies = self.script.kills(index, self.script.handed_out[index])
+        self.script.handed_out[index] += 1
+        self.script.submitted.append((self.number, index))
+        future = concurrent.futures.Future()
+        self.in_flight.append((future, fn, task, dies))
+        self.script.peak = max(self.script.peak, len(self.in_flight))
+        return future
+
+    def settle(self):
+        batch, self.in_flight = self.in_flight, []
+        if any(dies for *_rest, dies in batch):
+            self.broken = True
+        for future, fn, task, _dies in batch:
+            if self.broken:
+                future.set_exception(BrokenProcessPool("a worker died"))
+            else:
+                future.set_result(fn(task))
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append(cancel_futures)
+
+
+class PoolScript:
+    """Installs :class:`_ScriptedPool` as the executor's pool.
+
+    ``kills(index, n)`` says whether the worker that takes task
+    ``index`` for the ``n``-th time (from 0) dies.  ``refusals`` holds
+    ``(pool number, submission number)`` pairs at which ``submit`` finds
+    its pool already broken.
+    """
+
+    def __init__(self, monkeypatch, *, kills=lambda index, n: False,
+                 refusals=()):
+        self.kills = kills
+        self.refusals = set(refusals)
+        self.pools = []
+        #: ``(pool number, task index)`` per accepted submission.
+        self.submitted = []
+        self.handed_out = Counter()
+        self.peak = 0
+
+        def wait(futures, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
+            self.pools[-1].settle()
+            return _REAL_WAIT(futures, timeout=0, return_when=return_when)
+
+        monkeypatch.setattr(executors_mod, "_WORKER_CONTEXT", {})
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(_ScriptedPool, self),
+        )
+        monkeypatch.setattr(concurrent.futures, "wait", wait)
+
+
+def _by_index(results):
+    got = {index: outcome for index, outcome, _report in results}
+    return [got[index] for index in sorted(got)]
+
+
+class TestPoolRetry:
+    """The pool's retry bookkeeping, on a scripted in-process pool: what
+    a broken pool charges, where its cells go next, when the sweep gives
+    up, and that every pool is shut down."""
+
+    @staticmethod
+    def start(monkeypatch, **script):
+        script = PoolScript(monkeypatch, **script)
+        results = MultiprocessingExecutor(processes=2).run(
+            POOL_CONTEXT, POOL_TASKS
+        )
+        return script, results
+
+    def test_lost_cells_are_searched_again_in_a_fresh_pool(
+        self, monkeypatch, outcomes
+    ):
+        script, results = self.start(
+            monkeypatch, kills=lambda index, n: index == 1 and n == 0
+        )
+        assert _by_index(results) == outcomes
+        # Both cells in flight were lost.  They go back ahead of the cell
+        # never submitted, in their scheduled order.
+        assert script.submitted == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+
+    def test_every_fresh_pool_is_built_like_the_first(self, monkeypatch):
+        script, results = self.start(monkeypatch, kills=lambda index, n: n == 0)
+        assert len(list(results)) == len(CELLS)
+        start_method = (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        assert len(script.pools) == 3
+        for pool in script.pools:
+            assert pool.max_workers == 2
+            assert pool.start_method == start_method
+            assert pool.initializer is executors_mod._init_worker
+            assert pool.initargs == (*POOL_CONTEXT, False)
+
+    def test_a_cell_lost_max_retries_times_still_completes(
+        self, monkeypatch, outcomes
+    ):
+        script, results = self.start(
+            monkeypatch, kills=lambda index, n: index == 1 and n < MAX_RETRIES
+        )
+        assert _by_index(results) == outcomes
+        assert script.handed_out[1] == MAX_RETRIES + 1
+
+    def test_every_cell_lost_once_more_is_named(self, monkeypatch):
+        # Cell 1 kills its worker once more than MAX_RETRIES allows.  Cell
+        # 0 is in flight beside it each time and is charged each loss
+        # too, so both fail; cell 2, submitted after them, completes and
+        # comes back before the error.
+        script, results = self.start(
+            monkeypatch, kills=lambda index, n: index == 1 and n <= MAX_RETRIES
+        )
+        yielded = []
+        with pytest.raises(SweepError) as raised:
+            for index, _outcome, _report in results:
+                yielded.append(index)
+        assert yielded == [2]
+        message = str(raised.value)
+        assert message.startswith("2 cell(s) lost their worker")
+        for index, key, cell in POOL_TASKS[:2]:
+            assert f"{key} ({cell.method.value} B={cell.batch_size})" in message
+        assert "k2" not in message
+        assert script.handed_out == {0: MAX_RETRIES + 1, 1: MAX_RETRIES + 1, 2: 1}
+
+    def test_a_cell_refused_at_submit_is_not_charged(
+        self, monkeypatch, outcomes
+    ):
+        # Cells 0 and 1 finish, then a worker dies idle and the pool
+        # refuses cell 2, which never started.  With no retries allowed,
+        # one charge would fail the sweep.
+        monkeypatch.setattr(executors_mod, "MAX_RETRIES", 0)
+        script, results = self.start(monkeypatch, refusals={(0, 2)})
+        assert _by_index(results) == outcomes
+        assert script.submitted == [(0, 0), (0, 1), (1, 2)]
+
+    def test_at_most_one_cell_per_worker_in_flight(self, monkeypatch):
+        script, results = self.start(
+            monkeypatch, kills=lambda index, n: index == 2 and n == 0
+        )
+        assert len(list(results)) == len(CELLS)
+        assert script.peak == 2
+
+    @pytest.mark.parametrize("ending", ["finished", "failed", "closed-early"])
+    def test_every_pool_is_shut_down(self, monkeypatch, ending):
+        script, results = self.start(
+            monkeypatch,
+            kills=lambda index, n: index == 1 and (ending == "failed" or n == 0),
+        )
+        if ending == "finished":
+            assert len(list(results)) == len(CELLS)
+        elif ending == "failed":
+            with pytest.raises(SweepError):
+                list(results)
+        else:
+            next(results)
+            results.close()
+        assert len(script.pools) > 1
+        assert all(pool.shutdowns == [True] for pool in script.pools)
+
+    def test_a_failed_sweep_keeps_its_finished_cells(self, monkeypatch, tmp_path):
+        # run_sweep schedules the B=64 cell (input index 1) first, with
+        # the B=8 cell beside it: both fail.  The depth-first cell lands
+        # and is checkpointed, so a resume searches only the failed two.
+        PoolScript(monkeypatch, kills=lambda index, n: index == 1)
+        opts = SweepOptions(processes=2, checkpoint_dir=tmp_path)
+        with pytest.raises(SweepError):
+            run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        assert CheckpointStore(tmp_path).keys() == [
+            cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[2])
+        ]
+        PoolScript(monkeypatch)
+        with recording(MetricsRegistry()) as registry:
+            run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=replace(opts, resume=True),
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters["sweep.cells_from_checkpoints"] == 1
+        assert counters["sweep.cells_computed"] == 2
 
 
 #: One faulted pool sweep over ``CELLS``, run by :func:`_run_faulted` in
@@ -692,21 +1025,23 @@ print(json.dumps(report))
 #: well under a second.
 _FAULT_TIMEOUT = 120
 
+_REPO = Path(__file__).resolve().parent.parent
 
-def _run_faulted(scenario, root):
-    """Run one ``_FAULT_CHILD`` scenario in its own session.
+
+def _run_in_session(argv, what):
+    """Run ``python argv`` in its own session; return its stdout.
 
     Fails if the child is still running after ``_FAULT_TIMEOUT`` seconds
-    (the whole session is killed) or if any process of its session
-    outlives it.  Returns the child's report.
+    (the whole session is killed), if any process of its session
+    outlives it, or if it exits non-zero.
     """
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(_REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src]
     )
     child = subprocess.Popen(
-        [sys.executable, "-c", _FAULT_CHILD, scenario, str(root)],
+        [sys.executable, *argv],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -718,17 +1053,21 @@ def _run_faulted(scenario, root):
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.communicate()
-        pytest.fail(
-            f"{scenario}: the sweep was still running after {_FAULT_TIMEOUT} s"
-        )
+        pytest.fail(f"{what}: still running after {_FAULT_TIMEOUT} s")
     try:
         os.killpg(child.pid, 0)
     except ProcessLookupError:
         pass
     else:
         os.killpg(child.pid, signal.SIGKILL)
-        pytest.fail(f"{scenario}: a process outlived the sweep's interpreter")
+        pytest.fail(f"{what}: a process outlived the sweep's interpreter")
     assert child.returncode == 0, err
+    return out
+
+
+def _run_faulted(scenario, root):
+    """Run one ``_FAULT_CHILD`` scenario; return the child's report."""
+    out = _run_in_session(["-c", _FAULT_CHILD, scenario, str(root)], scenario)
     return json.loads(out.splitlines()[-1])
 
 
@@ -796,6 +1135,14 @@ class TestPoolFaults:
     def test_closing_the_run_early_leaves_no_worker(self, tmp_path):
         report = _run_faulted("close-early", tmp_path)
         assert report["children"] == [0]
+
+    def test_sweep_service_demo_passes(self):
+        # The demo kills one of its own pool workers mid-cell, resumes,
+        # and compares checkpoint bytes with a serial run.
+        out = _run_in_session(
+            [str(_REPO / "examples" / "sweep_service_demo.py")], "demo"
+        )
+        assert "sweep service smoke test passed" in out
 
 
 class TestTieBreak:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.experiments.runner import main
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
 from repro.obs import MetricsRegistry, write_snapshot_line
@@ -21,6 +24,7 @@ from repro.search.service import (
     cell_key,
     run_sweep,
 )
+from repro.search.service.serialize import FORMAT_VERSION
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.viz.sweep_trace import sweep_trace, write_sweep_trace
 
@@ -86,6 +90,27 @@ class TestSweepTrace:
             f"{c.method.value} B={c.batch_size}" for c in CELLS
         }
 
+    def test_pool_sweep_merges_the_coordinators_spans(self, tmp_path):
+        # With --metrics-out, the coordinator's sweep.run span joins the
+        # workers' cell slices, on its own lane.
+        checkpoint_dir = tmp_path / "ckpt"
+        run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(
+                checkpoint_dir=checkpoint_dir, processes=2,
+                metrics_out=tmp_path / "metrics",
+            ),
+        )
+        events = sweep_trace(checkpoint_dir, tmp_path / "metrics")["traceEvents"]
+        lanes = _lanes(events)
+        slices = [e for e in events if e["ph"] == "X"]
+        cells = [s for s in slices if s["cat"] == "cell"]
+        assert len(cells) == len(CELLS)
+        assert all(lanes[s["pid"]].startswith("worker pool-") for s in cells)
+        assert [
+            (lanes[s["pid"]], s["name"]) for s in slices if s["cat"] == "obs"
+        ] == [("worker coordinator", "sweep.run")]
+
     def test_in_process_sweep_traces_on_the_coordinator_lane(self, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         run_sweep(
@@ -96,6 +121,27 @@ class TestSweepTrace:
         slices = [e for e in events if e["ph"] == "X"]
         assert len(slices) == 2
         assert set(_lanes(events).values()) == {"worker coordinator"}
+
+    def test_cli_traces_a_pool_sweep(self, tmp_path, capsys):
+        # fig1 on a two-worker pool, then sweep-trace over its checkpoint
+        # directory: one cell slice per computed cell, on pool lanes.
+        checkpoint_dir = tmp_path / "ckpt"
+        assert main(
+            ["fig1", "--jobs", "2", "--checkpoint-dir", str(checkpoint_dir)]
+        ) == 0
+        out = tmp_path / "trace.json"
+        assert main([
+            "sweep-trace", "--checkpoint-dir", str(checkpoint_dir),
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        events = json.loads(out.read_text())["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X"]
+        assert len(slices) == len(CheckpointStore(checkpoint_dir)) == 12
+        assert all(s["cat"] == "cell" for s in slices)
+        assert all(
+            name.startswith("worker pool-") for name in _lanes(events).values()
+        )
 
     def test_write_sweep_trace_is_loadable_json(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -141,4 +187,96 @@ class TestTornInputs:
         assert sorted((s["cat"], s["name"]) for s in slices) == [
             ("cell", "k1"),
             ("obs", "search.cell"),
+        ]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[1, 2]",
+            b"not json at all",
+            b'{"format": 2, "key": "bad", "seco\xe2',
+            {"key": "other"},
+            {"format": 999},
+            {"seconds": -1.0},
+            {"seconds": None},
+            {"worker": None},
+            {"started_at": "soon"},
+            {"seconds": True},
+        ],
+        ids=[
+            "not-an-object", "garbage", "torn-utf8", "key-mismatch",
+            "wrong-format", "negative-seconds", "no-seconds", "no-worker",
+            "start-not-a-number", "seconds-bool",
+        ],
+    )
+    def test_unusable_sidecar_is_skipped(self, tmp_path, payload):
+        # Each payload is one way another cell's sidecar can be torn,
+        # foreign or unattributed; dict payloads override fields of a
+        # well-formed sidecar (None drops the field).
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.store_timing("good", 1.0, worker="pool-7", started_at=10.0)
+        if isinstance(payload, dict):
+            record = {
+                "format": FORMAT_VERSION, "key": "bad", "seconds": 2.0,
+                "worker": "pool-8", "started_at": 11.0,
+            }
+            record.update(payload)
+            payload = json.dumps(
+                {k: v for k, v in record.items() if v is not None}
+            ).encode()
+        store.timing_path_for("bad").write_bytes(payload)
+        trace = sweep_trace(tmp_path / "ckpt")
+        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [s["args"]["key"] for s in slices] == ["good"]
+
+    @staticmethod
+    def _trace_with_spans(tmp_path, spans):
+        """The slices of a trace whose one snapshot holds ``spans``."""
+        registry = MetricsRegistry(actor="pool-7")
+        snapshot = registry.snapshot()
+        snapshot["spans"] = spans
+        write_snapshot_line(tmp_path / "metrics" / "pool.jsonl", snapshot)
+        trace = sweep_trace(tmp_path / "ckpt", tmp_path / "metrics")
+        return [e for e in trace["traceEvents"] if e["ph"] == "X"]
+
+    @pytest.mark.parametrize(
+        "span",
+        [
+            "search.cell",
+            {"name": "x", "start": "soon", "end": 2.0},
+            {"name": "x", "start": 1.0},
+            {"name": 7, "start": 1.0, "end": 2.0},
+        ],
+        ids=["not-an-object", "start-not-a-number", "no-end", "unnamed"],
+    )
+    def test_unusable_span_is_skipped(self, tmp_path, span):
+        good = {"name": "search.cell", "start": 1.0, "end": 2.0}
+        slices = self._trace_with_spans(tmp_path, [span, good])
+        assert [(s["name"], s["dur"]) for s in slices] == [
+            ("search.cell", 1e6)
+        ]
+
+    def test_span_with_foreign_attrs_keeps_its_slice(self, tmp_path):
+        span = {"name": "search.cell", "start": 1.0, "end": 2.0, "attrs": [1]}
+        [piece] = self._trace_with_spans(tmp_path, [span])
+        assert piece["args"] == {"key": "", "source": "obs"}
+
+    def test_garbage_snapshot_lines_are_tolerated(self, tmp_path):
+        registry = MetricsRegistry(actor="coordinator")
+        with registry.span("search.cell"):
+            pass
+        log = tmp_path / "metrics" / "coordinator.jsonl"
+        log.parent.mkdir()
+        log.write_bytes(
+            b"not json at all\n"
+            b'"a bare string"\n'
+            b'{"kind": "something-else", "spans": []}\n'
+            b"\xff\xfe\n"
+            + json.dumps(registry.snapshot()).encode()
+            + b"\n"
+        )
+        trace = sweep_trace(tmp_path / "ckpt", tmp_path / "metrics")
+        slices = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [(s["cat"], s["name"]) for s in slices] == [
+            ("obs", "search.cell")
         ]
