@@ -261,12 +261,6 @@ class _CountingRecorder(Recorder):
     def count(self, name, value=1.0):
         self._called("count")
 
-    def gauge(self, name, value):
-        self._called("gauge")
-
-    def gauge_max(self, name, value):
-        self._called("gauge_max")
-
     def observe(self, name, value):
         self._called("observe")
 

@@ -11,9 +11,8 @@ calls a disabled search cell makes: none per candidate).
 
 :class:`MetricsRegistry` is the real implementation:
 
-- **Counters** (monotonic sums), **gauges** (last-wins values, plus
-  :meth:`MetricsRegistry.gauge_max` for high-water marks), and
-  **histograms** (raw observations, summarized at snapshot time).
+- **Counters** (monotonic sums) and **histograms** (raw observations,
+  summarized at snapshot time).
 - **Spans**: nestable named intervals opened with
   :meth:`MetricsRegistry.span` as a context manager.  Nesting is
   tracked through an explicit stack, so a span's depth and parent are
@@ -71,12 +70,6 @@ class Recorder:
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the counter ``name``."""
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` (last write wins)."""
-
-    def gauge_max(self, name: str, value: float) -> None:
-        """Raise the gauge ``name`` to ``value`` if larger (high-water)."""
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
@@ -193,7 +186,7 @@ class _TimerHandle:
 
 
 class MetricsRegistry(Recorder):
-    """The enabled recorder: counters, gauges, histograms, spans, timers.
+    """The enabled recorder: counters, histograms, spans, timers.
 
     Args:
         actor: Name stamped into snapshots (defaults to ``pid-<pid>``);
@@ -219,7 +212,6 @@ class MetricsRegistry(Recorder):
         self._wall_anchor = wall_clock()
         self._perf_anchor = clock()
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.histograms: dict[str, list[float]] = {}
         #: Closed-span records: {name, start, end, depth, attrs} with
         #: start/end in epoch seconds.  Open spans live in _span_stack.
@@ -230,14 +222,6 @@ class MetricsRegistry(Recorder):
 
     def count(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def gauge_max(self, name: str, value: float) -> None:
-        current = self.gauges.get(name)
-        if current is None or value > current:
-            self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         self.histograms.setdefault(name, []).append(value)
@@ -300,7 +284,6 @@ class MetricsRegistry(Recorder):
             "actor": self.actor,
             "recorded_at": self._to_epoch(self._clock()),
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": histograms,
             "spans": [dict(s) for s in self.spans],
         }
@@ -313,7 +296,8 @@ def snapshot_from_json(payload: dict) -> dict:
     """Validate and normalize one snapshot payload; raises ``ValueError``.
 
     The inverse of :meth:`MetricsRegistry.snapshot` for the fields the
-    report and the trace consume; unknown extra keys are preserved.
+    report and the trace consume; unknown extra keys are preserved, so a
+    snapshot holding a field this version no longer writes still reads.
     """
     if not isinstance(payload, dict):
         raise ValueError("snapshot is not a JSON object")
@@ -324,8 +308,7 @@ def snapshot_from_json(payload: dict) -> dict:
             f"snapshot format {payload.get('format')!r} != {SNAPSHOT_FORMAT}"
         )
     for key, kind in (
-        ("counters", dict), ("gauges", dict), ("histograms", dict),
-        ("spans", list),
+        ("counters", dict), ("histograms", dict), ("spans", list),
     ):
         if not isinstance(payload.get(key, kind()), kind):
             raise ValueError(f"snapshot field {key!r} has the wrong type")
@@ -336,13 +319,11 @@ def merge_snapshot(recorder: Recorder, snapshot: dict) -> None:
     """Fold another process's snapshot into ``recorder``.
 
     How a sweep coordinator keeps what its pool workers recorded:
-    counters add, histogram observations append, and gauges merge as
-    high-water marks.  Spans are left out.
+    counters add and histogram observations append.  Spans are left
+    out.
     """
     for name, value in snapshot.get("counters", {}).items():
         recorder.count(name, value)
-    for name, value in snapshot.get("gauges", {}).items():
-        recorder.gauge_max(name, value)
     for name, hist in snapshot.get("histograms", {}).items():
         for value in hist["values"]:
             recorder.observe(name, value)

@@ -105,20 +105,6 @@ def _remember(table: dict, key, value) -> None:
     table[key] = value
 
 
-def _request_id(request: PlanRequest) -> tuple:
-    """``request`` plus the types its keys' JSON depends on.
-
-    ``8 == 8.0`` and ``True == 1``, so equal requests can still hash to
-    different cell keys; the types keep such requests apart.
-    """
-    return (
-        request,
-        type(request.include_hybrid),
-        type(request.memory_headroom),
-        tuple(map(type, request.batch_sizes)),
-    )
-
-
 class Planner:
     """Async planning service over a shared memo store.
 
@@ -145,7 +131,7 @@ class Planner:
         )
         self._inflight: dict[str, asyncio.Future] = {}
         self._outcomes: dict[str, SearchOutcome] = {}
-        self._queries: dict[tuple, _Query] = {}
+        self._queries: dict[PlanRequest, _Query] = {}
         self._preset_index = self._build_preset_index()
 
     # ------------------------------------------------------------ lifecycle
@@ -223,8 +209,7 @@ class Planner:
 
     def _query(self, request: PlanRequest) -> _Query:
         """``request`` resolved and hashed, once per planner."""
-        request_id = _request_id(request)
-        query = self._queries.get(request_id)
+        query = self._queries.get(request)
         if query is not None:
             return query
         resolved = request.resolve()
@@ -251,7 +236,7 @@ class Planner:
             ),
             query_key=query_key(resolved, self._calibration),
         )
-        _remember(self._queries, request_id, query)
+        _remember(self._queries, request, query)
         return query
 
     # --------------------------------------------------------------- cells

@@ -94,6 +94,14 @@ class PlanRequest:
         object.__setattr__(self, "methods", tuple(self.methods))
         if not self.batch_sizes:
             raise ValueError("batch_sizes must not be empty")
+        # Equal requests must hash to one key: 8.0 == 8 and 1 == True,
+        # but neither pair serializes alike.
+        if not all(map(_is_int, self.batch_sizes)):
+            raise ValueError(f"batch sizes must be integers: {self.batch_sizes}")
+        if not isinstance(self.include_hybrid, bool):
+            raise ValueError(
+                f"include_hybrid must be a bool, got {self.include_hybrid!r}"
+            )
         if any(b <= 0 for b in self.batch_sizes):
             raise ValueError(f"batch sizes must be positive: {self.batch_sizes}")
         if len(set(self.batch_sizes)) != len(self.batch_sizes):

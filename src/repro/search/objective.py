@@ -301,6 +301,9 @@ class MemoryConstrainedThroughput(Objective):
             raise ValueError(
                 f"headroom must be in (0, 1], got {self.headroom}"
             )
+        # A float whatever number was given: 1 and 1.0 must hash to one
+        # cell key.
+        object.__setattr__(self, "headroom", float(self.headroom))
 
     def memory_budget(self, cluster: "ClusterSpec") -> float:
         return cluster.gpu.memory_bytes * self.headroom

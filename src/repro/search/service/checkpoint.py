@@ -11,9 +11,9 @@ Alongside each result the store keeps a ``<key>.time.json`` *sidecar*
 with the cell's measured wall-clock seconds.  Timing lives outside the
 result file on purpose: checkpoint bytes must be identical across runs
 and machines (the resume guarantee is tested by comparing bytes), while
-wall-clock never is.  ``run_sweep`` reads the sidecars to schedule the
-longest cells first on the next run over the same directory, which
-shortens the critical path of a parallel sweep and stabilizes the ETA.
+wall-clock never is.  The sidecars record which worker searched each
+cell and when, for ``sweep-trace`` (:mod:`repro.viz.sweep_trace`); the
+sweep itself never reads them.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ class CheckpointStore:
         ``worker`` and ``started_at`` (epoch seconds) attribute the
         measurement to the worker that computed it — the raw material of
         the sweep-level Chrome trace (:mod:`repro.viz.sweep_trace`).
-        Both are optional: scheduling (``load_timing``) needs only the
-        duration.
         """
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
@@ -128,9 +126,9 @@ class CheckpointStore:
     def load_timing_record(self, key: str) -> dict | None:
         """The full timing sidecar payload for a cell, or ``None``.
 
-        Corrupt sidecars are ignored silently — timing is advisory (it
-        only influences scheduling order and trace rendering), so it
-        never warrants the corruption warning a lost *result* gets.
+        Corrupt sidecars are ignored silently — timing only feeds the
+        sweep trace, so it never warrants the corruption warning a lost
+        *result* gets.
         """
         try:
             data = json.loads(self.timing_path_for(key).read_bytes())
@@ -143,11 +141,6 @@ class CheckpointStore:
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
         return data
-
-    def load_timing(self, key: str) -> float | None:
-        """Recorded wall-clock seconds for a cell, or ``None``."""
-        record = self.load_timing_record(key)
-        return None if record is None else float(record["seconds"])
 
     def keys(self) -> list[str]:
         """Keys of every checkpoint file present (validity not checked)."""

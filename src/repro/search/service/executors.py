@@ -1,26 +1,32 @@
 """The sweep service's executor: a process pool that outlives a dead worker.
 
-:class:`MultiprocessingExecutor` takes the search context and a list of
+:func:`run_cells` takes the search context and a list of
 ``(index, key, cell)`` tasks and yields ``(index, outcome, report)``
 triples as cells complete, in any order (the service reassembles input
-order).  With one process it runs :class:`SerialExecutor`, an in-process
-loop and the byte-stability reference.  Otherwise it runs a
+order).  With one process it searches the cells in order in the calling
+process, the byte-stability reference.  Otherwise it runs a
 ``concurrent.futures.ProcessPoolExecutor`` that forks where the platform
 has fork (workers inherit the warm schedule cache) and spawns elsewhere
 (the pool initializer rebuilds the search context in each child).
 
 Crash recovery: the pool holds at most one cell per worker in flight.
 When a worker dies, the pool raises ``BrokenProcessPool`` on every
-in-flight cell; each of them is charged one attempt and resubmitted to
-a fresh pool.  A cell lost more than :data:`MAX_RETRIES` times is never
+in-flight cell and cannot say whose worker died.  So a loss is charged
+only to a cell that was the one cell in flight; cells lost together
+each rerun alone, in a one-worker pool, where a further loss is their
+own.  Lost cells rerun in a fresh pool, ahead of the cells not yet
+started.  A cell lost alone more than :data:`MAX_RETRIES` times is never
 dropped: once every other cell is done, the sweep raises
-:class:`SweepError` naming it.
+:class:`SweepError` naming it.  A worker exits once its coordinator is
+gone, so a coordinator killed outright leaves no worker behind.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from collections import Counter, deque
 from collections.abc import Generator, Sequence
 from typing import NamedTuple
@@ -36,18 +42,19 @@ from repro.sim.calibration import Calibration
 __all__ = [
     "MAX_RETRIES",
     "CellReport",
-    "MultiprocessingExecutor",
-    "SerialExecutor",
     "SweepError",
+    "run_cells",
 ]
 
 #: (input index, content-hash key, cell) — the unit executors schedule.
 Task = tuple[int, str, SweepCell]
 #: What a cell search needs besides the cell itself.
 Context = tuple[TransformerSpec, ClusterSpec, Calibration, SearchSettings]
-#: Times a cell is resubmitted after losing its worker; one more loss
-#: fails the sweep.
+#: Times a cell is resubmitted after losing its worker alone; one more
+#: such loss fails the sweep.
 MAX_RETRIES = 2
+#: Seconds between a pool worker's checks that its coordinator lives.
+_COORDINATOR_POLL = 1.0
 
 
 class SweepError(RuntimeError):
@@ -97,20 +104,6 @@ def _timed_search(
     )
 
 
-# ------------------------------------------------------------------- serial
-
-
-class SerialExecutor:
-    """In-process, input-order execution; the pool's oracle."""
-
-    def run(
-        self, context: Context, tasks: Sequence[Task]
-    ) -> Generator[Result, None, None]:
-        for index, _key, cell in tasks:
-            outcome, report = _timed_search(context, cell)
-            yield index, outcome, report
-
-
 # ------------------------------------------------------------ process pool
 
 #: Worker-process search context, set once by the pool initializer so the
@@ -125,7 +118,11 @@ def _init_worker(
     calibration: Calibration,
     settings: SearchSettings,
     record: bool,
+    coordinator: int,
 ) -> None:
+    threading.Thread(
+        target=_exit_without, args=(coordinator,), daemon=True
+    ).start()
     # Fork children inherit the coordinator's installed recorder, but
     # their registry copy dies with them — nothing they count is ever
     # snapshotted.  Reset to the null recorder; when the coordinator is
@@ -134,6 +131,18 @@ def _init_worker(
     uninstall()
     _WORKER_CONTEXT["args"] = (spec, cluster, calibration, settings)
     _WORKER_CONTEXT["record"] = record
+
+
+def _exit_without(coordinator: int) -> None:
+    """End this worker once the process ``coordinator`` is gone.
+
+    An orphan is re-parented, so its parent pid changes.  Without this
+    an orphaned worker waits forever: it holds both ends of its pool
+    pipes itself, so it never reads end-of-file.
+    """
+    while os.getppid() == coordinator:
+        time.sleep(_COORDINATOR_POLL)
+    os._exit(1)
 
 
 def _search_indexed(task: tuple[int, SweepCell]) -> Result:
@@ -151,103 +160,107 @@ def _search_indexed(task: tuple[int, SweepCell]) -> Result:
     )
 
 
-def _resolve_processes(processes: int | None, n_tasks: int) -> int:
-    if processes is None:
-        processes = os.cpu_count() or 1
-    return max(1, min(processes, n_tasks))
-
-
-class MultiprocessingExecutor:
-    """A process pool that resubmits the cells of a dead worker.
+def run_cells(
+    context: Context, tasks: Sequence[Task], *, processes: int | None
+) -> Generator[Result, None, None]:
+    """Search every task; yield ``(index, outcome, report)`` as each lands.
 
     ``processes`` workers (None = CPU count; either way capped at the
     number of cells), fork where the platform has it and spawn
-    otherwise; one process searches in the calling process.  When the
-    coordinator's recorder is enabled as a pool starts, every cell's
-    metrics come back as a snapshot on its :class:`CellReport`.
+    otherwise; one process searches the cells in order in the calling
+    process.  When the coordinator's recorder is enabled as a pool
+    starts, every cell's metrics come back as a snapshot on its
+    :class:`CellReport`.
+
+    Raises:
+        SweepError: Once every other cell is done, if a cell lost its
+            worker alone more than :data:`MAX_RETRIES` times.
     """
+    if processes is None:
+        processes = os.cpu_count() or 1
+    n_proc = max(1, min(processes, len(tasks)))
+    if n_proc <= 1:
+        for index, _key, cell in tasks:
+            outcome, report = _timed_search(context, cell)
+            yield index, outcome, report
+        return
+    # Imported here: a serial sweep never loads the pool machinery.
+    from concurrent.futures import (
+        FIRST_COMPLETED,
+        Future,
+        ProcessPoolExecutor,
+        wait,
+    )
+    from concurrent.futures.process import BrokenProcessPool
 
-    def __init__(self, *, processes: int | None = None) -> None:
-        self.processes = processes
-
-    def run(
-        self, context: Context, tasks: Sequence[Task]
-    ) -> Generator[Result, None, None]:
-        n_proc = _resolve_processes(self.processes, len(tasks))
-        if n_proc <= 1:
-            yield from SerialExecutor().run(context, tasks)
-            return
-        # Imported here: a serial sweep never loads the pool machinery.
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            Future,
-            ProcessPoolExecutor,
-            wait,
+    available = multiprocessing.get_all_start_methods()
+    mp_context = multiprocessing.get_context(
+        "fork" if "fork" in available else "spawn"
+    )
+    queued = deque(tasks)
+    # Cells that lost a worker rerun one at a time, ahead of the rest.
+    alone: deque[Task] = deque()
+    losses: Counter[int] = Counter()
+    failed: list[Task] = []
+    while queued or alone:
+        source, width = (alone, 1) if alone else (queued, n_proc)
+        pool = ProcessPoolExecutor(
+            width,
+            mp_context=mp_context,
+            initializer=_init_worker,
+            initargs=(*context, get_recorder().enabled, os.getpid()),
         )
-        from concurrent.futures.process import BrokenProcessPool
-
-        available = multiprocessing.get_all_start_methods()
-        mp_context = multiprocessing.get_context(
-            "fork" if "fork" in available else "spawn"
+        in_flight: dict[Future[Result], Task] = {}
+        finished: list[Future[Result]] = []
+        lost: list[Task] = []
+        broken = False
+        try:
+            while True:
+                while source and not broken and len(in_flight) < width:
+                    index, _key, cell = source[0]
+                    try:
+                        future = pool.submit(_search_indexed, (index, cell))
+                    except BrokenProcessPool:
+                        broken = True  # an idle worker died
+                    else:
+                        in_flight[future] = source.popleft()
+                # Yield after the refill, so the workers search on
+                # while the consumer stores what they returned.
+                for future in finished:
+                    yield future.result()
+                if not in_flight:
+                    break
+                done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
+                finished = []
+                # In submission order: lost cells go back in the
+                # order they were scheduled.
+                for future in [f for f in in_flight if f in done]:
+                    task = in_flight.pop(future)
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        broken = True
+                        lost.append(task)
+                    else:
+                        finished.append(future)
+        finally:
+            # Waits for the cells still in flight (at most one per
+            # worker) when the consumer stops early; no worker
+            # outlives the run.
+            pool.shutdown(cancel_futures=True)
+        if len(lost) == 1:
+            # The one cell in flight when its pool broke: the loss is
+            # its own.
+            (task,) = lost
+            losses[task[0]] += 1
+            if losses[task[0]] > MAX_RETRIES:
+                failed.append(task)
+                continue
+        alone.extendleft(reversed(lost))
+    if failed:
+        cells = ", ".join(
+            f"{key} ({cell.method.value} B={cell.batch_size})"
+            for _index, key, cell in failed
         )
-        queued = deque(tasks)
-        losses: Counter[int] = Counter()
-        failed: list[Task] = []
-        while queued:
-            pool = ProcessPoolExecutor(
-                n_proc,
-                mp_context=mp_context,
-                initializer=_init_worker,
-                initargs=(*context, get_recorder().enabled),
-            )
-            in_flight: dict[Future[Result], Task] = {}
-            finished: list[Future[Result]] = []
-            lost: list[Task] = []
-            broken = False
-            try:
-                while True:
-                    while queued and not broken and len(in_flight) < n_proc:
-                        index, _key, cell = queued[0]
-                        try:
-                            future = pool.submit(_search_indexed, (index, cell))
-                        except BrokenProcessPool:
-                            broken = True  # an idle worker died
-                        else:
-                            in_flight[future] = queued.popleft()
-                    # Yield after the refill, so the workers search on
-                    # while the consumer stores what they returned.
-                    for future in finished:
-                        yield future.result()
-                    if not in_flight:
-                        break
-                    done, _pending = wait(in_flight, return_when=FIRST_COMPLETED)
-                    finished = []
-                    # In submission order: lost cells go back in the
-                    # order they were scheduled (longest first).
-                    for future in [f for f in in_flight if f in done]:
-                        task = in_flight.pop(future)
-                        if isinstance(future.exception(), BrokenProcessPool):
-                            broken = True
-                            lost.append(task)
-                        else:
-                            finished.append(future)
-            finally:
-                # Waits for the cells still in flight (at most one per
-                # worker) when the consumer stops early; no worker
-                # outlives the run.
-                pool.shutdown(cancel_futures=True)
-            for task in lost:
-                losses[task[0]] += 1
-            failed += [task for task in lost if losses[task[0]] > MAX_RETRIES]
-            queued.extendleft(
-                reversed([task for task in lost if losses[task[0]] <= MAX_RETRIES])
-            )
-        if failed:
-            cells = ", ".join(
-                f"{key} ({cell.method.value} B={cell.batch_size})"
-                for _index, key, cell in failed
-            )
-            raise SweepError(
-                f"{len(failed)} cell(s) lost their worker more than "
-                f"MAX_RETRIES={MAX_RETRIES} times: {cells}"
-            )
+        raise SweepError(
+            f"{len(failed)} cell(s) lost their worker alone more than "
+            f"MAX_RETRIES={MAX_RETRIES} times: {cells}"
+        )

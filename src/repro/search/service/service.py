@@ -1,9 +1,9 @@
 """``run_sweep``: the resumable sweep entry point.
 
 One call searches a set of (method, batch size) cells on the process
-pool (:class:`~repro.search.service.executors.MultiprocessingExecutor`,
-or in the calling process with ``processes=1``) and, when a checkpoint
-directory is given, persists every completed cell as it lands.  With
+pool (:func:`~repro.search.service.executors.run_cells`, or in the
+calling process with ``processes=1``) and, when a checkpoint directory
+is given, persists every completed cell as it lands.  With
 ``resume=True`` the sweep first satisfies cells from valid checkpoints
 and only schedules the remainder — an interrupted full-paper grid loses
 at most the cells that were in flight, and a finished grid replays
@@ -15,6 +15,10 @@ safely accumulate cells from different models, clusters, calibrations
 and panels, and a checkpoint can never be resumed against the wrong
 inputs.  Duplicate cells in the input are searched once and fanned back
 to every position.
+
+The cells left to search run in an order computed from the cells alone
+(:func:`_schedule`); each finished cell's timing sidecar is written for
+``sweep-trace`` (:mod:`repro.viz.sweep_trace`), never read back here.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from repro.obs import (
     recording,
     write_snapshot_line,
 )
+from repro.parallel.config import Method
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome
-from repro.search.service.checkpoint import CheckpointStore
-from repro.search.service.executors import MultiprocessingExecutor
+from repro.search.service.executors import Task, run_cells
 from repro.search.service.memo import MemoStore
 from repro.search.service.progress import ProgressReporter
 from repro.search.service.serialize import cell_key, group_key
@@ -108,74 +112,33 @@ class SweepOptions:
             )
 
 
-def _order_longest_first(
-    store: CheckpointStore | None, tasks: list
-) -> tuple[list, dict[str, float]]:
-    """Family-clustered longest-first order; also the cost estimates.
+def _schedule(tasks: list[Task]) -> list[Task]:
+    """The order to search ``tasks`` in: a method's cells together, big first.
 
-    Cells of one *method* share pricing families across batch sizes (a
-    family is ``(n_pp, n_loop, s_mb, n_tp)`` — batch size only changes
-    how many micro-batches flow through it), so scheduling a method's
-    cells consecutively means most cells after the group's first run
-    against family caches that their worker already warmed.  Groups are
-    ordered by their *longest* member (descending), cells within a
-    group longest-first, which preserves the critical-path property:
-    the giant that would otherwise finish alone at the end still starts
-    first.
-
-    Recorded wall-clock from the checkpoint store's timing sidecars (a
-    previous run over the same directory) ranks known cells exactly;
-    cells without a record are put on the same seconds scale by
-    estimating from the steepest recorded seconds-per-sample rate (batch
-    size is the dominant cost driver — more candidates, more
-    micro-batches per simulation), so a big *new* cell still schedules
-    ahead of small recorded ones instead of defaulting to the back of
-    the queue.  With no records at all the estimate degenerates to
-    batch-size order.  Every cell of a sweep shares one objective, so
-    the order and the ratios of the estimates (all the ETA reads) need
-    no per-objective cost scale.  Front-loading long cells shortens
-    a parallel sweep's critical path — no worker is left finishing a
-    giant cell alone at the end — and makes the rate-based ETA an
-    overestimate that only improves, instead of an early underestimate.
-    Input order is restored when results are assembled, so scheduling
+    Cells of one method share pricing families across batch sizes (a
+    family is ``(n_pp, n_loop, s_mb, n_tp)``; the batch size only sets
+    how many micro-batches flow through it), so a method's cells run
+    consecutively: every cell after the first finds the family caches
+    its worker already warmed.  Methods run by their largest batch size,
+    descending, then by name; a method's cells by batch size,
+    descending, then by key.  Batch size is what makes a cell long (more
+    candidates, more micro-batches per simulation), so the longest cell
+    still starts first and no worker is left finishing it alone at the
+    end.  Input order is restored when results are assembled, so the
     order never changes what the sweep returns.
-
-    Returns ``(ordered_tasks, estimated_seconds_by_key)``; the estimates
-    feed the progress reporter's cost-weighted ETA, so one giant cell
-    finishing first doesn't read as "every cell takes this long".
     """
-    recorded: dict[str, float] = {}
-    if store is not None:
-        for _index, key, _cell in tasks:
-            seconds = store.load_timing(key)
-            if seconds is not None:
-                recorded[key] = seconds
-    rate = max(
-        (
-            recorded[key] / max(1, cell.batch_size)
-            for _index, key, cell in tasks
-            if key in recorded
-        ),
-        default=1.0,
-    )
-
-    estimates = {
-        key: recorded.get(key, rate * cell.batch_size)
-        for _index, key, cell in tasks
-    }
-    peak: dict = {}
-    for _index, key, cell in tasks:
-        peak[cell.method] = max(peak.get(cell.method, 0.0), estimates[key])
-    ordered = sorted(
+    largest: dict[Method, int] = {}
+    for _index, _key, cell in tasks:
+        largest[cell.method] = max(largest.get(cell.method, 0), cell.batch_size)
+    return sorted(
         tasks,
         key=lambda task: (
-            -peak[task[2].method],
+            -largest[task[2].method],
             task[2].method.name,
-            -estimates[task[1]],
+            -task[2].batch_size,
             task[1],
         ),
     )
-    return ordered, estimates
 
 
 def run_sweep(
@@ -197,7 +160,8 @@ def run_sweep(
 
     Raises:
         SweepError: A cell lost its pool worker more than
-            :data:`~repro.search.service.executors.MAX_RETRIES` times.
+            :data:`~repro.search.service.executors.MAX_RETRIES` times
+            while it was the one cell in flight.
     """
     if options is None:
         options = SweepOptions()
@@ -231,12 +195,13 @@ def run_sweep(
         for key in outcomes:
             store.annotate_group(key, group)
 
-    tasks = [
-        (index, key, cell)
-        for key, (index, cell) in first_of.items()
-        if key not in outcomes
-    ]
-    tasks, estimates = _order_longest_first(store, tasks)
+    tasks = _schedule(
+        [
+            (index, key, cell)
+            for key, (index, cell) in first_of.items()
+            if key not in outcomes
+        ]
+    )
     key_of_index = {index: key for index, key, _cell in tasks}
 
     reporter = (
@@ -244,10 +209,8 @@ def run_sweep(
         if options.progress
         else None
     )
-    if reporter is not None:
-        reporter.expect(estimates[key] for _index, key, _cell in tasks)
-        if outcomes:
-            reporter.skip(len(outcomes))
+    if reporter is not None and outcomes:
+        reporter.skip(len(outcomes))
 
     # Coordinator-side metrics: record into whatever recorder is active
     # (the CLI installs one for --metrics-out); when none is and the
@@ -263,9 +226,10 @@ def run_sweep(
         rec.count("sweep.cells_total", len(first_of))
         rec.count("sweep.cells_from_checkpoints", len(outcomes))
         if tasks:
-            executor = MultiprocessingExecutor(processes=options.processes)
             context = (spec, cluster, calibration, settings)
-            results = stack.enter_context(closing(executor.run(context, tasks)))
+            results = stack.enter_context(
+                closing(run_cells(context, tasks, processes=options.processes))
+            )
             with rec.span("sweep.run"):
                 for index, outcome, report in results:
                     key = key_of_index[index]
@@ -282,7 +246,7 @@ def run_sweep(
                     if report.metrics is not None:
                         merge_snapshot(rec, report.metrics)
                     if reporter is not None:
-                        reporter.update(cost=estimates.get(key))
+                        reporter.update()
     if own_registry is not None:
         write_snapshot_line(
             Path(options.metrics_out) / "coordinator.jsonl",

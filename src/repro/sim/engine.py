@@ -47,14 +47,14 @@ no lowerings, so it runs the wavefront.
 An instruction's start time depends only on finish times that are
 already final and on its stream's previous instruction, never on the
 order the sweeps visit streams in, so both entry points and the ordered
-replay match the seed relaxation engine (preserved as
-:func:`repro.sim.engine_sweep.run_streams_sweep`, the independent
-oracle) bit for bit, including its diagnostics: a duplicate uid raises
-``ValueError``, and otherwise a program that stops short of completion
-reports every blocked stream head with the dependencies it is waiting
-on (:func:`record_order` rejects such a program with the same
-messages).  ``tests/test_differential.py`` holds the parity on real
-programs and ``tests/test_engine_differential.py`` on random ones.
+replay match the seed relaxation engine (``run_streams_sweep``, kept
+among the tests as the independent oracle) bit for bit, including its
+diagnostics: a duplicate uid raises ``ValueError``, and otherwise a
+program that stops short of completion reports every blocked stream
+head with the dependencies it is waiting on (:func:`record_order`
+rejects such a program with the same messages).
+``tests/test_differential.py`` holds the parity on real programs and
+``tests/test_engine_differential.py`` on random ones.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Reference relaxation engine (the original `run_streams`).
 
 This is the seed implementation of the multi-stream engine, kept
-verbatim as the independent correctness oracle.  It checks every uid
+verbatim as the independent correctness oracle.  Only the tests use it,
+so it lives beside them: a test imports it as ``engine_sweep``.  It checks every uid
 for duplicates up front, then sweeps all streams repeatedly, running
 each head instruction whose dependencies have finished, until every
 instruction has run or a sweep runs nothing (a deadlock, reported with
@@ -12,12 +13,12 @@ without the up-front uid scan, drops finished streams from later sweeps
 and accumulates stream busy after the run; every stream walk in the
 package — simulation, delta replay, schedule validation, the NumPy
 runtime's op order and the static verifier's cycle search — goes
-through its core.  ``tests/test_differential.py`` asserts both engines
+through its core.  ``test_differential.py`` asserts both engines
 produce identical ``finish_times``, ``stream_busy``, ``makespan`` and
 timelines on real programs of every schedule kind, and
-``tests/test_engine_differential.py`` holds
-``run_streams``, ``run_streams_delta`` and the verifier's cycle search
-to this oracle on random programs, faulty ones included.
+``test_engine_differential.py`` holds ``run_streams``,
+``run_streams_delta`` and the verifier's cycle search to this oracle
+on random programs, faulty ones included.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel, _stage_time_table
 from repro.sim.cost_batch import price_families
 from repro.sim.engine import Instruction, run_streams
-from repro.sim.engine_sweep import run_streams_sweep
 from repro.sim.program import (
     _duration_table,
     _layout,
@@ -86,6 +85,8 @@ from repro.sim.simulator import simulate
 from repro.verify.cli import zoo_configs
 from repro.verify.memory_static import static_in_flight
 from repro.verify.program import _canonical_order
+
+from engine_sweep import run_streams_sweep
 
 FITTED_CALIBRATION = load_calibration(
     Path(__file__).resolve().parent.parent / "fitted_calibration.json"

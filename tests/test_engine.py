@@ -10,7 +10,8 @@ from repro.sim.engine import (
     record_order,
     run_streams,
 )
-from repro.sim.engine_sweep import run_streams_sweep
+
+from engine_sweep import run_streams_sweep
 
 
 def instr(uid, dur=1.0, deps=(), label=""):

@@ -8,10 +8,10 @@ uids the program does not contain, and some instructions reuse an
 earlier instruction's uid.
 
 - :func:`repro.sim.engine.run_streams` equals the seed sweep engine
-  :func:`repro.sim.engine_sweep.run_streams_sweep`, the independent
-  oracle: finish times, stream busy, makespan and events, or the same
-  exception type and message (``ValueError`` for a duplicate uid,
-  :class:`~repro.sim.engine.EngineDeadlock` otherwise);
+  :func:`engine_sweep.run_streams_sweep` (``tests/engine_sweep.py``),
+  the independent oracle: finish times, stream busy, makespan and
+  events, or the same exception type and message (``ValueError`` for a
+  duplicate uid, :class:`~repro.sim.engine.EngineDeadlock` otherwise);
 - :func:`repro.sim.engine.run_streams_delta` replaying a sibling of a
   valid base program (durations changed, stream tails dropped,
   dependencies on absent uids or on later instructions added, uids
@@ -51,8 +51,9 @@ from repro.sim.engine import (
     run_streams,
     run_streams_delta,
 )
-from repro.sim.engine_sweep import run_streams_sweep
 from repro.verify.deadlock import check_dependency_graph
+
+from engine_sweep import run_streams_sweep
 
 STREAM_NAMES = ("compute", "pp", "dp")
 

@@ -131,6 +131,19 @@ class TestSettingsSerialization:
         )
         assert a != b
 
+    def test_an_integral_headroom_keys_like_its_float(self):
+        cell = SweepCell(Method.BREADTH_FIRST, 32)
+        keys = {
+            cell_key(
+                MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell,
+                SearchSettings(
+                    objective=MemoryConstrainedThroughput(headroom=h)
+                ),
+            )
+            for h in (1, 1.0)
+        }
+        assert len(keys) == 1
+
 
 class TestAccountingPerObjective:
     """Satellite: the counter contract holds for every objective."""

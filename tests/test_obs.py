@@ -81,8 +81,6 @@ class TestDisabledRecorder:
         rec = NULL_RECORDER
         rec.count("a")
         rec.count("a", 5.0)
-        rec.gauge("b", 1.0)
-        rec.gauge_max("b", 2.0)
         rec.observe("c", 0.5)
         with rec.span("outer", key="k"):
             with rec.timer("t"):
@@ -120,18 +118,13 @@ class TestDisabledRecorder:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_histograms(self):
         registry = make_registry()
         registry.count("cells")
         registry.count("cells", 2.0)
-        registry.gauge("busy", 0.25)
-        registry.gauge("busy", 0.75)  # last write wins
-        registry.gauge_max("hw", 3.0)
-        registry.gauge_max("hw", 1.0)  # never lowers
         registry.observe("ratio", 0.5)
         registry.observe("ratio", 0.7)
         assert registry.counters == {"cells": 3.0}
-        assert registry.gauges == {"busy": 0.75, "hw": 3.0}
         assert registry.histograms == {"ratio": [0.5, 0.7]}
 
     def test_span_nesting_depth_and_containment(self):
@@ -190,7 +183,6 @@ class TestSnapshots:
         clock = FakeClock()
         registry = make_registry(clock)
         registry.count("n", 2.0)
-        registry.gauge("g", 1.5)
         registry.observe("h", 0.5)
         registry.observe("h", 1.5)
         with registry.span("s", key="k"):
@@ -207,6 +199,20 @@ class TestSnapshots:
         assert hist["max"] == 1.5
         assert hist["values"] == [0.5, 1.5]
         assert restored["meta"] == {"run": "test"}
+
+    def test_older_snapshots_with_gauges_still_read_and_merge(self):
+        # Snapshots once carried a "gauges" dict.  It still reads, and
+        # a merge keeps the counters and leaves it out.
+        registry = make_registry()
+        registry.count("n", 2.0)
+        older = registry.snapshot()
+        older["gauges"] = {"worker.busy_fraction": 0.8}
+        restored = snapshot_from_json(json.loads(json.dumps(older)))
+        assert restored["gauges"] == {"worker.busy_fraction": 0.8}
+        coordinator = make_registry()
+        merge_snapshot(coordinator, restored)
+        assert coordinator.counters == {"n": 2.0}
+        assert "gauges" not in coordinator.snapshot()
 
     @pytest.mark.parametrize(
         "payload",
@@ -252,17 +258,6 @@ class TestMergeSnapshot:
         merge_snapshot(coordinator, worker.snapshot())
         assert coordinator.counters == {"cells": 5.0, "fresh": 1.0}
 
-    def test_gauges_keep_the_high_water_mark(self):
-        worker = make_registry()
-        worker.gauge("lower", 1.0)
-        worker.gauge("higher", 9.0)
-        worker.gauge("fresh", 4.0)
-        coordinator = make_registry()
-        coordinator.gauge("lower", 5.0)
-        coordinator.gauge("higher", 5.0)
-        merge_snapshot(coordinator, worker.snapshot())
-        assert coordinator.gauges == {"lower": 5.0, "higher": 9.0, "fresh": 4.0}
-
     def test_histograms_append_and_spans_stay_behind(self):
         clock = FakeClock()
         worker = make_registry(clock)
@@ -279,7 +274,7 @@ class TestMergeSnapshot:
     def test_per_cell_snapshots_merge_to_one_recording(self):
         # The pool contract without the pool: recording each cell into a
         # fresh registry and merging the snapshots gives exactly the
-        # counters, gauges and histogram sizes of one registry recording
+        # counters and histogram sizes of one registry recording
         # every cell.  Both sides start from cold pricing caches, so the
         # warm-start counters must agree too.
         cells = [(Method.DEPTH_FIRST, 8), (Method.NO_PIPELINE, 64)]
@@ -308,7 +303,6 @@ class TestMergeSnapshot:
 
         assert merged.counters == whole.counters
         assert merged.counters["search.cells"] == len(cells)
-        assert merged.gauges == whole.gauges
         assert {k: len(v) for k, v in merged.histograms.items()} == {
             k: len(v) for k, v in whole.histograms.items()
         }
@@ -429,10 +423,11 @@ class TestReport:
         worker = MetricsRegistry(actor="w0")
         worker.count("worker.cells_completed", 3)
         worker.count("queue.events.claim", 3)
-        worker.gauge("worker.busy_fraction", 0.8)
+        older = worker.snapshot()
+        older["gauges"] = {"worker.busy_fraction": 0.8}
         coordinator = MetricsRegistry(actor="coordinator")
         coordinator.count("sweep.cells_total", 3)
-        report = build_report([worker.snapshot(), coordinator.snapshot()])
+        report = build_report([older, coordinator.snapshot()])
         assert report.n_snapshots == 2
         assert report.service == {"cells_total": 3.0}
         assert "service: cells_total=3" in report.format()

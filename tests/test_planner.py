@@ -165,9 +165,9 @@ class TestAnswers:
         assert evicted.sources == ("computed",)
         assert evicted.outcomes == answers[0].outcomes
 
-    def test_equal_requests_keep_the_keys_of_their_own_values(self, tmp_path):
-        # 1 == 1.0, but a headroom of 1 and one of 1.0 hash to different
-        # cell keys: the planner answers each under its own keys.
+    def test_equal_requests_share_one_key(self, tmp_path):
+        # 1 == 1.0, and a headroom of 1 hashes like one of 1.0: the
+        # planner answers both under one query key and one cell key.
         requests = [
             _request(objective="memory-constrained", memory_headroom=headroom)
             for headroom in (1.0, 1)
@@ -175,12 +175,14 @@ class TestAnswers:
         assert requests[0] == requests[1]
         with Planner(tmp_path) as planner:
             answers = [_plan(planner, request) for request in requests]
-            expected = [
+            expected = {
                 query_key(request.resolve(), planner.calibration)
                 for request in requests
-            ]
-        assert [answer.query_key for answer in answers] == expected
-        assert expected[0] != expected[1]
+            }
+        assert len(expected) == 1
+        assert {answer.query_key for answer in answers} == expected
+        assert answers[0].cell_keys == answers[1].cell_keys
+        assert answers[1].sources == ("exact",)
 
     def test_cell_keys_match_the_sweep_service_scheme(self, tmp_path):
         # A plan decomposes into exactly the cell keys a sweep over the
@@ -290,6 +292,24 @@ class TestProtocol:
     )
     def test_request_validation_rejects_bad_batches(self, bad):
         with pytest.raises(ValueError):
+            _request(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(batch_sizes=(8.0,)),
+            dict(batch_sizes=(True,)),
+            dict(batch_sizes=("8",)),
+            dict(include_hybrid=1),
+            dict(include_hybrid="false"),
+        ],
+        ids=["float-batch", "bool-batch", "str-batch", "int-hybrid",
+             "str-hybrid"],
+    )
+    def test_requests_refuse_values_equal_to_another_type(self, bad):
+        # 8.0 == 8 and 1 == True, but neither serializes like the other:
+        # accepted, such a request would equal one whose keys differ.
+        with pytest.raises(ValueError, match="must be"):
             _request(**bad)
 
     def test_requests_hold_their_sequences_as_tuples(self):

@@ -30,17 +30,19 @@ from repro.search.service import (
     MAX_RETRIES,
     CheckpointStore,
     MemoStore,
-    MultiprocessingExecutor,
     SweepCell,
     SweepError,
     SweepOptions,
     cell_key,
     outcome_from_json,
     outcome_to_json,
+    run_cells,
     run_sweep,
 )
 from repro.search.service import executors as executors_mod
+from repro.search.service import service as service_mod
 from repro.search.service.progress import ProgressReporter
+from repro.search.service.service import _schedule
 from repro.search.service.serialize import (
     context_from_json,
     context_to_json,
@@ -393,7 +395,7 @@ class TestRunSweep:
 
 
 class TestCellTiming:
-    """Per-cell wall-clock sidecars and longest-cell-first scheduling."""
+    """Per-cell wall-clock sidecars, which ``sweep-trace`` reads."""
 
     def test_sweep_records_timing_sidecars(self, tmp_path):
         opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
@@ -403,16 +405,15 @@ class TestCellTiming:
             key = cell_key(
                 MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
             )
-            seconds = store.load_timing(key)
-            assert seconds is not None and seconds > 0
+            assert store.load_timing_record(key)["seconds"] > 0
 
     def test_timing_sidecar_round_trip_and_corruption(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.store_timing("abc123", 1.25)
-        assert store.load_timing("abc123") == 1.25
-        assert store.load_timing("missing") is None
+        assert store.load_timing_record("abc123")["seconds"] == 1.25
+        assert store.load_timing_record("missing") is None
         store.timing_path_for("bad999").write_bytes(b"{nope")
-        assert store.load_timing("bad999") is None  # silently advisory
+        assert store.load_timing_record("bad999") is None  # silently advisory
         with pytest.raises(ValueError):
             store.store_timing("abc123", -1.0)
 
@@ -424,13 +425,13 @@ class TestCellTiming:
         record = json.loads(path.read_bytes())
         record["retired_field"] = 0.9
         path.write_text(json.dumps(record))
-        assert store.load_timing("abc123") == 1.25
+        assert store.load_timing_record("abc123")["seconds"] == 1.25
 
     def test_non_object_sidecar_does_not_stop_a_resume(
         self, tmp_path, outcomes
     ):
-        # Scheduling reads every sidecar; one holding a JSON list is
-        # ignored like any unreadable one, and rewritten.
+        # A sidecar holding a JSON list is ignored like any unreadable
+        # one, and rewritten when its cell is searched again.
         opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
         store = CheckpointStore(tmp_path)
@@ -444,7 +445,7 @@ class TestCellTiming:
             options=replace(opts, resume=True),
         )
         assert resumed == outcomes
-        assert store.load_timing(key) > 0
+        assert store.load_timing_record(key)["seconds"] > 0
 
     def test_timing_files_do_not_pollute_checkpoint_keys(
         self, tmp_path, outcomes
@@ -454,64 +455,61 @@ class TestCellTiming:
         store.store_timing("deadbeef", 2.0)
         assert store.keys() == ["deadbeef"]
 
-    def test_recorded_timings_schedule_longest_first(self, tmp_path):
-        from repro.search.service.service import _order_longest_first
 
-        store = CheckpointStore(tmp_path)
+def _task(key, method, batch_size):
+    return (0, key, SweepCell(method, batch_size))
+
+
+class TestSchedule:
+    """The order a sweep searches its cells in, from the cells alone."""
+
+    def test_methods_by_largest_batch_then_cells_by_batch(self):
+        # As in a partly resumed sweep, the methods' largest batch
+        # sizes differ: depth-first (64) runs before no-pipeline (32),
+        # and breadth-first and non-looped tie at 16 and go by name.
+        # Equal cells go by key.
         tasks = [
-            (0, "aaa", SweepCell(Method.NO_PIPELINE, 8)),
-            (1, "bbb", SweepCell(Method.NO_PIPELINE, 64)),
-            (2, "ccc", SweepCell(Method.DEPTH_FIRST, 16)),
+            _task("a", Method.NO_PIPELINE, 8),
+            _task("b", Method.BREADTH_FIRST, 16),
+            _task("c", Method.DEPTH_FIRST, 8),
+            _task("d", Method.NO_PIPELINE, 32),
+            _task("e", Method.NON_LOOPED, 16),
+            _task("f", Method.DEPTH_FIRST, 64),
+            _task("h", Method.BREADTH_FIRST, 4),
+            _task("g", Method.BREADTH_FIRST, 4),
         ]
-        store.store_timing("aaa", 0.5)
-        store.store_timing("ccc", 9.0)
-        ordered, _estimates = _order_longest_first(store, tasks)
-        # Recorded cells rank by their measured seconds; the unrecorded
-        # B=64 cell is estimated from the steepest recorded rate
-        # (9.0s / 16 samples), putting its ~36s ahead of both — a big
-        # new cell must not be scheduled after small known ones.
-        # Ordering is family-clustered: cells of one method stay
-        # consecutive (they share pricing families), so the small
-        # NO_PIPELINE cell rides with its giant sibling ahead of the
-        # DEPTH_FIRST group.
-        assert [key for _i, key, _c in ordered] == ["bbb", "aaa", "ccc"]
-
-    def test_unknown_cells_order_by_batch_size(self, tmp_path):
-        from repro.search.service.service import _order_longest_first
-
-        store = CheckpointStore(tmp_path)
-        tasks = [
-            (0, "aaa", SweepCell(Method.NO_PIPELINE, 8)),
-            (1, "bbb", SweepCell(Method.NO_PIPELINE, 64)),
+        assert [key for _i, key, _c in _schedule(tasks)] == [
+            "f", "c", "d", "a", "b", "g", "h", "e",
         ]
-        ordered, _estimates = _order_longest_first(store, tasks)
-        assert [key for _i, key, _c in ordered] == ["bbb", "aaa"]
 
-    def test_recorded_seconds_are_used_as_measured(self, tmp_path):
-        from repro.search.service.service import _order_longest_first
+    def test_sidecars_do_not_change_the_order(self, tmp_path, monkeypatch):
+        # Timings recorded by an earlier run over the directory, which
+        # rank the cells against their batch sizes, leave the order as
+        # the cells give it.
+        scheduled = []
 
+        def record(context, tasks, *, processes):
+            scheduled.append([index for index, _key, _cell in tasks])
+            return executors_mod.run_cells(context, tasks, processes=processes)
+
+        monkeypatch.setattr(service_mod, "run_cells", record)
         store = CheckpointStore(tmp_path)
-        tasks = [
-            (0, "aaa", SweepCell(Method.NO_PIPELINE, 16)),
-            (1, "bbb", SweepCell(Method.NO_PIPELINE, 64)),
-        ]
-        # A recorded sidecar's seconds are the estimate verbatim; the
-        # unrecorded cell is estimated from that cell's rate per sample.
-        store.store_timing("aaa", 8.0)
-        _o, estimates = _order_longest_first(store, tasks)
-        assert estimates == {"aaa": 8.0, "bbb": 8.0 / 16 * 64}
-
-    def test_scheduling_order_never_changes_results(self, tmp_path, outcomes):
-        # Seed timings that force a non-input order, then sweep: results
-        # must still come back in input order.
-        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
-        store = CheckpointStore(tmp_path)
-        for cell, seconds in zip(CELLS, (1.0, 50.0, 10.0)):
+        for cell, seconds in zip(CELLS, (50.0, 1.0, 90.0)):
             key = cell_key(
                 MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
             )
             store.store_timing(key, seconds)
-        got = run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
+        run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
+        assert scheduled == [[1, 0, 2]]
+
+    def test_scheduling_order_never_changes_results(self, outcomes):
+        # The schedule (B=64, B=8, then depth-first) is not the input
+        # order, yet results come back in input order.
+        got = run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=1),
+        )
         assert got == outcomes
 
 
@@ -604,17 +602,15 @@ class TestBackendParity:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        executor = MultiprocessingExecutor(processes=processes)
-        results = list(executor.run(POOL_CONTEXT, POOL_TASKS))
+        results = list(run_cells(POOL_CONTEXT, POOL_TASKS, processes=processes))
         assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
         assert started == sizes
 
     def test_pool_reports_carry_no_metrics_when_not_recording(self):
-        executor = MultiprocessingExecutor(processes=2)
         reports = [
             report
-            for _index, _outcome, report in executor.run(
-                POOL_CONTEXT, POOL_TASKS
+            for _index, _outcome, report in run_cells(
+                POOL_CONTEXT, POOL_TASKS, processes=2
             )
         ]
         assert len(reports) == len(CELLS)
@@ -624,9 +620,8 @@ class TestBackendParity:
         # Each report holds one cell's snapshot, recorded in the worker;
         # folding it into the coordinator is run_sweep's job, so running
         # the executor alone leaves the coordinator's registry empty.
-        executor = MultiprocessingExecutor(processes=2)
         with recording(MetricsRegistry()) as registry:
-            results = list(executor.run(POOL_CONTEXT, POOL_TASKS))
+            results = list(run_cells(POOL_CONTEXT, POOL_TASKS, processes=2))
         assert registry.counters == {}
         assert sorted(index for index, _outcome, _report in results) == [0, 1, 2]
         for _index, outcome, report in results:
@@ -643,9 +638,7 @@ class TestBackendParity:
         # places the cell on a lane of the sweep trace.
         before = time.time()
         results = list(
-            MultiprocessingExecutor(processes=processes).run(
-                POOL_CONTEXT, POOL_TASKS
-            )
+            run_cells(POOL_CONTEXT, POOL_TASKS, processes=processes)
         )
         after = time.time()
         workers = {report.worker for _index, _outcome, report in results}
@@ -816,21 +809,21 @@ class TestPoolRetry:
     @staticmethod
     def start(monkeypatch, **script):
         script = PoolScript(monkeypatch, **script)
-        results = MultiprocessingExecutor(processes=2).run(
-            POOL_CONTEXT, POOL_TASKS
-        )
+        results = run_cells(POOL_CONTEXT, POOL_TASKS, processes=2)
         return script, results
 
-    def test_lost_cells_are_searched_again_in_a_fresh_pool(
+    def test_lost_cells_rerun_alone_in_a_fresh_pool(
         self, monkeypatch, outcomes
     ):
         script, results = self.start(
             monkeypatch, kills=lambda index, n: index == 1 and n == 0
         )
         assert _by_index(results) == outcomes
-        # Both cells in flight were lost.  They go back ahead of the cell
-        # never submitted, in their scheduled order.
-        assert script.submitted == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+        # Both cells in flight were lost.  They rerun one at a time in a
+        # one-worker pool, in their scheduled order, ahead of the cell
+        # never submitted.
+        assert script.submitted == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]
+        assert [pool.max_workers for pool in script.pools] == [2, 1, 2]
 
     def test_every_fresh_pool_is_built_like_the_first(self, monkeypatch):
         script, results = self.start(monkeypatch, kills=lambda index, n: n == 0)
@@ -839,41 +832,44 @@ class TestPoolRetry:
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
         )
-        assert len(script.pools) == 3
+        # Cells 0 and 1 are lost together and rerun alone; cell 2 is
+        # lost alone in the next full pool and reruns alone.
+        assert [pool.max_workers for pool in script.pools] == [2, 1, 2, 1]
         for pool in script.pools:
-            assert pool.max_workers == 2
             assert pool.start_method == start_method
             assert pool.initializer is executors_mod._init_worker
-            assert pool.initargs == (*POOL_CONTEXT, False)
+            assert pool.initargs == (*POOL_CONTEXT, False, os.getpid())
 
-    def test_a_cell_lost_max_retries_times_still_completes(
+    def test_a_cell_lost_alone_max_retries_times_still_completes(
         self, monkeypatch, outcomes
     ):
-        script, results = self.start(
-            monkeypatch, kills=lambda index, n: index == 1 and n < MAX_RETRIES
-        )
-        assert _by_index(results) == outcomes
-        assert script.handed_out[1] == MAX_RETRIES + 1
-
-    def test_every_cell_lost_once_more_is_named(self, monkeypatch):
-        # Cell 1 kills its worker once more than MAX_RETRIES allows.  Cell
-        # 0 is in flight beside it each time and is charged each loss
-        # too, so both fail; cell 2, submitted after them, completes and
-        # comes back before the error.
+        # Cell 1 is lost once beside cell 0, uncharged, then alone
+        # MAX_RETRIES times.
         script, results = self.start(
             monkeypatch, kills=lambda index, n: index == 1 and n <= MAX_RETRIES
+        )
+        assert _by_index(results) == outcomes
+        assert script.handed_out[1] == MAX_RETRIES + 2
+
+    def test_only_the_cell_lost_alone_is_named(self, monkeypatch):
+        # Cell 1 kills every worker that takes it.  Cell 0 is in flight
+        # beside it once, is not charged, and completes when it reruns
+        # alone; cell 2, submitted after them, completes too.  Both come
+        # back before the error, which names cell 1 alone.
+        script, results = self.start(
+            monkeypatch, kills=lambda index, n: index == 1
         )
         yielded = []
         with pytest.raises(SweepError) as raised:
             for index, _outcome, _report in results:
                 yielded.append(index)
-        assert yielded == [2]
+        assert yielded == [0, 2]
         message = str(raised.value)
-        assert message.startswith("2 cell(s) lost their worker")
-        for index, key, cell in POOL_TASKS[:2]:
-            assert f"{key} ({cell.method.value} B={cell.batch_size})" in message
-        assert "k2" not in message
-        assert script.handed_out == {0: MAX_RETRIES + 1, 1: MAX_RETRIES + 1, 2: 1}
+        assert message.startswith("1 cell(s) lost their worker alone")
+        _index, key, cell = POOL_TASKS[1]
+        assert f"{key} ({cell.method.value} B={cell.batch_size})" in message
+        assert "k0" not in message and "k2" not in message
+        assert script.handed_out == {0: 2, 1: MAX_RETRIES + 2, 2: 1}
 
     def test_a_cell_refused_at_submit_is_not_charged(
         self, monkeypatch, outcomes
@@ -910,17 +906,30 @@ class TestPoolRetry:
         assert len(script.pools) > 1
         assert all(pool.shutdowns == [True] for pool in script.pools)
 
-    def test_a_failed_sweep_keeps_its_finished_cells(self, monkeypatch, tmp_path):
-        # run_sweep schedules the B=64 cell (input index 1) first, with
-        # the B=8 cell beside it: both fail.  The depth-first cell lands
-        # and is checkpointed, so a resume searches only the failed two.
+    def test_a_cell_beside_a_killer_is_checkpointed(
+        self, monkeypatch, tmp_path, outcomes
+    ):
+        # run_sweep schedules the B=64 cell (input index 1), which kills
+        # every worker, and the healthy B=8 cell in one round.  The B=8
+        # cell is not charged for that loss: it lands and is
+        # checkpointed with the depth-first cell, the error names the
+        # killer alone, and a resume searches only the killer.
         PoolScript(monkeypatch, kills=lambda index, n: index == 1)
         opts = SweepOptions(processes=2, checkpoint_dir=tmp_path)
-        with pytest.raises(SweepError):
+        with pytest.raises(SweepError) as raised:
             run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
-        assert CheckpointStore(tmp_path).keys() == [
-            cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[2])
+        keys = [
+            cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell)
+            for cell in CELLS
         ]
+        message = str(raised.value)
+        assert message.startswith("1 cell(s) lost their worker")
+        assert keys[1] in message and keys[0] not in message
+        store = CheckpointStore(tmp_path)
+        assert store.keys() == sorted([keys[0], keys[2]])
+        assert store.path_for(keys[0]).read_bytes() == store.payload_bytes(
+            keys[0], outcomes[0]
+        )
         PoolScript(monkeypatch)
         with recording(MetricsRegistry()) as registry:
             run_sweep(
@@ -928,8 +937,8 @@ class TestPoolRetry:
                 options=replace(opts, resume=True),
             )
         counters = registry.snapshot()["counters"]
-        assert counters["sweep.cells_from_checkpoints"] == 1
-        assert counters["sweep.cells_computed"] == 2
+        assert counters["sweep.cells_from_checkpoints"] == 2
+        assert counters["sweep.cells_computed"] == 1
 
 
 #: One faulted pool sweep over ``CELLS``, run by :func:`_run_faulted` in
@@ -948,8 +957,8 @@ from repro.models.presets import MODEL_6_6B
 from repro.obs import MetricsRegistry, recording
 from repro.parallel.config import Method
 from repro.search.service import (
-    DEFAULT_SETTINGS, MultiprocessingExecutor, SweepCell, SweepError,
-    SweepOptions, outcome_to_json, run_sweep,
+    DEFAULT_SETTINGS, SweepCell, SweepError, SweepOptions, outcome_to_json,
+    run_cells, run_sweep,
 )
 from repro.search.service import executors
 from repro.sim.calibration import DEFAULT_CALIBRATION
@@ -1009,7 +1018,7 @@ elif scenario == "close-early":
     executors._timed_search = search
     context = (MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, DEFAULT_SETTINGS)
     tasks = [(index, f"k{index}", cell) for index, cell in enumerate(cells)]
-    results = MultiprocessingExecutor(processes=2).run(context, tasks)
+    results = run_cells(context, tasks, processes=2)
     next(results)
     results.close()
     report["children"].append(len(multiprocessing.active_children()))
@@ -1021,8 +1030,94 @@ except FileNotFoundError:
 print(json.dumps(report))
 """
 
+#: A pool sweep over ``CELLS`` whose coordinator is SIGKILLed, run by
+#: ``_KILL_LAUNCHER``.  Pool workers search the first ``stop_after``
+#: cells handed to them (an ``O_EXCL`` ticket file admits each) and
+#: wait forever in every later one, after creating a ``waiting-<pid>``
+#: file.
+_KILLED_COORDINATOR = """
+import os, sys, threading
+
+from repro.hardware.cluster import DGX1_CLUSTER_64
+from repro.models.presets import MODEL_6_6B
+from repro.parallel.config import Method
+from repro.search.service import SweepCell, SweepOptions, run_sweep
+from repro.search.service import executors
+
+root, stop_after = sys.argv[1], int(sys.argv[2])
+cells = [
+    SweepCell(Method.NO_PIPELINE, 8),
+    SweepCell(Method.NO_PIPELINE, 64),
+    SweepCell(Method.DEPTH_FIRST, 8),
+]
+search = executors._timed_search
+
+
+def search_or_wait(context, cell):
+    for ticket in range(stop_after):
+        try:
+            marker = os.open(
+                os.path.join(root, f"ticket-{ticket}"),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
+        except FileExistsError:
+            continue
+        os.close(marker)
+        return search(context, cell)
+    open(os.path.join(root, f"waiting-{os.getpid()}"), "w").close()
+    threading.Event().wait()
+
+
+executors._timed_search = search_or_wait
+options = SweepOptions(processes=2, checkpoint_dir=os.path.join(root, "ck"))
+run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, cells, options=options)
+"""
+
+#: Starts ``_KILLED_COORDINATOR``, SIGKILLs it once ``stop_after`` cells
+#: have their timing sidecars (the last file ``run_sweep`` writes for a
+#: cell) and a worker waits, then reaps every process left.  As a child
+#: subreaper it inherits the coordinator's orphans, so ``os.wait`` blocks
+#: until each has exited; it prints how many processes it reaped.
+_KILL_LAUNCHER = """
+import ctypes, json, os, signal, subprocess, sys, time
+
+PR_SET_CHILD_SUBREAPER = 36
+if ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0):
+    sys.exit(f"prctl: errno {ctypes.get_errno()}")
+root, stop_after = sys.argv[1], int(sys.argv[2])
+coordinator = subprocess.Popen(
+    [sys.executable, "-c", sys.argv[3], root, str(stop_after)]
+)
+checkpoints = os.path.join(root, "ck")
+
+
+def ready():
+    names = os.listdir(checkpoints) if os.path.isdir(checkpoints) else []
+    timed = sum(name.endswith(".time.json") for name in names)
+    waiting = any(name.startswith("waiting-") for name in os.listdir(root))
+    return timed == stop_after and waiting
+
+
+while not ready():
+    if coordinator.poll() is not None:
+        sys.exit(f"the coordinator exited early: {coordinator.returncode}")
+    time.sleep(0.01)
+os.kill(coordinator.pid, signal.SIGKILL)
+reaped = 0
+while True:
+    try:
+        os.wait()
+    except ChildProcessError:
+        break
+    reaped += 1
+print(json.dumps({"reaped": reaped}))
+"""
+
+#: Cells the killed coordinator checkpoints before it is killed.
+_CHECKPOINTED = 2
+
 #: Detects a hung sweep, and is no speed gate: each faulted sweep takes
-#: well under a second.
+#: a second or two.
 _FAULT_TIMEOUT = 120
 
 _REPO = Path(__file__).resolve().parent.parent
@@ -1125,12 +1220,58 @@ class TestPoolFaults:
 
     def test_cell_that_kills_every_worker_fails_the_sweep(self, tmp_path):
         report = _run_faulted("kill-every-time", tmp_path)
-        key = cell_key(
-            MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, CELLS[1]
+        killer, neighbour = (
+            cell_key(MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell)
+            for cell in (CELLS[1], CELLS[0])
         )
-        assert key in report["error"]
-        assert report["kills"] == MAX_RETRIES + 1
+        assert report["error"].startswith("1 cell(s) lost their worker")
+        assert killer in report["error"]
+        assert neighbour not in report["error"]
+        # MAX_RETRIES + 1 losses alone, after one loss beside the B=8
+        # cell when that cell was in flight with it.
+        assert report["kills"] in (MAX_RETRIES + 1, MAX_RETRIES + 2)
         assert report["children"] == [0]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="the launcher reaps the orphaned workers as a subreaper",
+    )
+    def test_killed_coordinator_leaves_no_worker_and_resumes(
+        self, tmp_path, outcomes
+    ):
+        # The launcher SIGKILLs the coordinator alone once two cells are
+        # checkpointed and a worker waits in its third; the orphaned
+        # workers must exit by themselves.
+        out = _run_in_session(
+            [
+                "-c", _KILL_LAUNCHER, str(tmp_path), str(_CHECKPOINTED),
+                _KILLED_COORDINATOR,
+            ],
+            "coordinator kill",
+        )
+        # The coordinator and both of its workers.
+        assert json.loads(out.splitlines()[-1]) == {"reaped": 3}
+        checkpoint_dir = tmp_path / "ck"
+        assert len(CheckpointStore(checkpoint_dir)) == _CHECKPOINTED
+        with recording(MetricsRegistry()) as registry:
+            resumed = run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=SweepOptions(
+                    processes=2, checkpoint_dir=checkpoint_dir, resume=True
+                ),
+            )
+        assert resumed == outcomes
+        store = CheckpointStore(checkpoint_dir)
+        for cell, outcome in zip(CELLS, outcomes):
+            key = cell_key(
+                MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
+            )
+            assert store.path_for(key).read_bytes() == store.payload_bytes(
+                key, outcome
+            )
+        counters = registry.snapshot()["counters"]
+        assert counters["sweep.cells_from_checkpoints"] == _CHECKPOINTED
+        assert counters["sweep.cells_computed"] == len(CELLS) - _CHECKPOINTED
 
     def test_closing_the_run_early_leaves_no_worker(self, tmp_path):
         report = _run_faulted("close-early", tmp_path)
@@ -1212,30 +1353,24 @@ class TestProgressReporter:
         reporter.skip(2)
         assert "2 from checkpoints" in reporter.render(0.0)
 
-    def test_cost_weighted_eta_with_skewed_cells(self):
-        # One giant cell (estimated 100s) plus three tiny ones (1s each),
-        # scheduled longest-first.  After the giant finishes in 100s of
-        # wall time, the naive completed-cell rate prices the remaining
-        # three tiny cells at 300s; the cost-weighted ETA knows only the
-        # ~3 estimated seconds remain.
-        reporter = ProgressReporter(4, clock=lambda: 0.0)
-        reporter.expect([100.0, 1.0, 1.0, 1.0])
-        reporter.update(cost=100.0)
-        eta = reporter.eta_seconds(100.0)
-        assert eta == pytest.approx(3.0)
-        naive_eta = (4 - 1) / (1 / 100.0)
-        assert eta < naive_eta / 50
-
-    def test_eta_tracks_observed_slowdown(self):
-        # Actual time running 2x over the estimates scales the ETA 2x.
-        reporter = ProgressReporter(2, clock=lambda: 0.0)
-        reporter.expect([10.0, 10.0])
-        reporter.update(cost=10.0)
-        assert reporter.eta_seconds(20.0) == pytest.approx(20.0)
-
-    def test_eta_falls_back_to_rate_without_costs(self):
+    def test_eta_counts_cells(self):
         reporter = ProgressReporter(4, clock=lambda: 0.0)
         reporter.update(2)
         assert reporter.eta_seconds(10.0) == pytest.approx(10.0)
         empty = ProgressReporter(4, clock=lambda: 0.0)
         assert empty.eta_seconds(10.0) is None
+
+    @pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
+    def test_a_sweep_reports_progress_on_stderr(self, capsys, processes):
+        run_sweep(
+            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+            options=SweepOptions(processes=processes, progress=True),
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        # The first cell prints at once, with its rate and an ETA; the
+        # last prints however soon it lands.
+        assert lines[0].startswith("[sweep] 1/3 cells (33%) | ")
+        assert " cells/s | ETA " in lines[0]
+        assert lines[-1].startswith("[sweep] 3/3 cells (100%) — done in ")

@@ -51,13 +51,13 @@ class TestTimingAttribution:
         record = store.load_timing_record("k1")
         assert record["worker"] == "host-1"
         assert record["started_at"] == 1000.0
-        assert store.load_timing("k1") == 1.5
+        assert record["seconds"] == 1.5
 
     def test_plain_sidecar_still_loads(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.store_timing("k1", 2.0)
-        assert store.load_timing("k1") == 2.0
         record = store.load_timing_record("k1")
+        assert record["seconds"] == 2.0
         assert "worker" not in record
 
 
