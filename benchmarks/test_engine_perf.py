@@ -18,7 +18,7 @@ still passes and the machine's load can never fail it:
    filter simulated 204 and built a schedule per enumerated candidate.
 4. **Disabled observability** (52B non-looped, B=8 and B=64, pruning
    off): with a recorder installed whose ``enabled`` is False, a cell
-   opens its 4 spans and 3 timers, records nothing, and reads the flag
+   opens its 4 spans, records nothing, and reads the flag
    once per cell or engine run, never per candidate.
 5. **Collector paused** (the 7 batched-grid cells, then one anchor
    evaluation of the calibration fit): every memory-filter call and
@@ -268,10 +268,6 @@ class _CountingRecorder(Recorder):
         self._called("span")
         return super().span(name, **attrs)
 
-    def timer(self, name):
-        self._called("timer")
-        return super().timer(name)
-
 
 def test_obs_disabled_makes_no_per_candidate_calls():
     cells = {}
@@ -301,7 +297,7 @@ def test_obs_disabled_makes_no_per_candidate_calls():
     )
     for outcome, recorder, _seconds in cells.values():
         assert outcome.n_excluded > 0  # the memory filter runs too
-        assert recorder.calls == {"span": 4, "timer": 3}
+        assert recorder.calls == {"span": 4}
         # One read per cell stage and one per engine run.
         assert recorder.enabled_reads <= outcome.n_tried + 4
 

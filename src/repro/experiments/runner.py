@@ -259,7 +259,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         objective=parse_objective(
             args.objective, memory_headroom=args.memory_headroom
         ),
-        verify_winners=args.verify_winners,
     )
     return SweepOptions(
         processes=args.jobs,
@@ -268,7 +267,6 @@ def build_sweep_options(args: argparse.Namespace) -> SweepOptions:
         progress=args.progress,
         settings=settings,
         calibration=calibration,
-        metrics_out=args.metrics_out,
     )
 
 
@@ -636,13 +634,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="disable the branch-and-bound stage of the search (simulate "
              "every memory-feasible candidate; the winners are identical, "
              "only slower — the escape hatch for validating the bound)",
-    )
-    parser.add_argument(
-        "--verify-winners",
-        action="store_true",
-        help="statically verify every search winner (deadlock freedom, "
-             "schedule completeness/ordering, memory cross-check) before "
-             "accepting it; a finding aborts the experiment",
     )
     parser.add_argument(
         "--objective",

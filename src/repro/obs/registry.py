@@ -16,12 +16,13 @@ calls a disabled search cell makes: none per candidate).
 - **Spans**: nestable named intervals opened with
   :meth:`MetricsRegistry.span` as a context manager.  Nesting is
   tracked through an explicit stack, so a span's depth and parent are
-  recorded without any thread-local machinery; durations come from the
-  perf clock, while start/end are *anchored to the epoch* (one wall
-  reading at construction) so spans from different workers merge onto
-  one sweep-level Chrome trace (:mod:`repro.viz.sweep_trace`).
-- **Timers**: ``with registry.timer("x"):`` records the block's
-  duration as a histogram observation — a span without trace output.
+  recorded without any thread-local machinery.  Start/end are
+  *anchored to the epoch* (one wall reading at construction) so spans
+  from different workers merge onto one sweep-level Chrome trace
+  (:mod:`repro.viz.sweep_trace`); a closed span also records its
+  duration, measured on the perf clock, into the histogram
+  ``<name>.seconds``, which reaches the coordinator with the rest of a
+  pool worker's snapshot.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-serializable
 dicts, round-tripped by :func:`snapshot_from_json` and appended as one
@@ -75,11 +76,11 @@ class Recorder:
         """Record one observation into the histogram ``name``."""
 
     def span(self, name: str, **attrs):
-        """A context manager bracketing one named, nestable interval."""
-        return _NULL_CONTEXT
+        """A context manager bracketing one named, nestable interval.
 
-    def timer(self, name: str):
-        """A context manager recording the block's seconds into a histogram."""
+        On close, the interval's seconds go into the histogram
+        ``<name>.seconds``.
+        """
         return _NULL_CONTEXT
 
 
@@ -166,27 +167,8 @@ class _SpanHandle:
         return False
 
 
-class _TimerHandle:
-    """Context manager recording a block's duration into a histogram."""
-
-    __slots__ = ("registry", "name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str):
-        self.registry = registry
-        self.name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerHandle":
-        self._start = self.registry._clock()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.registry.observe(self.name, self.registry._clock() - self._start)
-        return False
-
-
 class MetricsRegistry(Recorder):
-    """The enabled recorder: counters, histograms, spans, timers.
+    """The enabled recorder: counters, histograms and spans.
 
     Args:
         actor: Name stamped into snapshots (defaults to ``pid-<pid>``);
@@ -214,9 +196,11 @@ class MetricsRegistry(Recorder):
         self.counters: dict[str, float] = {}
         self.histograms: dict[str, list[float]] = {}
         #: Closed-span records: {name, start, end, depth, attrs} with
-        #: start/end in epoch seconds.  Open spans live in _span_stack.
+        #: start/end in epoch seconds.  Open spans live in _span_stack,
+        #: beside their perf-clock start times in _span_starts.
         self.spans: list[dict] = []
         self._span_stack: list[dict] = []
+        self._span_starts: list[float] = []
 
     # ------------------------------------------------------------- metrics
 
@@ -231,32 +215,35 @@ class MetricsRegistry(Recorder):
     def span(self, name: str, **attrs) -> _SpanHandle:
         return _SpanHandle(self, name, attrs)
 
-    def timer(self, name: str) -> _TimerHandle:
-        return _TimerHandle(self, name)
-
     def _to_epoch(self, t: float) -> float:
         return self._wall_anchor + (t - self._perf_anchor)
 
     def _open_span(self, name: str, attrs: dict) -> int:
+        start = self._clock()
         record = {
             "name": name,
-            "start": self._to_epoch(self._clock()),
+            "start": self._to_epoch(start),
             "end": None,
             "depth": len(self._span_stack),
             "attrs": attrs,
         }
         self._span_stack.append(record)
+        self._span_starts.append(start)
         return len(self._span_stack) - 1
 
     def _close_span(self, index: int) -> None:
         # Close out-of-order defensively: a crashed inner block may have
         # skipped its own __exit__; everything above `index` is closed at
         # the same instant so the record set stays well-nested.
-        end = self._to_epoch(self._clock())
+        now = self._clock()
+        end = self._to_epoch(now)
         while len(self._span_stack) > index:
             record = self._span_stack.pop()
             record["end"] = end
             self.spans.append(record)
+            self.observe(
+                f"{record['name']}.seconds", now - self._span_starts.pop()
+            )
 
     # --------------------------------------------------------- serialization
 
@@ -265,7 +252,7 @@ class MetricsRegistry(Recorder):
 
         Histograms are exported with summary statistics *and* their raw
         values, so downstream aggregation (the report, quantiles across
-        workers) loses nothing.  Timer durations are monotonic by
+        workers) loses nothing.  Span durations are never negative by
         construction (the perf clock never runs backward), which
         ``tests/test_obs.py`` pins under a fake clock.
         """

@@ -19,7 +19,7 @@ memo.MemoStore` without ever having run itself.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from repro.hardware.cluster import (
     DGX1_CLUSTER_64,
@@ -88,20 +88,25 @@ class PlanRequest:
     methods: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # Values are checked, never coerced: ``int("16")`` or
+        # ``bool("false")`` would silently plan something other than
+        # what the caller asked for.  Equal requests must hash to one
+        # key, and 8.0 == 8 and 1 == True, but neither pair serializes
+        # alike.
+        for name, (check, what) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"{name!r} must be {what}, got {value!r}")
         # Tuples whatever sequence the caller passed: a request is a key
         # (the planner keeps each request's resolved cells by it).
         object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
+        if self.memory_headroom is not None:
+            object.__setattr__(
+                self, "memory_headroom", float(self.memory_headroom)
+            )
         if not self.batch_sizes:
             raise ValueError("batch_sizes must not be empty")
-        # Equal requests must hash to one key: 8.0 == 8 and 1 == True,
-        # but neither pair serializes alike.
-        if not all(map(_is_int, self.batch_sizes)):
-            raise ValueError(f"batch sizes must be integers: {self.batch_sizes}")
-        if not isinstance(self.include_hybrid, bool):
-            raise ValueError(
-                f"include_hybrid must be a bool, got {self.include_hybrid!r}"
-            )
         if any(b <= 0 for b in self.batch_sizes):
             raise ValueError(f"batch sizes must be positive: {self.batch_sizes}")
         if len(set(self.batch_sizes)) != len(self.batch_sizes):
@@ -244,29 +249,26 @@ def _is_float(value) -> bool:
     return True
 
 
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
+def _sequence_of(check):
+    return lambda value: (
+        isinstance(value, (list, tuple)) and all(map(check, value))
+    )
 
 
-_REQUIRED = object()
-
-#: Wire field -> (type check, what the check requires, default).  Values
-#: are checked, never coerced: ``int("16")`` or ``bool("false")`` would
-#: silently plan something other than what the client asked for.
-_REQUEST_FIELDS = {
-    "model": (_is_str, "a string", _REQUIRED),
-    "cluster": (_is_str, "a string", _REQUIRED),
-    "batch_sizes": (_list_of(_is_int), "a list of integers", _REQUIRED),
-    "objective": (_is_str, "a string", "throughput"),
+#: Request field -> (type check, what the check requires), checked by
+#: :meth:`PlanRequest.__post_init__` for in-process and wire requests
+#: alike.
+_FIELD_TYPES = {
+    "model": (_is_str, "a string"),
+    "cluster": (_is_str, "a string"),
+    "batch_sizes": (_sequence_of(_is_int), "a list of integers"),
+    "objective": (_is_str, "a string"),
     "memory_headroom": (
         lambda value: value is None or _is_float(value),
         "a number in float range",
-        None,
     ),
-    "include_hybrid": (
-        lambda value: isinstance(value, bool), "a boolean", False,
-    ),
-    "methods": (_list_of(_is_str), "a list of strings", ()),
+    "include_hybrid": (lambda value: isinstance(value, bool), "a boolean"),
+    "methods": (_sequence_of(_is_str), "a list of strings"),
 }
 
 
@@ -279,29 +281,13 @@ def request_from_json(data: dict) -> PlanRequest:
     """
     if not isinstance(data, dict):
         raise ValueError("plan request must be a JSON object")
-    unknown = set(data) - set(_REQUEST_FIELDS)
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown request fields: {sorted(unknown)}")
-    values = {}
-    for name, (check, what, default) in _REQUEST_FIELDS.items():
-        if name not in data:
-            if default is _REQUIRED:
-                raise ValueError(f"malformed plan request: missing {name!r}")
-            values[name] = default
-        elif check(data[name]):
-            values[name] = data[name]
-        else:
-            raise ValueError(f"{name!r} must be {what}, got {data[name]!r}")
-    headroom = values["memory_headroom"]
-    return PlanRequest(
-        model=values["model"],
-        cluster=values["cluster"],
-        batch_sizes=tuple(values["batch_sizes"]),
-        objective=values["objective"],
-        memory_headroom=None if headroom is None else float(headroom),
-        include_hybrid=values["include_hybrid"],
-        methods=tuple(values["methods"]),
-    )
+    for spec in fields(PlanRequest):
+        if spec.default is MISSING and spec.name not in data:
+            raise ValueError(f"malformed plan request: missing {spec.name!r}")
+    return PlanRequest(**data)
 
 
 def answer_to_json(answer: PlanAnswer) -> dict:

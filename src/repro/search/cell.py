@@ -50,22 +50,15 @@ class SearchSettings:
             reproduces the paper's argmax byte-identically, checkpoint
             keys included (the serializer omits the default objective
             from hashed payloads).
-        verify_winners: Statically verify every configuration a cell
-            reports (winner and frontier points) with
-            :mod:`repro.verify` before returning — deadlock freedom,
-            completeness, schedule-kind ordering and the static memory
-            cross-check.  A finding raises
-            :class:`~repro.search.grid.WinnerVerificationError` rather
-            than letting a corrupt program into results.  Off by
-            default (pure post-check: winners are byte-identical either
-            way), so it is deliberately *not* part of checkpoint
-            content hashes.
+
+    Every field is hashed into the cell key.  To verify a search
+    winner statically, run ``repro-experiments verify --winner
+    PANEL[:BATCH]`` (:mod:`repro.verify.cli`).
     """
 
     bound_pruning: bool = True
     include_hybrid: bool = False
     objective: Objective = field(default=DEFAULT_OBJECTIVE)
-    verify_winners: bool = False  # lint: not-serialized (post-check knob)
 
 
 DEFAULT_SETTINGS = SearchSettings()

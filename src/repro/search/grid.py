@@ -184,17 +184,6 @@ class SearchOutcome:
     frontier: tuple[SimulationResult, ...] | None = None
 
 
-class WinnerVerificationError(RuntimeError):
-    """A search winner failed static verification.
-
-    Raised by :func:`best_configuration` under
-    ``SearchSettings.verify_winners`` when :mod:`repro.verify` finds a
-    defect (deadlock, incomplete/misordered schedule, memory
-    divergence) in a program the search is about to report as a result.
-    The message carries the full finding report.
-    """
-
-
 # --------------------------------------------------------- pipeline stages
 
 
@@ -503,10 +492,7 @@ def _best_configuration(
     if rec.enabled:
         comm_before = comm_time_table.cache_info()
     with rec.span("search.cell", method=method.name, batch_size=batch_size):
-        with (
-            rec.span("search.stage.memory_filter"),
-            rec.timer("search.stage.memory_filter.seconds"),
-        ):
+        with rec.span("search.stage.memory_filter"):
             candidates, n_excluded = _memory_stage(
                 spec,
                 cluster,
@@ -516,15 +502,9 @@ def _best_configuration(
                 ),
                 settings.objective,
             )
-        with (
-            rec.span("search.stage.bound_order"),
-            rec.timer("search.stage.bound_order.seconds"),
-        ):
+        with rec.span("search.stage.bound_order"):
             ordered = _order_best_bound_first(candidates)
-        with (
-            rec.span("search.stage.simulate"),
-            rec.timer("search.stage.simulate.seconds"),
-        ):
+        with rec.span("search.stage.simulate"):
             best, n_tried, n_pruned, frontier = _simulate_stage(
                 spec,
                 cluster,
@@ -547,7 +527,7 @@ def _best_configuration(
         rec.count(
             "search.warm_start.comm.misses", comm_after.misses - comm_before.misses
         )
-    outcome = SearchOutcome(
+    return SearchOutcome(
         method=method,
         batch_size=batch_size,
         best=best,
@@ -556,12 +536,3 @@ def _best_configuration(
         n_pruned=n_pruned,
         frontier=frontier,
     )
-    if settings.verify_winners:
-        # Opt-in post-check; imported lazily so the search stack does
-        # not depend on the verifier unless the knob is on.
-        from repro.verify.program import verify_outcome
-
-        report = verify_outcome(spec, cluster, outcome, calibration)
-        if not report.ok:
-            raise WinnerVerificationError(report.format())
-    return outcome

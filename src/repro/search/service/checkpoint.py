@@ -103,8 +103,8 @@ class CheckpointStore:
         key: str,
         seconds: float,
         *,
-        worker: str | None = None,
-        started_at: float | None = None,
+        worker: str,
+        started_at: float,
     ) -> Path:
         """Atomically record a cell's measured search wall-clock.
 
@@ -114,11 +114,13 @@ class CheckpointStore:
         """
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
-        payload = {"format": FORMAT_VERSION, "key": key, "seconds": seconds}
-        if worker is not None:
-            payload["worker"] = worker
-        if started_at is not None:
-            payload["started_at"] = started_at
+        payload = {
+            "format": FORMAT_VERSION,
+            "key": key,
+            "seconds": seconds,
+            "worker": worker,
+            "started_at": started_at,
+        }
         path = self.timing_path_for(key)
         atomic_write(path, canonical_dumps(payload).encode("utf-8"))
         return path

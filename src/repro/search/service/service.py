@@ -25,19 +25,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from contextlib import ExitStack, closing
+from contextlib import closing
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.hardware.cluster import ClusterSpec
 from repro.models.spec import TransformerSpec
-from repro.obs import (
-    MetricsRegistry,
-    get_recorder,
-    merge_snapshot,
-    recording,
-    write_snapshot_line,
-)
+from repro.obs import get_recorder, merge_snapshot
 from repro.parallel.config import Method
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings, SweepCell
 from repro.search.grid import SearchOutcome
@@ -70,23 +63,17 @@ class SweepOptions:
             recomputing them.
         progress: Print progress/ETA lines to stderr.
         settings: The search settings shared by every cell: bound
-            pruning, the hybrid axis, the objective and winner
-            verification (see :class:`repro.search.cell.SearchSettings`).
-            They are part of the search input, so
+            pruning, the hybrid axis and the objective (see
+            :class:`repro.search.cell.SearchSettings`).  They are part
+            of the search input, so
             :func:`~repro.search.service.serialize.cell_key` hashes them
-            into every checkpoint key (except ``verify_winners``, a pure
-            post-check).
+            into every checkpoint key.
         calibration: Cost-model constants shared by every cell.  This is
             how the experiments CLI's ``--calibration`` (e.g. the
             committed least-squares fit, ``fitted_calibration.json``)
             reaches every search-backed experiment; being part of the
             checkpoint content hash, it keeps fitted and hand-tuned
             checkpoints strictly separate in a shared directory.
-        metrics_out: Directory for observability snapshots
-            (``--metrics-out`` on the experiments CLI): the coordinator
-            appends to ``coordinator.jsonl``, which also holds what the
-            pool workers recorded.  Pure observation — never part of
-            checkpoint content hashes.
 
     Raises:
         ValueError: ``processes`` below 1, or ``resume`` without a
@@ -99,7 +86,6 @@ class SweepOptions:
     progress: bool = False
     settings: SearchSettings = DEFAULT_SETTINGS
     calibration: Calibration = DEFAULT_CALIBRATION
-    metrics_out: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
         if self.processes is not None and self.processes < 1:
@@ -212,45 +198,35 @@ def run_sweep(
     if reporter is not None and outcomes:
         reporter.skip(len(outcomes))
 
-    # Coordinator-side metrics: record into whatever recorder is active
-    # (the CLI installs one for --metrics-out); when none is and the
-    # options ask for metrics, install our own for the sweep's duration.
-    own_registry: MetricsRegistry | None = None
-    if options.metrics_out is not None and not get_recorder().enabled:
-        own_registry = MetricsRegistry(actor="coordinator")
-
-    with ExitStack() as stack:
-        if own_registry is not None:
-            stack.enter_context(recording(own_registry))
-        rec = get_recorder()
-        rec.count("sweep.cells_total", len(first_of))
-        rec.count("sweep.cells_from_checkpoints", len(outcomes))
-        if tasks:
-            context = (spec, cluster, calibration, settings)
-            results = stack.enter_context(
-                closing(run_cells(context, tasks, processes=options.processes))
-            )
-            with rec.span("sweep.run"):
-                for index, outcome, report in results:
-                    key = key_of_index[index]
-                    if store is not None:
-                        store.store(key, outcome, group=group)
-                        store.store_timing(
-                            key,
-                            report.seconds,
-                            worker=report.worker,
-                            started_at=report.started_at,
-                        )
-                    outcomes[key] = outcome
-                    rec.count("sweep.cells_computed")
-                    if report.metrics is not None:
-                        merge_snapshot(rec, report.metrics)
-                    if reporter is not None:
-                        reporter.update()
-    if own_registry is not None:
-        write_snapshot_line(
-            Path(options.metrics_out) / "coordinator.jsonl",
-            own_registry.snapshot(),
-        )
+    # Coordinator-side metrics go to the active recorder (the CLI
+    # installs one for --metrics-out; a library caller wraps the call in
+    # repro.obs.recording()), the pool workers' snapshots included.
+    rec = get_recorder()
+    rec.count("sweep.cells_total", len(first_of))
+    rec.count("sweep.cells_from_checkpoints", len(outcomes))
+    if tasks:
+        context = (spec, cluster, calibration, settings)
+        with (
+            closing(
+                run_cells(context, tasks, processes=options.processes)
+            ) as results,
+            rec.span("sweep.run"),
+        ):
+            for index, outcome, report in results:
+                key = key_of_index[index]
+                if store is not None:
+                    store.store(key, outcome, group=group)
+                    store.store_timing(
+                        key,
+                        report.seconds,
+                        worker=report.worker,
+                        started_at=report.started_at,
+                    )
+                outcomes[key] = outcome
+                rec.count("sweep.cells_computed")
+                if report.metrics is not None:
+                    merge_snapshot(rec, report.metrics)
+                if reporter is not None:
+                    reporter.update()
 
     return [outcomes[key] for key in keys]

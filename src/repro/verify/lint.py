@@ -69,6 +69,11 @@ time*, from source structure alone:
   moved or vanished; the lint configuration must move with it instead
   of silently dropping coverage.
 
+L301's banned calls and L501-L504 are rows of one table,
+:data:`CALL_RULES`, read by one walker: each row names the calls it
+bans, the modules and frames it scans, and the marker that excuses a
+line.
+
 Entry points: :func:`lint_repo` for the working tree,
 :func:`lint_sources` for in-memory sources (the mutation harness feeds
 corrupted sources through the same path).
@@ -77,13 +82,17 @@ corrupted sources through the same path).
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.verify.report import Finding
 
 __all__ = [
     "BATCHED_HOT_PATH_SOURCES",
+    "CALL_RULES",
+    "CONFIGURED_SOURCES",
+    "CallRule",
     "INSTRUMENTED_SOURCES",
     "KEY_DERIVATION_SOURCES",
     "PAYLOAD_CLASSES",
@@ -144,10 +153,6 @@ EXCEPT_SCAN_DIRS: tuple[str, ...] = (
     "src/repro/verify",
 )
 
-#: Suppression marker for deliberate direct clock reads in instrumented
-#: modules (must appear on the call's line).
-DIRECT_CLOCK_MARKER = "lint: direct-clock-ok"
-
 #: Modules instrumented with :mod:`repro.obs`; the direct-clock rule
 #: (L501) applies here.  :mod:`repro.obs.clock` itself is the sanctioned
 #: home of the underlying ``time`` calls and is deliberately absent.
@@ -159,10 +164,6 @@ INSTRUMENTED_SOURCES: tuple[str, ...] = (
     "src/repro/search/service/progress.py",
 )
 
-#: Suppression marker for the deliberate scalar-pricing fallback seam in
-#: batched hot-path modules (must appear on the call's line).
-SCALAR_COST_MARKER = "lint: scalar-cost-ok"
-
 #: Family-batched search modules; the scalar-pricing rule (L502)
 #: applies here.  ``CostModel.stage_times()`` in :mod:`repro.sim.cost`
 #: is the sanctioned scalar consumer and is deliberately absent.
@@ -170,10 +171,6 @@ BATCHED_HOT_PATH_SOURCES: tuple[str, ...] = (
     "src/repro/search/grid.py",
     "src/repro/sim/cost_batch.py",
 )
-
-#: Suppression marker for a deliberate blocking call inside a planner
-#: coroutine (must appear on the call's line).
-BLOCKING_OK_MARKER = "lint: blocking-ok"
 
 #: Planner event-loop modules; the blocking-call rule (L503) applies to
 #: every ``async def`` here.  ``repro.planner.cli`` is deliberately
@@ -183,89 +180,13 @@ PLANNER_SOURCES: tuple[str, ...] = (
     "src/repro/planner/http.py",
 )
 
-#: Call names (final dotted component) that block the event loop when
-#: invoked directly from a coroutine: filesystem primitives plus the
-#: store/search entry points the planner must offload to its executors.
-#: Matching the final component keeps the rule honest across receivers
-#: (``self._store.load``, ``store.load``, ``path.read_text``, ...).
-_BLOCKING_CALL_NAMES = {
-    "best_configuration",
-    "glob",
-    "load",
-    "load_many",
-    "mkdir",
-    "open",
-    "read_bytes",
-    "read_text",
-    "rename",
-    "replace",
-    "run_search",
-    "run_sweep",
-    "store",
-    "store_timing",
-    "unlink",
-    "write_bytes",
-    "write_text",
-}
-
-#: Exact dotted names additionally banned in coroutines.  ``time.sleep``
-#: is matched in full — a bare ``sleep`` component would false-positive
-#: on ``asyncio.sleep``, the sanctioned async form.
-_BLOCKING_EXACT_CALLS = {"time.sleep"}
-
-#: Suppression marker for a deliberate unvalidated deserialization on a
-#: store load path (must appear on the call's line) — the sanctioned use
-#: is a decode helper whose caller has already hash-verified the bytes.
-UNHASHED_LOAD_MARKER = "lint: unhashed-load-ok"
-
 #: Persistent-store modules; the unhashed-load rule (L504) applies here.
 STORE_LOAD_SOURCES: tuple[str, ...] = (
     "src/repro/search/service/checkpoint.py",
 )
 
-#: Deserialization primitives, matched by full dotted name.  Matching
-#: the full form (not the final component) keeps decode *helpers*
-#: (``cursor.unpack``) from flagging at every call site — the helper's
-#: own ``struct`` call is the guarded (and marked) seam.
-_DESERIALIZE_CALLS = {
-    "json.load",
-    "json.loads",
-    "marshal.load",
-    "marshal.loads",
-    "pickle.load",
-    "pickle.loads",
-    "struct.unpack",
-    "struct.unpack_from",
-}
-
 #: Call components that count as content-hash validation in a frame.
 _HASH_VALIDATION_NAMES = {"blake2b", "sha256", "hexdigest"}
-
-#: Clock primitives that bypass the ``repro.obs.clock`` seam.
-_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-}
-
-#: Wall-clock / randomness call roots banned in key-derivation modules.
-_BANNED_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.perf_counter",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-}
-_BANNED_PREFIXES = ("random.",)
 
 
 def _dotted_name(node: ast.AST) -> str | None:
@@ -485,51 +406,30 @@ def _check_schedule_registry(
 def _check_nondeterminism(
     path: str, tree: ast.Module, findings: list[Finding]
 ) -> None:
+    """L302 unsorted ``json.dumps`` and L303 set iteration (L301 is a
+    call rule)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = _dotted_name(node.func)
-            if name is not None and (
-                name in _BANNED_CALLS
-                or any(name.startswith(p) for p in _BANNED_PREFIXES)
-            ):
-                findings.append(
-                    Finding(
-                        rule="L301",
-                        location=f"{path}:{node.lineno}",
-                        message=(
-                            f"nondeterminism primitive {name}() in a "
-                            "key-derivation/serialization module"
-                        ),
-                    )
-                )
-            elif isinstance(node.func, ast.Name) and node.func.id == "hash":
-                findings.append(
-                    Finding(
-                        rule="L301",
-                        location=f"{path}:{node.lineno}",
-                        message=(
-                            "builtin hash() is PYTHONHASHSEED-dependent; "
-                            "use hashlib over canonical JSON instead"
-                        ),
-                    )
-                )
-            elif name == "json.dumps" and not any(
+        if (
+            isinstance(node, ast.Call)
+            and _dotted_name(node.func) == "json.dumps"
+            and not any(
                 kw.arg == "sort_keys"
                 and isinstance(kw.value, ast.Constant)
                 and kw.value.value is True
                 for kw in node.keywords
-            ):
-                findings.append(
-                    Finding(
-                        rule="L302",
-                        location=f"{path}:{node.lineno}",
-                        message=(
-                            "json.dumps without sort_keys=True in a "
-                            "key-derivation module — dict order would "
-                            "leak into content hashes"
-                        ),
-                    )
+            )
+        ):
+            findings.append(
+                Finding(
+                    rule="L302",
+                    location=f"{path}:{node.lineno}",
+                    message=(
+                        "json.dumps without sort_keys=True in a "
+                        "key-derivation module — dict order would "
+                        "leak into content hashes"
+                    ),
                 )
+            )
 
         iters: list[ast.AST] = []
         if isinstance(node, ast.For):
@@ -556,127 +456,14 @@ def _check_nondeterminism(
                 )
 
 
-def _check_direct_clock(
-    path: str, source: str, tree: ast.Module, findings: list[Finding]
-) -> None:
-    lines = source.splitlines()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted_name(node.func)
-        if name not in _CLOCK_CALLS:
-            continue
-        line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-        if DIRECT_CLOCK_MARKER in line:
-            continue
-        findings.append(
-            Finding(
-                rule="L501",
-                location=f"{path}:{node.lineno}",
-                message=(
-                    f"direct {name}() in an obs-instrumented module — "
-                    "read clocks through repro.obs.clock so tests can "
-                    "fake the timing seam (or mark the line "
-                    f"'# {DIRECT_CLOCK_MARKER}')"
-                ),
-            )
-        )
-
-
-def _check_scalar_cost_calls(
-    path: str, source: str, tree: ast.Module, findings: list[Finding]
-) -> None:
-    lines = source.splitlines()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _dotted_name(node.func)
-        if name is None:
-            continue
-        # Only *calling* the table prices scalar-wise.  Attribute access
-        # on the cache object — ``stage_time_table.seed(...)``,
-        # ``.seeded(...)``, ``.cache_info()`` — is the batch seam itself
-        # and resolves to a different final component, so it never flags.
-        if name.split(".")[-1] not in ("stage_time_table", "_stage_time_table"):
-            continue
-        line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-        if SCALAR_COST_MARKER in line:
-            continue
-        findings.append(
-            Finding(
-                rule="L502",
-                location=f"{path}:{node.lineno}",
-                message=(
-                    f"scalar {name}() call in a batched hot-path module — "
-                    "price families through repro.sim.cost_batch (or mark "
-                    f"the deliberate fallback seam '# {SCALAR_COST_MARKER}')"
-                ),
-            )
-        )
-
-
-def _coroutine_calls(func: ast.AsyncFunctionDef) -> Iterable[ast.Call]:
-    """Call nodes executed in ``func``'s own coroutine frame.
-
-    Nested ``def``/``async def`` bodies are separate frames: a sync
-    helper defined inside a coroutine is typically *handed to* an
-    executor rather than called on the loop, and nested coroutines get
-    their own visit from the outer ``ast.walk``.
-    """
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _check_blocking_on_loop(
-    path: str, source: str, tree: ast.Module, findings: list[Finding]
-) -> None:
-    lines = source.splitlines()
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.AsyncFunctionDef):
-            continue
-        for node in _coroutine_calls(func):
-            name = _dotted_name(node.func)
-            if name is None:
-                continue
-            # A function *reference* passed to ``run_in_executor`` (or
-            # wrapped in ``functools.partial``) is not a Call node and
-            # never reaches this point — only direct on-loop invocation
-            # flags.
-            if (
-                name not in _BLOCKING_EXACT_CALLS
-                and name.split(".")[-1] not in _BLOCKING_CALL_NAMES
-            ):
-                continue
-            line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-            if BLOCKING_OK_MARKER in line:
-                continue
-            findings.append(
-                Finding(
-                    rule="L503",
-                    location=f"{path}:{node.lineno}",
-                    message=(
-                        f"blocking {name}() call inside coroutine "
-                        f"'{func.name}' — offload it through the planner's "
-                        "executor seam (run_in_executor), or mark the line "
-                        f"'# {BLOCKING_OK_MARKER}'"
-                    ),
-                )
-            )
-
-
 def _frame_nodes(body: Iterable[ast.AST]) -> list[ast.AST]:
     """Nodes executed in one function (or module) frame.
 
-    Nested ``def``/``async def`` bodies are separate frames and get
-    their own visit from the caller's ``ast.walk`` — validation in an
-    outer frame deliberately does *not* cover a nested helper, which
-    must verify (or be marked) on its own.
+    Nested ``def``/``async def`` bodies are separate frames: a sync
+    helper defined inside a coroutine is typically *handed to* an
+    executor rather than called on the loop, and validation in an outer
+    frame deliberately does *not* cover a nested helper, which must
+    verify (or be marked) on its own.
     """
     nodes: list[ast.AST] = []
     stack: list[ast.AST] = list(body)
@@ -731,37 +518,221 @@ def _frame_validates_content(nodes: Iterable[ast.AST]) -> bool:
     return False
 
 
-def _check_unhashed_load(
-    path: str, source: str, tree: ast.Module, findings: list[Finding]
+_Frames = Iterable[tuple[str, Iterable[ast.AST]]]
+
+
+def _whole_module(tree: ast.Module) -> _Frames:
+    """Every node of the module, nested functions included, as one frame."""
+    return [("<module>", ast.walk(tree))]
+
+
+def _coroutine_frames(tree: ast.Module) -> _Frames:
+    """Each ``async def``'s own frame, named after the coroutine."""
+    return [
+        (func.name, _frame_nodes(func.body))
+        for func in ast.walk(tree)
+        if isinstance(func, ast.AsyncFunctionDef)
+    ]
+
+
+def _unvalidated_frames(tree: ast.Module) -> _Frames:
+    """The module frame and every function frame that validates no
+    content (see :func:`_frame_validates_content`)."""
+    frames = [("<module>", _frame_nodes(tree.body))] + [
+        (func.name, _frame_nodes(func.body))
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [
+        (name, nodes)
+        for name, nodes in frames
+        if not _frame_validates_content(nodes)
+    ]
+
+
+@dataclass(frozen=True)
+class CallRule:
+    """One rule that bans calls in the frames of the modules it scans.
+
+    A call matches by its full dotted name (``names``), by the final
+    component of that name (``components``, which keeps the rule honest
+    across receivers: ``self._store.load``, ``store.load``), or by a
+    dotted-name prefix (``prefixes``).  A call on anything but a plain
+    name chain (``f().load()``) has no dotted name and never matches,
+    and neither does a function *reference* (not a call).  A call whose
+    line carries ``marker`` is a deliberate exception.  ``message`` is
+    formatted with the call's ``name``, the ``frame`` it sits in and
+    the ``marker``.
+    """
+
+    rule: str
+    sources: tuple[str, ...]
+    message: str
+    names: frozenset[str] = frozenset()
+    components: frozenset[str] = frozenset()
+    prefixes: tuple[str, ...] = ()
+    frames: Callable[[ast.Module], _Frames] = _whole_module
+    marker: str | None = None
+
+    def matches(self, name: str) -> bool:
+        return (
+            name in self.names
+            or name.rsplit(".", 1)[-1] in self.components
+            or name.startswith(self.prefixes)
+        )
+
+
+CALL_RULES: tuple[CallRule, ...] = (
+    # L301: wall clocks and randomness make content hashes
+    # machine-dependent.
+    CallRule(
+        "L301",
+        KEY_DERIVATION_SOURCES,
+        "nondeterminism primitive {name}() in a key-derivation/"
+        "serialization module",
+        names=frozenset({
+            "time.time",
+            "time.time_ns",
+            "time.monotonic",
+            "time.perf_counter",
+            "os.urandom",
+            "uuid.uuid1",
+            "uuid.uuid4",
+            "datetime.now",
+            "datetime.utcnow",
+            "datetime.datetime.now",
+            "datetime.datetime.utcnow",
+        }),
+        prefixes=("random.",),
+    ),
+    CallRule(
+        "L301",
+        KEY_DERIVATION_SOURCES,
+        "builtin hash() is PYTHONHASHSEED-dependent; use hashlib over "
+        "canonical JSON instead",
+        names=frozenset({"hash"}),
+    ),
+    # L501: every timestamp flows through repro.obs.clock.
+    CallRule(
+        "L501",
+        INSTRUMENTED_SOURCES,
+        "direct {name}() in an obs-instrumented module — read clocks "
+        "through repro.obs.clock so tests can fake the timing seam (or "
+        "mark the line '# {marker}')",
+        names=frozenset({
+            "time.time",
+            "time.time_ns",
+            "time.monotonic",
+            "time.monotonic_ns",
+            "time.perf_counter",
+            "time.perf_counter_ns",
+        }),
+        marker="lint: direct-clock-ok",
+    ),
+    # L502: only *calling* the table prices scalar-wise; the cache
+    # object's own methods (.seed, .seeded, .cache_info) are the batch
+    # seam and end in another component.
+    CallRule(
+        "L502",
+        BATCHED_HOT_PATH_SOURCES,
+        "scalar {name}() call in a batched hot-path module — price "
+        "families through repro.sim.cost_batch (or mark the deliberate "
+        "fallback seam '# {marker}')",
+        components=frozenset({"stage_time_table", "_stage_time_table"}),
+        marker="lint: scalar-cost-ok",
+    ),
+    # L503: filesystem primitives and the store/search entry points
+    # block the event loop.  time.sleep is matched in full: a bare
+    # ``sleep`` component would flag asyncio.sleep, the async form.
+    CallRule(
+        "L503",
+        PLANNER_SOURCES,
+        "blocking {name}() call inside coroutine '{frame}' — offload it "
+        "through the planner's executor seam (run_in_executor), or mark "
+        "the line '# {marker}'",
+        names=frozenset({"time.sleep"}),
+        components=frozenset({
+            "best_configuration",
+            "glob",
+            "load",
+            "load_many",
+            "mkdir",
+            "open",
+            "read_bytes",
+            "read_text",
+            "rename",
+            "replace",
+            "run_search",
+            "run_sweep",
+            "store",
+            "store_timing",
+            "unlink",
+            "write_bytes",
+            "write_text",
+        }),
+        frames=_coroutine_frames,
+        marker="lint: blocking-ok",
+    ),
+    # L504: deserialization primitives, by full name so a decode
+    # helper (``cursor.unpack``) is not flagged at every call site.
+    CallRule(
+        "L504",
+        STORE_LOAD_SOURCES,
+        "{name}() on a store load path with no content-hash validation "
+        "in the same frame — verify a sha256 digest (or the envelope's "
+        "content-hash 'key') before deserializing, or mark a "
+        "pre-validated decode helper '# {marker}'",
+        names=frozenset({
+            "json.load",
+            "json.loads",
+            "marshal.load",
+            "marshal.loads",
+            "pickle.load",
+            "pickle.loads",
+            "struct.unpack",
+            "struct.unpack_from",
+        }),
+        frames=_unvalidated_frames,
+        marker="lint: unhashed-load-ok",
+    ),
+)
+
+
+#: Every module some rule reads, sorted; a missing one is an L001
+#: finding, and :func:`lint_repo` reads them all.
+CONFIGURED_SOURCES: tuple[str, ...] = tuple(
+    sorted(
+        {*PAYLOAD_CLASSES, *SERIALIZER_SOURCES, *KEY_DERIVATION_SOURCES}
+        | {OBJECTIVE_SOURCE, SCHEDULE_KIND_SOURCE, SCHEDULE_DISPATCH_SOURCE}
+        | {path for rule in CALL_RULES for path in rule.sources}
+    )
+)
+
+
+def _check_calls(
+    rule: CallRule,
+    path: str,
+    source: str,
+    tree: ast.Module,
+    findings: list[Finding],
 ) -> None:
     lines = source.splitlines()
-    frames = [_frame_nodes(tree.body)]
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            frames.append(_frame_nodes(node.body))
-    for frame in frames:
-        if _frame_validates_content(frame):
-            continue
-        for node in frame:
+    for frame, nodes in rule.frames(tree):
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _dotted_name(node.func)
-            if name not in _DESERIALIZE_CALLS:
+            if name is None or not rule.matches(name):
                 continue
             line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""
-            if UNHASHED_LOAD_MARKER in line:
+            if rule.marker is not None and rule.marker in line:
                 continue
             findings.append(
                 Finding(
-                    rule="L504",
+                    rule=rule.rule,
                     location=f"{path}:{node.lineno}",
-                    message=(
-                        f"{name}() on a store load path with no "
-                        "content-hash validation in the same frame — "
-                        "verify a sha256 digest (or the envelope's "
-                        "content-hash 'key') before deserializing, or "
-                        "mark a pre-validated decode helper "
-                        f"'# {UNHASHED_LOAD_MARKER}'"
+                    message=rule.message.format(
+                        name=name, frame=frame, marker=rule.marker
                     ),
                 )
             )
@@ -797,15 +768,7 @@ def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
     configuration drift is itself a finding, never silence.
     """
     findings: list[Finding] = []
-    required: set[str] = set(PAYLOAD_CLASSES)
-    required |= set(SERIALIZER_SOURCES)
-    required |= set(KEY_DERIVATION_SOURCES)
-    required |= {OBJECTIVE_SOURCE, SCHEDULE_KIND_SOURCE, SCHEDULE_DISPATCH_SOURCE}
-    required |= set(INSTRUMENTED_SOURCES)
-    required |= set(BATCHED_HOT_PATH_SOURCES)
-    required |= set(PLANNER_SOURCES)
-    required |= set(STORE_LOAD_SOURCES)
-    for path in sorted(required):
+    for path in CONFIGURED_SOURCES:
         if path not in sources:
             findings.append(
                 Finding(
@@ -830,34 +793,17 @@ def lint_sources(sources: Mapping[str, str]) -> list[Finding]:
     for path in KEY_DERIVATION_SOURCES:
         if path in trees:
             _check_nondeterminism(path, trees[path], findings)
-    for path in INSTRUMENTED_SOURCES:
-        if path in trees:
-            _check_direct_clock(path, sources[path], trees[path], findings)
-    for path in BATCHED_HOT_PATH_SOURCES:
-        if path in trees:
-            _check_scalar_cost_calls(path, sources[path], trees[path], findings)
-    for path in PLANNER_SOURCES:
-        if path in trees:
-            _check_blocking_on_loop(path, sources[path], trees[path], findings)
-    for path in STORE_LOAD_SOURCES:
-        if path in trees:
-            _check_unhashed_load(path, sources[path], trees[path], findings)
+    for rule in CALL_RULES:
+        for path in rule.sources:
+            if path in trees:
+                _check_calls(rule, path, sources[path], trees[path], findings)
     for path, tree in sorted(trees.items()):
         _check_bare_except(path, tree, findings)
     return findings
 
 
 def _scan_paths(root: Path) -> Iterable[Path]:
-    for rel in sorted(
-        set(PAYLOAD_CLASSES)
-        | set(SERIALIZER_SOURCES)
-        | set(KEY_DERIVATION_SOURCES)
-        | set(INSTRUMENTED_SOURCES)
-        | set(BATCHED_HOT_PATH_SOURCES)
-        | set(PLANNER_SOURCES)
-        | set(STORE_LOAD_SOURCES)
-        | {OBJECTIVE_SOURCE, SCHEDULE_KIND_SOURCE, SCHEDULE_DISPATCH_SOURCE}
-    ):
+    for rel in CONFIGURED_SOURCES:
         yield root / rel
     for directory in EXCEPT_SCAN_DIRS:
         yield from sorted((root / directory).glob("*.py"))

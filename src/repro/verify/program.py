@@ -24,8 +24,8 @@ paper's schedule invariants without simulating:
 
 Entry points: :func:`verify_program` for a program + schedule already
 in hand, :func:`verify_config` to build and verify a configuration end
-to end, and :func:`verify_outcome` for a search winner (used by the
-``--verify-winners`` post-check in :mod:`repro.search.grid`).
+to end, and :func:`verify_outcome` for a search winner (used by
+``repro-experiments verify --winner``, :mod:`repro.verify.cli`).
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ def verify_outcome(
 ) -> VerifyReport:
     """Verify a search cell's winner (and frontier, if any).
 
-    The ``--verify-winners`` post-check: every configuration a search
+    What ``verify --winner`` runs: every configuration a search
     reports — the single winner and each Pareto-frontier point — is
     rebuilt and statically verified.  An empty cell verifies trivially.
     """

@@ -5,8 +5,7 @@ the Level-2 repo contract linter — reports through the same structure:
 a flat list of :class:`Finding` records, each naming the rule that
 fired, where, and why.  A clean subject yields an empty list; the CLI
 turns any error-severity finding into a non-zero exit status, which is
-what the CI ``static-analysis`` job and the ``--verify-winners``
-post-check key off.
+what the CI ``static-analysis`` job and ``verify --winner`` key off.
 """
 
 from __future__ import annotations

@@ -22,13 +22,15 @@ Two data sources, merged:
 
 Both sources are advisory.  Every reader tolerates the debris an
 interrupted sweep leaves behind — truncated snapshot lines, half-written
-or foreign JSON, nonsense field types — by skipping what it cannot read:
-a trace render must never fail because a sweep did not end cleanly.
+or foreign JSON, nonsense field types, NaN or infinite times — by
+skipping what it cannot read: a trace render must never fail because a
+sweep did not end cleanly, and what it writes is always strict JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -41,9 +43,15 @@ _SECONDS_TO_US = 1e6
 
 
 def _as_float(value) -> float | None:
-    """Coerce an advisory payload field; malformed values become None."""
+    """Coerce an advisory payload field; malformed values become None.
+
+    NaN and the infinities are malformed too: ``json.loads`` accepts
+    them, but a trace holding one loads in no viewer.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        number = float(value)
+        if math.isfinite(number):
+            return number
     return None
 
 
@@ -126,6 +134,13 @@ def sweep_trace_events(
     if not slices:
         return []
     t0 = min(s["start"] for s in slices)
+    for s in slices:
+        s["ts"] = (s["start"] - t0) * _SECONDS_TO_US
+        s["dur"] = max(0.0, s["end"] - s["start"]) * _SECONDS_TO_US
+    # Finite times can still overflow once added, shifted and scaled.
+    slices = [
+        s for s in slices if math.isfinite(s["ts"]) and math.isfinite(s["dur"])
+    ]
     workers = sorted({s["worker"] for s in slices})
     pid_of = {worker: pid for pid, worker in enumerate(workers)}
 
@@ -150,8 +165,8 @@ def sweep_trace_events(
             "cat": "obs" if s["source"] == "obs" else "cell",
             "pid": pid_of[s["worker"]],
             "tid": 0,
-            "ts": (s["start"] - t0) * _SECONDS_TO_US,
-            "dur": max(0.0, s["end"] - s["start"]) * _SECONDS_TO_US,
+            "ts": s["ts"],
+            "dur": s["dur"],
             "args": {"key": s["key"], "source": s["source"]},
         })
     return out
@@ -176,5 +191,7 @@ def write_sweep_trace(
     """Write the sweep trace file; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(sweep_trace(checkpoint_dir, metrics)))
+    path.write_text(
+        json.dumps(sweep_trace(checkpoint_dir, metrics), allow_nan=False)
+    )
     return path

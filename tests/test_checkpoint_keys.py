@@ -16,6 +16,8 @@ never silently.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
@@ -106,6 +108,26 @@ def test_non_default_objectives_never_collide_with_goldens(objective):
     settings = SearchSettings(objective=objective)
     key = _key("52B", Method.BREADTH_FIRST, 8, settings)
     assert key not in GOLDEN_KEYS.values()
+
+
+#: A value other than the default for every SearchSettings field.
+OTHER_SETTINGS = {
+    "bound_pruning": False,
+    "include_hybrid": True,
+    "objective": ParetoFrontObjective(),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SearchSettings)])
+def test_every_search_setting_changes_the_cell_key(name):
+    # A setting left out of the key would let a sweep resume cells
+    # searched under another value of it.  A new field fails here until
+    # OTHER_SETTINGS names a value for it.
+    settings = SearchSettings(**{name: OTHER_SETTINGS[name]})
+    assert settings != SearchSettings()
+    assert _key("52B", Method.BREADTH_FIRST, 8, settings) != _key(
+        "52B", Method.BREADTH_FIRST, 8, SearchSettings()
+    )
 
 
 # --------------------------------------------------------- planner queries

@@ -24,8 +24,7 @@ def _cli_args(**overrides):
     base = dict(
         jobs=None, checkpoint_dir=None,
         resume=False, progress=False, no_bound_pruning=False,
-        verify_winners=False, objective="throughput", memory_headroom=None,
-        calibration=None, metrics_out=None,
+        objective="throughput", memory_headroom=None, calibration=None,
     )
     base.update(overrides)
     return argparse.Namespace(**base)

@@ -26,7 +26,6 @@ from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_52B
 from repro.obs import MetricsRegistry, recording
 from repro.parallel.config import Method
-from repro.search.cell import SearchSettings
 from repro.search.grid import best_configuration
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.engine import EngineDeadlock
@@ -66,8 +65,8 @@ def _assert_no_cycles(unit) -> None:
     assert found == 0, f"{found} objects in reference cycles: {dict(types)}"
 
 
-def _search(method: Method, settings: SearchSettings = SearchSettings()) -> None:
-    best_configuration(MODEL_52B, CLUSTER, method, BATCH, settings=settings)
+def _search(method: Method) -> None:
+    best_configuration(MODEL_52B, CLUSTER, method, BATCH)
 
 
 class TestNoReferenceCycles:
@@ -82,10 +81,6 @@ class TestNoReferenceCycles:
                 _search(method)
 
         _assert_no_cycles(unit)
-
-    def test_search_cell_with_winner_verification(self):
-        settings = SearchSettings(verify_winners=True)
-        _assert_no_cycles(lambda: _search(Method.BREADTH_FIRST, settings))
 
     def test_simulation_with_a_timeline(self):
         outcome = best_configuration(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analytical.bubble import bubble_fraction
@@ -187,6 +189,9 @@ class TestRunnerCli:
             ["frontier", "--quick", "--jobs", "-1"],
             # One in-process job is `--jobs 1`; there is no serial backend.
             ["fig1", "--backend", "serial"],
+            # `verify --winner` is how to verify a winner; the search
+            # itself has no post-check to turn on.
+            ["fig7", "--verify-winners"],
             # Non-finite calibration constants are refused at load.
             ["fig7", "--calibration", "{nan}"],
             ["fig1", "--calibration", "{inf}"],
@@ -240,6 +245,38 @@ class TestRunnerCli:
         assert out.is_file()
         assert main(["fig3", "--calibration", str(out)]) == 0
         capsys.readouterr()
+
+    def test_pool_run_and_its_resume_each_write_one_snapshot_line(
+        self, tmp_path, capsys
+    ):
+        # --metrics-out gets one file and one line per run: the pool
+        # workers' snapshots merge into the coordinator's registry.  A
+        # full resume prints the same rows, takes all 12 cells from
+        # checkpoints and computes none.
+        runs = {}
+        for metrics, resume in (("m", []), ("m2", ["--resume"])):
+            assert main([
+                "fig1", "--jobs", "2",
+                "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--metrics-out", str(tmp_path / metrics), *resume,
+            ]) == 0
+            rows = [
+                line for line in capsys.readouterr().out.splitlines()
+                if "done in" not in line
+            ]
+            files = list((tmp_path / metrics).iterdir())
+            assert [path.name for path in files] == ["coordinator.jsonl"]
+            [line] = files[0].read_text().splitlines()
+            runs[metrics] = rows, json.loads(line)["counters"]
+        (rows, fresh), (resumed_rows, resumed) = runs["m"], runs["m2"]
+        assert resumed_rows == rows
+        assert fresh["sweep.cells_computed"] == fresh["sweep.cells_total"] == 12
+        assert (
+            resumed["sweep.cells_from_checkpoints"]
+            == resumed["sweep.cells_total"]
+            == 12
+        )
+        assert "sweep.cells_computed" not in resumed
 
     def test_cli_default_selects_all(self, capsys):
         # Regression: `repro-experiments` with no arguments must expand to

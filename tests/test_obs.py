@@ -9,8 +9,9 @@ The contracts pinned here:
   debris of killed writers;
 - ``merge_snapshot`` folds per-cell snapshots into one recorder exactly
   as if that recorder had recorded every cell itself;
-- spans nest (depth + time containment) and timers are monotone under a
-  hand-driven fake clock;
+- spans nest (depth + time containment), and each closed span's
+  perf-clock duration lands in ``<name>.seconds``, under a hand-driven
+  fake clock;
 - the obs counters written by :func:`repro.search.grid.best_configuration`
   agree exactly with the search's own ``n_tried``/``n_excluded``/
   ``n_pruned`` accounting — the instrumentation measures the pipeline it
@@ -54,7 +55,7 @@ from repro.sim.cost_batch import bound_partials, comm_rank_sums
 
 
 class FakeClock:
-    """Hand-driven monotonic clock for span/timer tests."""
+    """Hand-driven monotonic clock for span tests."""
 
     def __init__(self, start: float = 100.0) -> None:
         self.t = start
@@ -83,14 +84,15 @@ class TestDisabledRecorder:
         rec.count("a", 5.0)
         rec.observe("c", 0.5)
         with rec.span("outer", key="k"):
-            with rec.timer("t"):
+            with rec.span("inner"):
                 pass
         assert not hasattr(rec, "counters")
+        assert not hasattr(rec, "histograms")
 
-    def test_span_and_timer_share_one_null_context(self):
+    def test_spans_share_one_null_context(self):
         # No allocation on the disabled path: every call returns the
         # same reusable context manager.
-        assert NULL_RECORDER.span("a") is NULL_RECORDER.timer("b")
+        assert NULL_RECORDER.span("a") is NULL_RECORDER.span("b")
         assert NULL_RECORDER.span("a") is NULL_RECORDER.span("c", x=1)
 
     def test_install_uninstall(self):
@@ -165,17 +167,44 @@ class TestMetricsRegistry:
         assert not registry._span_stack
         assert [s["name"] for s in registry.spans] == ["inner", "outer"]
         assert registry.spans[0]["end"] == registry.spans[1]["end"]
+        # Each span's duration runs from its own start to the close.
+        assert registry.histograms == {
+            "inner.seconds": [1.0],
+            "outer.seconds": [2.0],
+        }
 
-    def test_timer_monotone_under_fake_clock(self):
+    def test_span_seconds_monotone_under_fake_clock(self):
         clock = FakeClock()
         registry = make_registry(clock)
         for dt in (0.0, 0.25, 1.5):
-            with registry.timer("stage.seconds"):
+            with registry.span("stage"):
                 clock.advance(dt)
         values = registry.histograms["stage.seconds"]
         assert values == [0.0, 0.25, 1.5]
         assert all(v >= 0.0 for v in values)
         assert values == sorted(values)  # the clock never ran backward
+
+    def test_span_seconds_come_from_the_perf_clock(self):
+        # Durations are perf-clock differences, not differences of the
+        # epoch-anchored start and end, which round to the 2**-22 s
+        # spacing of floats near 1.7e9.
+        clock = FakeClock(start=3.0)
+        registry = MetricsRegistry(
+            actor="test", clock=clock, wall_clock=lambda: 1.7e9 + 0.1
+        )
+        marks = [clock()]
+        with registry.span("outer"):
+            clock.advance(0.1)
+            marks.append(clock())
+            with registry.span("inner"):
+                clock.advance(0.2)
+                marks.append(clock())
+        assert registry.histograms == {
+            "inner.seconds": [marks[2] - marks[1]],
+            "outer.seconds": [marks[2] - marks[0]],
+        }
+        inner = registry.spans[0]
+        assert inner["end"] - inner["start"] != marks[2] - marks[1]
 
 
 class TestSnapshots:
@@ -268,7 +297,11 @@ class TestMergeSnapshot:
         coordinator = make_registry()
         coordinator.observe("h", 0.25)
         merge_snapshot(coordinator, worker.snapshot())
-        assert coordinator.histograms == {"h": [0.25, 0.5, 1.5]}
+        # The span's duration travels as a histogram; the span does not.
+        assert coordinator.histograms == {
+            "h": [0.25, 0.5, 1.5],
+            "search.cell.seconds": [1.0],
+        }
         assert coordinator.spans == []
 
     def test_per_cell_snapshots_merge_to_one_recording(self):
@@ -345,7 +378,7 @@ class TestSearchInstrumentation:
             > 0
         )
 
-    def test_stage_timers_and_tightness(self, searched):
+    def test_stage_seconds_and_tightness(self, searched):
         registry, outcome = searched
         for stage in ("memory_filter", "bound_order", "simulate"):
             assert len(registry.histograms[f"search.stage.{stage}.seconds"]) == 1

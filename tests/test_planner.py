@@ -356,6 +356,41 @@ class TestProtocol:
         with pytest.raises(ValueError, match=field):
             request_from_json(data)
 
+    @pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+    def test_in_process_requests_are_refused_like_wire_ones(
+        self, field, value
+    ):
+        # One validator: a request built in process is refused with the
+        # ValueError the wire path gives, word for word.
+        data = request_to_json(_request())
+        data[field] = value
+        with pytest.raises(ValueError) as wire:
+            request_from_json(data)
+        with pytest.raises(ValueError) as in_process:
+            PlanRequest(**data)
+        assert str(in_process.value) == str(wire.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory_headroom", "0.5"),
+            ("model", ["52B"]),
+            ("cluster", ("dgx1-64",)),
+            ("methods", (BF, 7)),
+        ],
+        ids=["str-headroom", "list-model", "tuple-cluster", "int-method"],
+    )
+    def test_in_process_mistypes_are_value_errors_naming_the_field(
+        self, field, value
+    ):
+        # Not a TypeError out of resolve(): comparing the headroom with
+        # a float, or hashing a list as a preset name.
+        overrides = {field: value}
+        if field == "memory_headroom":
+            overrides["objective"] = "memory-constrained"
+        with pytest.raises(ValueError, match=f"'{field}' must be"):
+            _request(**overrides).resolve()
+
     def test_missing_required_field_is_rejected_by_name(self):
         data = request_to_json(_request())
         del data["batch_sizes"]

@@ -21,7 +21,7 @@ import pytest
 
 from repro.hardware.cluster import DGX1_CLUSTER_64, DGX1_CLUSTER_64_ETHERNET
 from repro.models.presets import MODEL_6_6B
-from repro.obs import MetricsRegistry, read_snapshots, recording
+from repro.obs import MetricsRegistry, recording
 from repro.parallel.config import Method
 from repro.search import grid as grid_module
 from repro.search.cell import SearchSettings
@@ -214,7 +214,9 @@ def _checkpoint_writer(root):
 
 def _timing_writer(root):
     store = CheckpointStore(root)
-    return lambda n: store.store_timing("k", float(n))
+    return lambda n: store.store_timing(
+        "k", float(n), worker="w", started_at=10.0
+    )
 
 
 def _manifest_writer(root):
@@ -308,28 +310,18 @@ class TestRunSweep:
         )
         assert resumed == first
 
-    @pytest.mark.parametrize("observer", ["recording", "metrics_out"])
-    def test_fully_resumed_sweep_records_its_counters(
-        self, tmp_path, observer
-    ):
+    def test_fully_resumed_sweep_records_its_counters(self, tmp_path):
         # Nothing is left to compute, yet the sweep still counts where
-        # its cells came from, and writes its own snapshot when asked.
+        # its cells came from.
         opts = SweepOptions(processes=1, checkpoint_dir=tmp_path / "ck")
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
-        resumed = replace(opts, resume=True)
-        if observer == "recording":
-            registry = MetricsRegistry(actor="coordinator")
-            with recording(registry):
-                run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=resumed)
-            counters = registry.snapshot()["counters"]
-        else:
-            metrics = tmp_path / "metrics"
+        registry = MetricsRegistry(actor="coordinator")
+        with recording(registry):
             run_sweep(
                 MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-                options=replace(resumed, metrics_out=metrics),
+                options=replace(opts, resume=True),
             )
-            [snapshot] = read_snapshots(metrics / "coordinator.jsonl")
-            counters = snapshot["counters"]
+        counters = registry.snapshot()["counters"]
         assert counters == {
             "sweep.cells_from_checkpoints": len(CELLS),
             "sweep.cells_total": len(CELLS),
@@ -409,19 +401,19 @@ class TestCellTiming:
 
     def test_timing_sidecar_round_trip_and_corruption(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.store_timing("abc123", 1.25)
+        store.store_timing("abc123", 1.25, worker="w", started_at=10.0)
         assert store.load_timing_record("abc123")["seconds"] == 1.25
         assert store.load_timing_record("missing") is None
         store.timing_path_for("bad999").write_bytes(b"{nope")
         assert store.load_timing_record("bad999") is None  # silently advisory
         with pytest.raises(ValueError):
-            store.store_timing("abc123", -1.0)
+            store.store_timing("abc123", -1.0, worker="w", started_at=10.0)
 
     def test_timing_sidecar_with_retired_fields_still_loads(self, tmp_path):
         # Sidecars written by older versions may carry fields this one
         # no longer writes; the duration must still load.
         store = CheckpointStore(tmp_path)
-        path = store.store_timing("abc123", 1.25)
+        path = store.store_timing("abc123", 1.25, worker="w", started_at=10.0)
         record = json.loads(path.read_bytes())
         record["retired_field"] = 0.9
         path.write_text(json.dumps(record))
@@ -452,7 +444,7 @@ class TestCellTiming:
     ):
         store = CheckpointStore(tmp_path)
         store.store("deadbeef", outcomes[0])
-        store.store_timing("deadbeef", 2.0)
+        store.store_timing("deadbeef", 2.0, worker="w", started_at=10.0)
         assert store.keys() == ["deadbeef"]
 
 
@@ -498,7 +490,7 @@ class TestSchedule:
             key = cell_key(
                 MODEL_6_6B, DGX1_CLUSTER_64, DEFAULT_CALIBRATION, cell
             )
-            store.store_timing(key, seconds)
+            store.store_timing(key, seconds, worker="w", started_at=10.0)
         opts = SweepOptions(processes=1, checkpoint_dir=tmp_path)
         run_sweep(MODEL_6_6B, DGX1_CLUSTER_64, CELLS, options=opts)
         assert scheduled == [[1, 0, 2]]
@@ -689,20 +681,6 @@ class TestBackendParity:
         assert counters["sweep.cells_from_checkpoints"] == 1
         assert counters["sweep.cells_computed"] == 2
         assert counters["search.cells"] == 2
-
-    def test_pool_metrics_out_writes_one_coordinator_log(self, tmp_path):
-        # The workers' per-cell snapshots are merged into the
-        # coordinator's, so --metrics-out holds one file.
-        metrics = tmp_path / "metrics"
-        run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=SweepOptions(processes=2, metrics_out=metrics),
-        )
-        assert [path.name for path in metrics.iterdir()] == ["coordinator.jsonl"]
-        [snapshot] = read_snapshots(metrics / "coordinator.jsonl")
-        assert snapshot["actor"] == "coordinator"
-        assert snapshot["counters"]["search.cells"] == len(CELLS)
-        assert snapshot["counters"]["sweep.cells_computed"] == len(CELLS)
 
 
 _REAL_WAIT = concurrent.futures.wait

@@ -15,7 +15,7 @@ import pytest
 from repro.experiments.runner import main
 from repro.hardware.cluster import DGX1_CLUSTER_64
 from repro.models.presets import MODEL_6_6B
-from repro.obs import MetricsRegistry, write_snapshot_line
+from repro.obs import MetricsRegistry, recording, write_snapshot_line
 from repro.parallel.config import Method
 from repro.search.service import (
     CheckpointStore,
@@ -54,8 +54,12 @@ class TestTimingAttribution:
         assert record["seconds"] == 1.5
 
     def test_plain_sidecar_still_loads(self, tmp_path):
+        # A sidecar without the attribution fields still gives its
+        # duration; sweep-trace skips it (see TestTornInputs).
         store = CheckpointStore(tmp_path)
-        store.store_timing("k1", 2.0)
+        store.timing_path_for("k1").write_text(json.dumps(
+            {"format": FORMAT_VERSION, "key": "k1", "seconds": 2.0}
+        ))
         record = store.load_timing_record("k1")
         assert record["seconds"] == 2.0
         assert "worker" not in record
@@ -91,15 +95,19 @@ class TestSweepTrace:
         }
 
     def test_pool_sweep_merges_the_coordinators_spans(self, tmp_path):
-        # With --metrics-out, the coordinator's sweep.run span joins the
-        # workers' cell slices, on its own lane.
+        # With a recorder installed, as --metrics-out installs one, the
+        # coordinator's sweep.run span joins the workers' cell slices,
+        # on its own lane.
         checkpoint_dir = tmp_path / "ckpt"
-        run_sweep(
-            MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
-            options=SweepOptions(
-                checkpoint_dir=checkpoint_dir, processes=2,
-                metrics_out=tmp_path / "metrics",
-            ),
+        with recording(MetricsRegistry(actor="coordinator")) as registry:
+            run_sweep(
+                MODEL_6_6B, DGX1_CLUSTER_64, CELLS,
+                options=SweepOptions(
+                    checkpoint_dir=checkpoint_dir, processes=2
+                ),
+            )
+        write_snapshot_line(
+            tmp_path / "metrics" / "coordinator.jsonl", registry.snapshot()
         )
         events = sweep_trace(checkpoint_dir, tmp_path / "metrics")["traceEvents"]
         lanes = _lanes(events)
@@ -202,11 +210,12 @@ class TestTornInputs:
             {"worker": None},
             {"started_at": "soon"},
             {"seconds": True},
+            {"started_at": 1.5e308, "seconds": 1.5e308},
         ],
         ids=[
             "not-an-object", "garbage", "torn-utf8", "key-mismatch",
             "wrong-format", "negative-seconds", "no-seconds", "no-worker",
-            "start-not-a-number", "seconds-bool",
+            "start-not-a-number", "seconds-bool", "end-overflows",
         ],
     )
     def test_unusable_sidecar_is_skipped(self, tmp_path, payload):
@@ -246,8 +255,13 @@ class TestTornInputs:
             {"name": "x", "start": "soon", "end": 2.0},
             {"name": "x", "start": 1.0},
             {"name": 7, "start": 1.0, "end": 2.0},
+            {"name": "x", "start": float("nan"), "end": 2.0},
+            {"name": "x", "start": 1.0, "end": float("inf")},
         ],
-        ids=["not-an-object", "start-not-a-number", "no-end", "unnamed"],
+        ids=[
+            "not-an-object", "start-not-a-number", "no-end", "unnamed",
+            "start-nan", "end-infinity",
+        ],
     )
     def test_unusable_span_is_skipped(self, tmp_path, span):
         good = {"name": "search.cell", "start": 1.0, "end": 2.0}
@@ -255,6 +269,45 @@ class TestTornInputs:
         assert [(s["name"], s["dur"]) for s in slices] == [
             ("search.cell", 1e6)
         ]
+
+    @staticmethod
+    def _strict_json(text):
+        """``json.loads`` that refuses NaN and the infinities."""
+
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant} in the trace")
+
+        return json.loads(text, parse_constant=refuse)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["started_at", "seconds"])
+    def test_non_finite_sidecar_leaves_a_strict_json_trace(
+        self, tmp_path, field, value
+    ):
+        # json.loads reads these constants from a hand-edited sidecar;
+        # the trace written next to it must not carry them on.  The bad
+        # sidecar sorts first, so its start time would be the trace's
+        # origin.
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.store_timing("good", 1.0, worker="pool-7", started_at=10.0)
+        record = {
+            "format": FORMAT_VERSION, "key": "bad", "seconds": 2.0,
+            "worker": "pool-8", "started_at": 11.0, field: float(value),
+        }
+        store.timing_path_for("bad").write_text(json.dumps(record))
+        path = write_sweep_trace(tmp_path / "trace.json", tmp_path / "ckpt")
+        events = self._strict_json(path.read_text())["traceEvents"]
+        assert [
+            (e["args"]["key"], e["ts"], e["dur"])
+            for e in events if e["ph"] == "X"
+        ] == [("good", 0.0, 1e6)]
+
+    def test_times_that_overflow_once_scaled_never_reach_the_trace(
+        self, tmp_path
+    ):
+        # Finite span times whose difference overflows.
+        span = {"name": "x", "start": -1.7e308, "end": 1.7e308}
+        assert self._trace_with_spans(tmp_path, [span]) == []
 
     def test_span_with_foreign_attrs_keeps_its_slice(self, tmp_path):
         span = {"name": "search.cell", "start": 1.0, "end": 2.0, "attrs": [1]}

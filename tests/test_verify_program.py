@@ -73,14 +73,12 @@ def test_mutation_baselines_are_clean(mutation_results):
 
 def test_winner_verification_passes_on_clean_search():
     from repro.parallel.config import Method
-    from repro.search.cell import SearchSettings
     from repro.search.grid import best_configuration
+    from repro.verify.program import verify_outcome
 
     outcome = best_configuration(
-        MODEL_6_6B,
-        DGX1_CLUSTER_64,
-        Method.BREADTH_FIRST,
-        32,
-        settings=SearchSettings(verify_winners=True),
+        MODEL_6_6B, DGX1_CLUSTER_64, Method.BREADTH_FIRST, 32
     )
     assert outcome.best is not None
+    report = verify_outcome(MODEL_6_6B, DGX1_CLUSTER_64, outcome)
+    assert report.ok, report.format()
